@@ -1,14 +1,34 @@
-"""Exact rational linear programming by two-phase simplex.
+"""Exact rational linear programming by fraction-free two-phase simplex.
 
-All data are Fractions; pivoting uses Bland's rule, which guarantees
-termination without perturbation.  Variables are free (unrestricted in
-sign) at the interface and split internally into nonnegative pairs.
+Variables are free (unrestricted in sign) at the interface and split
+internally into nonnegative pairs.  The tableau columns are x+ (n), x- (n),
+one slack per inequality row and, during phase 1, one artificial per row.
+Pivoting uses Bland's rule (the smallest entering column with negative
+reduced cost; ratio-test ties go to the smallest basic column), which
+guarantees termination without perturbation.
+
+Integer-row invariant: each constraint row is scaled to integers once, by
+the lcm of its denominators, and row i is kept as a list of Python ints R
+whose true value is R / R[basis[i]], with R[basis[i]] > 0 and the entries
+of R coprime.  A pivot on (r, col) cross-multiplies every other row,
+R_i <- p R_i - R_i[col] R_r with p = R_r[col] > 0, and divides the result
+by its gcd; ratios are compared by cross-multiplying.  The reduced-cost row
+lives in the tableau as ints over its own positive denominator and is
+updated by the same pivots instead of being recomputed every iteration.
+
+Every quantity the pivot rules look at (the sign of a reduced cost, the
+sign of a column entry, the order of two ratios) is exactly the value the
+plain Fraction tableau with the same columns would hold; only its
+representation differs.  So the pivot sequence, and with it every returned
+vertex, is that of the Fraction tableau.  Results are turned into
+Fractions once, at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 F0 = Fraction(0)
@@ -32,124 +52,141 @@ def lp_solve(c: Sequence[Fraction],
              a_eq: Sequence[Sequence[Fraction]] = (),
              b_eq: Sequence[Fraction] = ()) -> LPResult:
     """Minimize c.x subject to a_ub x <= b_ub and a_eq x = b_eq, x free."""
+    c = [_rational(v) for v in c]
     n = len(c)
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
     n_slack = len(a_ub)
-    # columns: x+ (n), x- (n), slacks (n_slack)
-    for i, row in enumerate(a_ub):
-        r = [Fraction(v) for v in row]
-        line = r + [-v for v in r] + [F0] * n_slack
-        line[2 * n + i] = F1
-        rows.append(line)
-        rhs.append(Fraction(b_ub[i]))
-    for i, row in enumerate(a_eq):
-        r = [Fraction(v) for v in row]
-        rows.append(r + [-v for v in r] + [F0] * n_slack)
-        rhs.append(Fraction(b_eq[i]))
     ncols = 2 * n + n_slack
-    # normalize to rhs >= 0
-    for i in range(len(rows)):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-    nrows = len(rows)
+    nrows = n_slack + len(a_eq)
     if nrows == 0:
+        if any(c):
+            return LPResult(UNBOUNDED, None, None)
         return LPResult(OPTIMAL, tuple([F0] * n), F0)
-
-    # phase 1: artificial variable per row
-    tableau = [rows[i] + [F1 if j == i else F0 for j in range(nrows)] + [rhs[i]]
-               for i in range(nrows)]
-    basis = [ncols + i for i in range(nrows)]
     total = ncols + nrows
-    cost1 = [F0] * total
-    for j in range(ncols, total):
-        cost1[j] = F1
-    if _simplex(tableau, basis, cost1, total) != OPTIMAL:
+
+    # columns: x+ (n), x- (n), slacks (n_slack), artificials (nrows), rhs
+    rows = []
+    for i in range(nrows):
+        if i < n_slack:
+            row, rhs = a_ub[i], b_ub[i]
+        else:
+            row, rhs = a_eq[i - n_slack], b_eq[i - n_slack]
+        vals = [_rational(v) for v in row]
+        rhs = _rational(rhs)
+        scale = lcm(rhs.denominator, *(v.denominator for v in vals))
+        s = -scale if rhs < 0 else scale  # normalize to rhs >= 0
+        ints = [s * v.numerator // v.denominator for v in vals]
+        line = ints + [-v for v in ints] + [0] * (n_slack + nrows)
+        if i < n_slack:
+            line[2 * n + i] = s
+        line[ncols + i] = scale
+        line.append(s * rhs.numerator // rhs.denominator)
+        rows.append(_reduce(line))
+
+    # phase 1: minimize the sum of the artificials
+    basis = list(range(ncols, total))
+    z = _cost_row(rows, basis, [0] * ncols + [1] * nrows + [0, 1])
+    if _simplex(rows, basis, z, total) != OPTIMAL:
         raise RuntimeError("phase-1 simplex cannot be unbounded")
-    if _objective(tableau, basis, cost1) != 0:
+    if z[-2] != 0:
         return LPResult(INFEASIBLE, None, None)
-    _drive_out_artificials(tableau, basis, ncols)
+    _drive_out_artificials(rows, basis, ncols)
 
-    # phase 2 on the original columns only
-    cost2 = [F0] * total
-    for j in range(n):
-        cost2[j] = Fraction(c[j])
-        cost2[n + j] = -Fraction(c[j])
-    status = _simplex(tableau, basis, cost2, ncols)
-    if status == UNBOUNDED:
+    # phase 2 on the original columns only: the artificial columns go
+    rows = [_reduce(row[:ncols] + row[-1:]) for row in rows]
+    cscale = lcm(*(v.denominator for v in c))
+    cost = [cscale * v.numerator // v.denominator for v in c]
+    z = _cost_row(rows, basis,
+                  cost + [-v for v in cost] + [0] * (n_slack + 1) + [cscale])
+    if _simplex(rows, basis, z, ncols) == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None)
-    sol = [F0] * total
-    for i, b in enumerate(basis):
-        sol[b] = tableau[i][-1]
-    x = tuple(sol[j] - sol[n + j] for j in range(n))
-    obj = sum((Fraction(c[j]) * x[j] for j in range(n)), F0)
-    return LPResult(OPTIMAL, x, obj)
+    value = {b: Fraction(row[-1], row[b])
+             for row, b in zip(rows, basis) if b < 2 * n}
+    x = tuple(value.get(j, F0) - value.get(n + j, F0) for j in range(n))
+    return LPResult(OPTIMAL, x, Fraction(-z[-2], z[-1]))
 
 
-def _objective(tableau, basis, cost) -> Fraction:
-    return sum((cost[b] * tableau[i][-1] for i, b in enumerate(basis)), F0)
+def _rational(v) -> Fraction:
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
 
 
-def _reduced_costs(tableau, basis, cost, ncols) -> List[Fraction]:
-    red = [Fraction(cost[j]) for j in range(ncols)]
-    for i, b in enumerate(basis):
-        cb = cost[b]
-        if cb != 0:
-            row = tableau[i]
-            for j in range(ncols):
-                if row[j] != 0:
-                    red[j] -= cb * row[j]
-    return red
+def _reduce(row: List[int]) -> List[int]:
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
-def _simplex(tableau, basis, cost, ncols) -> str:
+
+def _cost_row(rows, basis, cost) -> List[int]:
+    """The tableau's cost row for the objective `cost` at `basis`.
+
+    `cost` and the result hold integer column entries, then the rhs slot
+    (minus the objective value), then a positive denominator D: each true
+    value is its entry over D.  `cost` has 0 in its rhs slot.
+    """
+    z = cost
+    for row, b in zip(rows, basis):
+        f = z[b]
+        if f:
+            d = row[b]
+            z = [d * a - f * v for a, v in zip(z, row)] + [d * z[-1]]
+    return _reduce(z)
+
+
+def _simplex(rows, basis, z, ncols) -> str:
     """Minimize; Bland's rule; pivots restricted to columns < ncols."""
+    basic = set(basis)
     while True:
-        red = _reduced_costs(tableau, basis, cost, ncols)
-        enter = None
-        for j in range(ncols):
-            if red[j] < 0 and j not in basis:
-                enter = j
-                break
+        enter = next((j for j in range(ncols) if z[j] < 0 and j not in basic),
+                     None)
         if enter is None:
             return OPTIMAL
-        # ratio test with Bland tie-break on the leaving basis index
+        # ratio test rhs/a by cross-multiplication, Bland tie-break on the
+        # leaving basis index
         leave = None
-        best = None
-        for i in range(len(tableau)):
-            a = tableau[i][enter]
-            if a > 0:
-                ratio = tableau[i][-1] / a
-                if best is None or ratio < best or \
-                        (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+        for i, row in enumerate(rows):
+            a = row[enter]
+            if a <= 0:
+                continue
+            if leave is not None:
+                lhs, rhs = row[-1] * best_a, best_b * a
+                if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                    continue
+            leave, best_b, best_a = i, row[-1], a
         if leave is None:
             return UNBOUNDED
-        _pivot(tableau, basis, leave, enter)
+        basic.discard(basis[leave])
+        basic.add(enter)
+        _pivot(rows, basis, leave, enter, z)
 
 
-def _pivot(tableau, basis, row, col):
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
-    for i in range(len(tableau)):
-        if i != row and tableau[i][col] != 0:
-            f = tableau[i][col]
-            tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[row])]
-    basis[row] = col
+def _pivot(rows, basis, r, col, z=None):
+    """Make `col` basic in row r; also update the cost row z when given."""
+    piv = rows[r]
+    p = piv[col]
+    if p < 0:
+        piv = rows[r] = [-v for v in piv]
+        p = -p
+    for i, row in enumerate(rows):
+        f = row[col]
+        if f and i != r:
+            rows[i] = _reduce([p * a - f * b for a, b in zip(row, piv)])
+    if z is not None and z[col]:
+        f = z[col]
+        z[:] = _reduce([p * a - f * b for a, b in zip(z, piv)] + [p * z[-1]])
+    basis[r] = col
 
 
-def _drive_out_artificials(tableau, basis, ncols):
+def _drive_out_artificials(rows, basis, ncols):
     """Pivot basic artificials onto real columns; drop redundant rows."""
     i = 0
-    while i < len(tableau):
+    while i < len(rows):
         if basis[i] >= ncols:
-            col = next((j for j in range(ncols) if tableau[i][j] != 0), None)
+            row = rows[i]
+            col = next((j for j in range(ncols) if row[j]), None)
             if col is None:
-                del tableau[i]
+                del rows[i]
                 del basis[i]
                 continue
-            _pivot(tableau, basis, i, col)
+            _pivot(rows, basis, i, col)
         i += 1
 
 

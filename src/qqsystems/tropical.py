@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+from . import lp
 from .lp import F0, F1, feasible
 from .scalar import Scalar
 from .systems import ProblemSpec, SpecValidationError
@@ -283,9 +284,8 @@ def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult
             for i, v in enumerate(target):
                 obj = [state.basis[j][i] for j in range(r)]
                 if v > 0:
-                    bound = v if v != F1 else F1
                     extra_a.append([-o for o in obj])
-                    extra_b.append(state.w0[i] - bound)
+                    extra_b.append(state.w0[i] - v)
                 elif v < 0:
                     extra_a.append(list(obj))
                     extra_b.append(v - state.w0[i])
@@ -328,6 +328,7 @@ def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult
 
 def lp_solve_obj(obj, a_ub, b_ub) -> Optional[Fraction]:
     """Minimum of obj . p subject to a_ub p <= b_ub; None when unbounded."""
-    from .lp import lp_solve, OPTIMAL
-    res = lp_solve(obj, a_ub, b_ub)
-    return res.objective if res.status == OPTIMAL else None
+    # looked up on the module at call time, so that a wrapper installed on
+    # qqsystems.lp.lp_solve also sees these calls
+    res = lp.lp_solve(obj, a_ub, b_ub)
+    return res.objective if res.status == lp.OPTIMAL else None

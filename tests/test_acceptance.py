@@ -146,12 +146,15 @@ def test_criterion_3_count_rank_certificates(criterion3_lifts):
 
 def test_criterion_4_tropical_theorems():
     with _Verdict(4, "tropical prevariety = {0} on the (m,n) x mode matrix"):
-        for m, n in [(1, 1), (2, 1), (1, 2), (2, 2)]:
+        for m, n, cells in [(1, 1, 3), (2, 1, 36), (1, 2, 36), (2, 2, 2100)]:
             shifts = [(k, 1) for k in range(1, m + n + 1)]
-            res = prevariety(qq_spec(shifts, m, n))
-            assert res.is_origin_only, f"qq ({m},{n})"
-            res = prevariety(QQ_spec(shifts, m, n, 3))
-            assert res.is_origin_only, f"QQ ({m},{n})"
+            for mode, spec in (("qq", qq_spec(shifts, m, n)),
+                               ("QQ", QQ_spec(shifts, m, n, 3))):
+                res = prevariety(spec)
+                assert res.is_origin_only, f"{mode} ({m},{n})"
+                assert res.cell_count == cells, f"{mode} ({m},{n})"
+                assert res.points_bounded is True, f"{mode} ({m},{n})"
+                assert res.witness is None, f"{mode} ({m},{n})"
 
 
 def test_criterion_5_gaudin(criterion1_lift, criterion3_lifts):

@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import lp_reference
 from qqsystems.lp import (lp_solve, feasible, coordinate_range,
                           OPTIMAL, INFEASIBLE, UNBOUNDED)
 
@@ -84,3 +86,39 @@ def test_no_constraints():
     res = lp_solve([F(0), F(0)])
     assert res.status == OPTIMAL
     assert res.x == (F(0), F(0))
+
+
+def test_no_constraints_nonzero_cost_is_unbounded():
+    assert lp_solve([F(1)]).status == UNBOUNDED
+    assert lp_solve([F(0), F(-1, 2)]).status == UNBOUNDED
+    assert coordinate_range(0, 1) == (None, None)
+
+
+_small = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+# zero right-hand sides make degenerate vertices common
+_rhs = st.one_of(st.just(F(0)), _small)
+
+
+@st.composite
+def _problems(draw):
+    """Small LPs: 1-4 free variables, 0-7 <= rows, 0-2 = rows."""
+    n = draw(st.integers(1, 4))
+    vec = st.lists(_small, min_size=n, max_size=n)
+    # a zero cost asks only for feasibility: the answer is the vertex
+    # where phase 1 stops
+    c = draw(st.one_of(st.just([F(0)] * n), vec))
+    a_ub = draw(st.lists(vec, max_size=7))
+    b_ub = draw(st.lists(_rhs, min_size=len(a_ub), max_size=len(a_ub)))
+    a_eq = draw(st.lists(vec, max_size=2))
+    b_eq = draw(st.lists(_rhs, min_size=len(a_eq), max_size=len(a_eq)))
+    if len(a_eq) == 2 and draw(st.booleans()):
+        # a redundant equality: the drive-out deletes its row
+        a_eq[1] = [2 * v for v in a_eq[0]]
+        b_eq[1] = 2 * b_eq[0]
+    return c, a_ub, b_ub, a_eq, b_eq
+
+
+@settings(max_examples=400, deadline=None)
+@given(_problems())
+def test_matches_fraction_reference(problem):
+    assert lp_solve(*problem) == lp_reference.lp_solve(*problem)
