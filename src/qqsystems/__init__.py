@@ -1,16 +1,14 @@
 """Exact solver and verification suite for rank-one qq- and QQ-systems."""
 
 from .scalar import Scalar, ZERO, ONE, I
-from .poly import Poly, poly_from_shifts, poly_dilate, wronskian
+from .poly import Poly, SparsePoly, poly_from_shifts, poly_dilate, wronskian
 from .series import (Series, RamificationMismatchError,
                      NonInvertibleSeriesError)
 from .systems import (MasterData, ProblemSpec, CandidatePoint,
                       SpecValidationError, SizeCapExceededError,
-                      evaluate_residual, evaluate_qq_residual,
-                      evaluate_QQ_residual, jacobian_at_zero,
-                      symbolic_support)
-from .infinite import (InfiniteSolution, enumerate_infinite_solutions,
-                       classify_solution)
+                      residual_components, evaluate_residual,
+                      jacobian_at_zero, symbolic_support)
+from .infinite import InfiniteSolution, enumerate_infinite_solutions
 from .lifting import (LiftedSolution, SingularJacobianError,
                       RamificationBoundExceededError, lift_newton,
                       lift_ramified, certify_residual)
@@ -27,13 +25,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Scalar", "ZERO", "ONE", "I",
-    "Poly", "poly_from_shifts", "poly_dilate", "wronskian",
+    "Poly", "SparsePoly", "poly_from_shifts", "poly_dilate", "wronskian",
     "Series", "RamificationMismatchError", "NonInvertibleSeriesError",
     "MasterData", "ProblemSpec", "CandidatePoint",
     "SpecValidationError", "SizeCapExceededError",
-    "evaluate_residual", "evaluate_qq_residual", "evaluate_QQ_residual",
+    "residual_components", "evaluate_residual",
     "jacobian_at_zero", "symbolic_support",
-    "InfiniteSolution", "enumerate_infinite_solutions", "classify_solution",
+    "InfiniteSolution", "enumerate_infinite_solutions",
     "LiftedSolution", "SingularJacobianError",
     "RamificationBoundExceededError", "lift_newton", "lift_ramified",
     "certify_residual",

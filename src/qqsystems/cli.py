@@ -1,8 +1,9 @@
 """Command-line front end: enumerate, lift, verify, report.
 
-Exit codes: 0 success; 2 spec validation failure; 3 ramification bound
-exceeded; 4 residual certificate failure.  Reports are deterministic
-JSON ("format": 1) with exact rational scalars throughout.
+Exit codes: 0 success; 2 spec validation failure (or the tropical size
+cap exceeded); 3 ramification bound exceeded; 4 residual certificate
+failure.  Reports are deterministic JSON ("format": 1) with exact
+rational scalars throughout.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .bethe import bethe_report
 from .infinite import enumerate_infinite_solutions
 from .lifting import (RamificationBoundExceededError, lift_newton,
                       lift_ramified)
-from .systems import ProblemSpec, SpecValidationError
+from .systems import ProblemSpec, SizeCapExceededError, SpecValidationError
 from .tropical import prevariety
 
 EXIT_OK = 0
@@ -28,14 +29,6 @@ EXIT_RAMIFICATION = 3
 EXIT_CERTIFICATE = 4
 
 FORMAT_VERSION = 1
-
-
-def _load_spec(path: str, require_nonzero_at_origin: bool) -> ProblemSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    spec = ProblemSpec.from_json(obj)
-    spec.validate(require_nonzero_at_origin=require_nonzero_at_origin)
-    return spec
 
 
 def _emit(report: dict, out: Optional[str]) -> None:
@@ -47,21 +40,34 @@ def _emit(report: dict, out: Optional[str]) -> None:
         print(text)
 
 
+def _fail(args, reason: str, message: str) -> int:
+    """Emit a report holding only this failure; validation exit code."""
+    _emit({"format": FORMAT_VERSION, "version": __version__,
+           "failures": [{"reason": reason, "message": message}]},
+          getattr(args, "out", None))
+    return EXIT_VALIDATION
+
+
+def _load_spec(args, require_nonzero_at_origin: bool) -> Optional[ProblemSpec]:
+    """The validated spec, or None once its failure report is emitted."""
+    try:
+        with open(args.spec, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+        spec = ProblemSpec.from_json(obj)
+        spec.validate(require_nonzero_at_origin=require_nonzero_at_origin)
+        return spec
+    except SpecValidationError as exc:
+        _fail(args, exc.code, str(exc))
+    except (OSError, ValueError) as exc:  # unreadable file or not JSON
+        _fail(args, "bad_spec_file", str(exc))
+    return None
+
+
 def cmd_solve(args) -> int:
     started = time.time()
-    try:
-        spec = _load_spec(args.spec, require_nonzero_at_origin=True)
-    except SpecValidationError as exc:
-        _emit({"format": FORMAT_VERSION, "version": __version__,
-               "failures": [{"reason": exc.code, "message": str(exc)}]},
-              args.out)
+    spec = _load_spec(args, require_nonzero_at_origin=True)
+    if spec is None:
         return EXIT_VALIDATION
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        _emit({"format": FORMAT_VERSION, "version": __version__,
-               "failures": [{"reason": "bad_spec_file", "message": str(exc)}]},
-              args.out)
-        return EXIT_VALIDATION
-
     bases = enumerate_infinite_solutions(spec)
     report = {"format": FORMAT_VERSION, "version": __version__,
               "spec": spec.to_json(), "bases": [], "failures": []}
@@ -118,36 +124,24 @@ def cmd_solve(args) -> int:
 
 
 def cmd_tropical(args) -> int:
+    spec = _load_spec(args, require_nonzero_at_origin=False)
+    if spec is None:
+        return EXIT_VALIDATION
     try:
-        spec = _load_spec(args.spec, require_nonzero_at_origin=False)
         res = prevariety(spec, theorem_mode=not args.no_theorem_mode)
-    except SpecValidationError as exc:
-        _emit({"format": FORMAT_VERSION, "version": __version__,
-               "failures": [{"reason": exc.code, "message": str(exc)}]},
-              getattr(args, "out", None))
-        return EXIT_VALIDATION
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        _emit({"format": FORMAT_VERSION, "version": __version__,
-               "failures": [{"reason": "bad_spec_file", "message": str(exc)}]},
-              getattr(args, "out", None))
-        return EXIT_VALIDATION
+    except SpecValidationError as exc:  # theorem hypothesis: some d_k = 0
+        return _fail(args, exc.code, str(exc))
+    except SizeCapExceededError as exc:
+        return _fail(args, "size_cap_exceeded", str(exc))
     report = {"format": FORMAT_VERSION, "version": __version__,
               "spec": spec.to_json(), "tropical": res.to_json()}
-    _emit(report, getattr(args, "out", None))
+    _emit(report, args.out)
     return EXIT_OK if res.is_origin_only else EXIT_CERTIFICATE
 
 
 def cmd_enumerate(args) -> int:
-    try:
-        spec = _load_spec(args.spec, require_nonzero_at_origin=False)
-    except SpecValidationError as exc:
-        _emit({"format": FORMAT_VERSION, "version": __version__,
-               "failures": [{"reason": exc.code, "message": str(exc)}]}, None)
-        return EXIT_VALIDATION
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        _emit({"format": FORMAT_VERSION, "version": __version__,
-               "failures": [{"reason": "bad_spec_file", "message": str(exc)}]},
-              None)
+    spec = _load_spec(args, require_nonzero_at_origin=False)
+    if spec is None:
         return EXIT_VALIDATION
     bases = enumerate_infinite_solutions(spec)
     report = {"format": FORMAT_VERSION, "version": __version__,
@@ -168,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="enumerate, lift, certify, verify")
     p_solve.add_argument("spec", help="path to a spec JSON file")
     p_solve.add_argument("--out", help="write the report to this file")
-    p_solve.add_argument("--jobs", type=int, default=1,
-                         help="worker count (lifting is per-base independent)")
     p_solve.set_defaults(func=cmd_solve)
 
     p_trop = sub.add_parser("tropical", help="compute the tropical prevariety")

@@ -101,18 +101,3 @@ def enumerate_infinite_solutions(spec: ProblemSpec) -> List[InfiniteSolution]:
         out.append(sol)
     out.sort(key=lambda s: tuple(v.sort_key() for v in s.x0))
     return out
-
-
-def classify_solution(sol: InfiniteSolution, spec: ProblemSpec) -> InfiniteSolution:
-    """Recompute l and the tier for an externally constructed solution."""
-    if spec.is_difference:
-        base = [v / spec.q for v in sol.x0] + list(sol.y0)
-    else:
-        base = list(sol.x0) + list(sol.y0)
-    l = len({v.sort_key() for v in base})
-    tier = "generic" if l == spec.m + spec.n else "degenerate"
-    collision = False
-    if spec.is_difference:
-        collision = len({v.sort_key() for v in list(sol.x0) + list(sol.y0)}) != l
-    return InfiniteSolution(x0=_canon(sol.x0), y0=_canon(sol.y0), l=l,
-                            tier=tier, scaled_collision=collision)

@@ -21,7 +21,7 @@ from .linalg import solve_unique
 from .scalar import Scalar, ZERO, ONE
 from .series import Series
 from .systems import (CandidatePoint, ProblemSpec, evaluate_residual,
-                      jacobian_at_zero, _scalar_to_sympy, _sympy_to_scalar)
+                      jacobian_at_zero, residual_components)
 
 
 class SingularJacobianError(ValueError):
@@ -258,7 +258,6 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
     dim = spec.m + spec.n
     k_s = spec.K * n_ram
     s = sp.Symbol("s")
-    z = sp.Symbol("z")
     base = [_scalar_to_sympy(v) for v in list(sol.x0) + list(sol.y0)]
 
     # L * J0 = R (rref); zero rows of R yield consistency constraints
@@ -281,32 +280,17 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
             pivot_cols.append((i, row_pivot))
     free_cols = [c for c in range(dim)
                  if c not in {pc for _, pc in pivot_cols}]
-
-    lam_expr = sp.prod(
-        (z + _scalar_to_sympy(a)) ** mult for a, mult in spec.lam.shifts)
+    t = s ** n_ram
 
     def residual_rows(coeff_table):
-        """Residual components as polynomials in s, truncated at s^k_s."""
+        """Residual components in s and the kernel parameters."""
         vals = []
         for i in range(dim):
             vals.append(base[i] + sp.Add(*[coeff_table[i][j] * s ** j
                                            for j in range(1, k_s + 1)]))
-        xs = vals[:spec.m]
-        ys = vals[spec.m:]
-        t = s ** n_ram
-        if spec.is_difference:
-            qs = _scalar_to_sympy(spec.q)
-            a_expr = sp.prod(z + xi / qs for xi in xs) * sp.prod(z + yj for yj in ys)
-            b_expr = sp.prod(z + xi for xi in xs) * sp.prod(z + yj / qs for yj in ys)
-            expr = qs ** spec.m * a_expr - t * qs ** spec.n * b_expr \
-                - (qs ** spec.m - t * qs ** spec.n) * lam_expr
-        else:
-            qp = sp.prod(z + xi for xi in xs)
-            qm = sp.prod(z + yj for yj in ys)
-            expr = qp * qm + t * (qp * sp.diff(qm, z) - qm * sp.diff(qp, z)) \
-                - lam_expr
-        poly_z = sp.Poly(sp.expand(expr), z)
-        return [poly_z.coeff_monomial(z ** (dim - k)) for k in range(1, dim + 1)]
+        return residual_components(vals[:spec.m], vals[spec.m:], spec,
+                                   sp.Integer(1), lambda e: e * t,
+                                   _scalar_to_sympy)
 
     def defect_at(coeff_table, order):
         rows = residual_rows(coeff_table)
@@ -372,6 +356,14 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
         points.append(CandidatePoint(tuple(series_list[:spec.m]),
                                      tuple(series_list[spec.m:])))
     return points, dropped
+
+
+def _scalar_to_sympy(c: Scalar):
+    import sympy as sp
+    v = sp.Rational(c.re.numerator, c.re.denominator)
+    if c.im != 0:
+        v = v + sp.I * sp.Rational(c.im.numerator, c.im.denominator)
+    return v
 
 
 def _try_scalar(expr) -> Optional[Scalar]:

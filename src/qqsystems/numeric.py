@@ -37,7 +37,12 @@ def _np_derivative(p: np.ndarray) -> np.ndarray:
 
 def residual_function(spec: ProblemSpec, t0: float
                       ) -> Callable[[np.ndarray], np.ndarray]:
-    """F(v) with v = (x_1..x_m, y_1..y_n), matching the exact residual."""
+    """F(v) with v = (x_1..x_m, y_1..y_n), matching the exact residual.
+
+    This is a second, floating-point encoding of the residual, kept apart
+    from systems.residual_components on purpose: the oracle is only an
+    independent check of the exact path if it shares no code with it.
+    """
     lam = np.array([complex(c) for c in spec.lam.poly().coeffs])
     dim = spec.m + spec.n
     q = complex(spec.q) if spec.is_difference else None

@@ -14,6 +14,32 @@ from typing import Union
 _RatLike = Union[int, Fraction]
 
 
+class SpecValidationError(ValueError):
+    """A problem spec failed validation; code is machine-readable.
+
+    Defined in this lowest module so that Scalar.from_json can raise it;
+    systems re-exports it with the rest of the spec types.
+    """
+
+    def __init__(self, code: str, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def _exact_rational(obj) -> Fraction:
+    """A JSON rational: an integer or a "p/q" / decimal string."""
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return Fraction(obj)
+    if isinstance(obj, str):
+        try:
+            return Fraction(obj)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise SpecValidationError(
+        "bad_scalar", f"expected an integer or an exact rational string, "
+                      f"got {obj!r}")
+
+
 class Scalar:
     """A Gaussian rational re + im*i with exact arithmetic."""
 
@@ -30,14 +56,19 @@ class Scalar:
 
     @staticmethod
     def from_json(obj) -> "Scalar":
-        """Parse either the string form "p/q" or {"re": ..., "im": ...}."""
-        if isinstance(obj, str):
-            return Scalar(Fraction(obj))
-        if isinstance(obj, int):
-            return Scalar(obj)
+        """Parse a "p/q" string, an integer, or {"re": ..., "im": ...}.
+
+        Floats (and bools) are rejected rather than rounded: 0.1 has no
+        exact binary value, so accepting it would change the problem.
+        """
         if isinstance(obj, dict):
-            return Scalar(Fraction(obj.get("re", 0)), Fraction(obj.get("im", 0)))
-        raise ValueError(f"cannot parse scalar from {obj!r}")
+            if set(obj) - {"re", "im"}:
+                raise SpecValidationError(
+                    "bad_scalar", f"complex scalar keys are 're' and 'im', "
+                                  f"got {sorted(obj)}")
+            return Scalar(_exact_rational(obj.get("re", 0)),
+                          _exact_rational(obj.get("im", 0)))
+        return Scalar(_exact_rational(obj))
 
     def to_json(self):
         if self.im == 0:

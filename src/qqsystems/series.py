@@ -142,10 +142,8 @@ class Series:
         if isinstance(other, (int, Scalar)):
             c = other if isinstance(other, Scalar) else Scalar(other)
             off = min(self.offset, 0)
-            return Series(self.n_ram, (c,) + (ZERO,) * (self.top - off), 0).shift(0) \
-                if off == 0 else Series(self.n_ram,
-                                        (ZERO,) * (-off) + (c,) + (ZERO,) * self.top,
-                                        off)
+            return Series(self.n_ram,
+                          (ZERO,) * (-off) + (c,) + (ZERO,) * self.top, off)
         return None
 
     def __add__(self, other):
@@ -282,12 +280,3 @@ class Series:
     def __repr__(self):
         return (f"Series(N={self.n_ram}, offset={self.offset}, "
                 f"coeffs={[str(c) for c in self.coeffs]})")
-
-
-def series_product(a: Series, b: Series) -> Series:
-    """Truncated product; requires equal ramification indices."""
-    return a * b
-
-
-def series_reciprocal(a: Series) -> Series:
-    return a.reciprocal()

@@ -1,4 +1,4 @@
-"""Problem data and the finite/infinite coefficient systems.
+"""Problem data and the one definition of the residual system.
 
 The rank-one differential system compares z-coefficients of
 
@@ -11,19 +11,31 @@ and the difference system the cleared form
     B(z) = prod(z + x_i) prod(z + y_j/q).
 
 The clearing factor q^m - t q^n is a unit at t = 0, so vanishing orders
-are unchanged.  Residuals are always assembled from polynomial products
-with series coefficients, never from pre-expanded multivariate formulas.
+are unchanged.
+
+residual_components writes these components out once, over any
+commutative ring, and every exact consumer evaluates it in its own ring:
+
+* Series jets in s with t = s^N (evaluate_residual): lifting and the
+  residual certificate;
+* SparsePoly in (x, y, t) (symbolic_support): the supports read by the
+  tropical engine;
+* symbolic expressions in lifting's ramified branch search, whose
+  kernel parameters are free symbols.
+
+The floating-point residual in numeric.py is a separate encoding on
+purpose, so that the numeric oracle stays an independent check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .linalg import matrix_rank
-from .poly import Poly, poly_from_shifts
-from .scalar import Scalar, ZERO, ONE
+from .poly import Poly, SparsePoly, poly_from_shifts
+from .scalar import Scalar, SpecValidationError, ZERO, ONE
 from .series import Series
 
 
@@ -31,10 +43,12 @@ class SizeCapExceededError(ValueError):
     """Symbolic expansion requested above the configured variable cap."""
 
 
-class SpecValidationError(ValueError):
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
+def _integer(value, name: str) -> int:
+    """A JSON integer; floats, bools, strings and null are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecValidationError(
+            "bad_integer", f"{name} must be an integer, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +104,15 @@ class MasterData:
 
     @staticmethod
     def from_json(obj) -> "MasterData":
-        return MasterData(tuple((Scalar.from_json(a), int(mult))
-                                for a, mult in obj["shifts"]))
+        shifts = obj.get("shifts") if isinstance(obj, dict) else None
+        if not isinstance(shifts, list) or not all(
+                isinstance(p, list) and len(p) == 2 for p in shifts):
+            raise SpecValidationError(
+                "bad_lambda", "lambda shifts must be a list of "
+                              "[shift, multiplicity] pairs")
+        return MasterData(tuple((Scalar.from_json(a),
+                                 _integer(mult, "multiplicity"))
+                                for a, mult in shifts))
 
 
 MODES = ("qq", "QQ")
@@ -125,14 +146,18 @@ class ProblemSpec:
         """Raises SpecValidationError with a machine-readable code."""
         if self.mode not in MODES:
             raise SpecValidationError("bad_mode", f"mode must be one of {MODES}")
-        if self.m < 0 or self.n < 0:
-            raise SpecValidationError("bad_degrees", "m and n must be nonnegative")
+        if self.m < 0 or self.n < 0 or self.m + self.n == 0:
+            raise SpecValidationError(
+                "bad_degrees", "m and n must be nonnegative, m + n positive")
         if self.m + self.n != self.lam.degree:
             raise SpecValidationError(
                 "degree_mismatch",
                 f"m + n = {self.m + self.n} != deg Lambda = {self.lam.degree}")
         if self.K < 0:
             raise SpecValidationError("bad_truncation", "K must be nonnegative")
+        if self.n_max is not None and self.n_max < 1:
+            raise SpecValidationError("bad_ramification_bound",
+                                      "N_max must be positive")
         if self.is_difference:
             if self.q is None or self.q.is_zero:
                 raise SpecValidationError("bad_q", "difference mode needs q != 0")
@@ -193,15 +218,15 @@ class ProblemSpec:
                 raise SpecValidationError(
                     "bad_tropical", "tropical accepts only 'size_cap'")
             if "size_cap" in trop:
-                size_cap = int(trop["size_cap"])
+                size_cap = _integer(trop["size_cap"], "size_cap")
         spec = ProblemSpec(
             mode=str(obj["mode"]),
             lam=lam,
-            m=int(obj["m"]),
-            n=int(obj["n"]),
+            m=_integer(obj["m"], "m"),
+            n=_integer(obj["n"], "n"),
             q=Scalar.from_json(obj["q"]) if "q" in obj else None,
-            K=int(obj.get("K", 3)),
-            n_max=int(obj["N_max"]) if "N_max" in obj else None,
+            K=_integer(obj.get("K", 3), "K"),
+            n_max=_integer(obj["N_max"], "N_max") if "N_max" in obj else None,
             size_cap=size_cap)
         spec.validate()
         return spec
@@ -249,117 +274,66 @@ class CandidatePoint:
 
 
 # ---------------------------------------------------------------------------
-# polynomials in z with Series coefficients (plain lists, lowest degree first)
+# the residual, once for every ring
 
 
-def _sp_mul(a: List[Series], b: List[Series]) -> List[Series]:
-    if not a or not b:
-        return []
-    out = [None] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            p = ai * bj
-            out[i + j] = p if out[i + j] is None else out[i + j] + p
-    return out
-
-
-def _sp_from_shifts(shifts: Sequence[Series], top: int, n_ram: int) -> List[Series]:
-    p = [Series.one(top, n_ram)]
-    for s in shifts:
-        p = _sp_mul(p, [s, Series.one(top, n_ram)])
+def _monic_from_shifts(shifts: Sequence, one) -> List:
+    """z-coefficients (lowest first) of prod (z + s) over the shifts."""
+    p = [one]
+    for sh in shifts:
+        p = [p[0] * sh] + [p[k - 1] + p[k] * sh for k in range(1, len(p))] \
+            + [one]
     return p
 
 
-def _sp_derivative(p: List[Series]) -> List[Series]:
-    return [p[k] * k for k in range(1, len(p))]
+def residual_components(xs: Sequence, ys: Sequence, spec: ProblemSpec, one,
+                        times_t: Callable, const: Callable) -> List:
+    """Components f_1..f_{m+n}: the z^{m+n-k} coefficients of the residual.
 
-
-def plus_poly(point: CandidatePoint) -> List[Series]:
-    """q+(z) = prod(z + x_i) with series coefficients, lowest degree first."""
-    return _sp_from_shifts(point.x, point.top, point.n_ram)
-
-
-def minus_poly(point: CandidatePoint) -> List[Series]:
-    return _sp_from_shifts(point.y, point.top, point.n_ram)
-
-
-# ---------------------------------------------------------------------------
-# residuals
-
-
-def evaluate_qq_residual(p: CandidatePoint, spec: ProblemSpec) -> List[Series]:
-    """Components f_1..f_{m+n}: z-coefficients of q+q- + t W(q+,q-) - Lambda."""
-    if spec.is_difference:
-        raise ValueError("qq residual requested for a QQ-mode spec")
-    return _qq_residual(p, spec.lam)
-
-
-def _qq_residual(p: CandidatePoint, lam: MasterData) -> List[Series]:
-    n_ram, top = p.n_ram, p.top
-    qp = _sp_from_shifts(p.x, top, n_ram)
-    qm = _sp_from_shifts(p.y, top, n_ram)
-    prod = _sp_mul(qp, qm)
-    wr = _sp_sub(_sp_mul(qp, _sp_derivative(qm)), _sp_mul(qm, _sp_derivative(qp)))
-    deg = lam.degree
-    lam_poly = lam.poly()
-    out = []
-    for k in range(1, deg + 1):
-        e = deg - k
-        comp = prod[e]
-        if e < len(wr):
-            comp = comp + wr[e].shift(n_ram)  # multiply by t = s^N exactly
-        comp = comp - lam_poly.coeff(e)
-        out.append(comp)
-    return out
-
-
-def _sp_sub(a: List[Series], b: List[Series]) -> List[Series]:
-    n = max(len(a), len(b))
-    out = []
-    for k in range(n):
-        if k < len(a) and k < len(b):
-            out.append(a[k] - b[k])
-        elif k < len(a):
-            out.append(a[k])
-        else:
-            out.append(-b[k])
-    return out
-
-
-def evaluate_QQ_residual(p: CandidatePoint, spec: ProblemSpec) -> List[Series]:
-    """Cleared components g~_1..g~_{m+n}; vanishing matches the uncleared form."""
-    if not spec.is_difference:
-        raise ValueError("QQ residual requested for a qq-mode spec")
-    if spec.q is None or spec.q.is_zero:
-        raise ValueError("QQ residual needs q != 0")
-    q = spec.q
-    n_ram, top = p.n_ram, p.top
-    qinv = ONE / q
-    xs_over_q = tuple(s * qinv for s in p.x)
-    ys_over_q = tuple(s * qinv for s in p.y)
-    a_poly = _sp_mul(_sp_from_shifts(xs_over_q, top, n_ram),
-                     _sp_from_shifts(p.y, top, n_ram))
-    b_poly = _sp_mul(_sp_from_shifts(p.x, top, n_ram),
-                     _sp_from_shifts(ys_over_q, top, n_ram))
-    qm_pow = q ** spec.m
-    qn_pow = q ** spec.n
+    xs and ys are elements of a commutative ring with +, -, * and integer
+    scaling; one is its one, times_t multiplies an element by t, and
+    const embeds a Scalar as something the ring's operations accept.
+    """
     deg = spec.lam.degree
-    lam_poly = spec.lam.poly()
+    lam = spec.lam.poly()
     out = []
-    for k in range(1, deg + 1):
-        e = deg - k
-        d_k = lam_poly.coeff(e)
-        comp = (a_poly[e] * qm_pow) - (b_poly[e] * qn_pow).shift(n_ram)
-        comp = comp - d_k * qm_pow
-        comp = comp + Series.const(d_k * qn_pow, top, n_ram).shift(n_ram)
+    if spec.is_difference:
+        qinv = const(ONE / spec.q)
+        a = _monic_from_shifts([x * qinv for x in xs] + list(ys), one)
+        b = _monic_from_shifts(list(xs) + [y * qinv for y in ys], one)
+        qm, qn = const(spec.q ** spec.m), const(spec.q ** spec.n)
+        for e in range(deg - 1, -1, -1):
+            d = const(lam.coeff(e))
+            out.append((a[e] - d) * qm - times_t((b[e] - d) * qn))
+        return out
+    qp = _monic_from_shifts(xs, one)
+    qm = _monic_from_shifts(ys, one)
+    # a_i z^i times b_j z^j adds a_i b_j to z^{i+j} of q+ q- and
+    # (j - i) a_i b_j to z^{i+j-1} of W(q+, q-) = q+ q-' - q- q+'
+    prod: List = [None] * (deg + 1)
+    wr: List = [None] * deg
+    for i, a in enumerate(qp):
+        for j, b in enumerate(qm):
+            ab = a * b
+            prod[i + j] = ab if prod[i + j] is None else prod[i + j] + ab
+            if i != j:
+                w = ab * (j - i)
+                wr[i + j - 1] = w if wr[i + j - 1] is None else wr[i + j - 1] + w
+    for e in range(deg - 1, -1, -1):
+        comp = prod[e] - const(lam.coeff(e))
+        if wr[e] is not None:
+            comp = comp + times_t(wr[e])
         out.append(comp)
     return out
 
 
 def evaluate_residual(p: CandidatePoint, spec: ProblemSpec) -> List[Series]:
-    if spec.is_difference:
-        return evaluate_QQ_residual(p, spec)
-    return evaluate_qq_residual(p, spec)
+    """Residual components at a jet point; t = s^N is a shift by N.
+
+    Series arithmetic embeds Scalars as exact constants on its own.
+    """
+    return residual_components(p.x, p.y, spec, Series.one(p.top, p.n_ram),
+                               lambda s: s.shift(p.n_ram), lambda c: c)
 
 
 # ---------------------------------------------------------------------------
@@ -402,29 +376,8 @@ def jacobian_at_zero(sol, spec: ProblemSpec) -> Tuple[List[List[Scalar]], int]:
     return matrix, matrix_rank(matrix, ZERO)
 
 
-def jacobian_shift_list(sol, spec: ProblemSpec) -> List[Scalar]:
-    """The multiset whose distinctness controls the t=0 Jacobian rank."""
-    return _check_base_solution(list(sol.x0), list(sol.y0), spec)
-
-
 # ---------------------------------------------------------------------------
 # symbolic supports for the tropical engine
-
-
-def _scalar_to_sympy(c: Scalar):
-    import sympy as sp
-    v = sp.Rational(c.re.numerator, c.re.denominator)
-    if c.im != 0:
-        v = v + sp.I * sp.Rational(c.im.numerator, c.im.denominator)
-    return v
-
-
-def _sympy_to_scalar(v) -> Scalar:
-    import sympy as sp
-    v = sp.expand(v)
-    re, im = v.as_real_imag()
-    re, im = sp.Rational(re), sp.Rational(im)
-    return Scalar(Fraction(re.p, re.q), Fraction(im.p, im.q))
 
 
 def symbolic_support(spec: ProblemSpec):
@@ -432,50 +385,27 @@ def symbolic_support(spec: ProblemSpec):
 
     Returns one TropicalSupport per component k = 1..m+n: the exponent
     vectors in (x_1..x_m, y_1..y_n) with the t-valuation and exact value
-    of each monomial's coefficient.  Genuine symbolic expansion with
-    indeterminate shifts; cancelling monomials drop out automatically.
+    of each monomial's coefficient.  The components are expanded exactly
+    as SparsePoly in (x, y, t), so cancelling monomials drop out.
     """
-    import sympy as sp
     from .tropical import TropicalSupport
 
-    m, n = spec.m, spec.n
-    dim = m + n
+    dim = spec.m + spec.n
     if dim > spec.size_cap:
         raise SizeCapExceededError(
             f"m + n = {dim} exceeds the symbolic size cap {spec.size_cap}")
-    z, t = sp.symbols("z t")
-    xs = sp.symbols(f"x1:{m + 1}") if m else ()
-    ys = sp.symbols(f"y1:{n + 1}") if n else ()
-    lam_expr = sp.prod(
-        (z + _scalar_to_sympy(a)) ** mult for a, mult in spec.lam.shifts)
-    if spec.is_difference:
-        qs = _scalar_to_sympy(spec.q)
-        a_expr = sp.prod(z + xi / qs for xi in xs) * sp.prod(z + yj for yj in ys)
-        b_expr = sp.prod(z + xi for xi in xs) * sp.prod(z + yj / qs for yj in ys)
-        expr = qs ** m * a_expr - t * qs ** n * b_expr \
-            - (qs ** m - t * qs ** n) * lam_expr
-    else:
-        qp = sp.prod(z + xi for xi in xs)
-        qm = sp.prod(z + yj for yj in ys)
-        expr = qp * qm + t * (qp * sp.diff(qm, z) - qm * sp.diff(qp, z)) - lam_expr
-    poly_z = sp.Poly(sp.expand(expr), z)
-    gens = tuple(xs) + tuple(ys) + (t,)
+    gens = [SparsePoly.variable(i, dim + 1) for i in range(dim + 1)]
+    t = gens[dim]
+    comps = residual_components(
+        gens[:spec.m], gens[spec.m:dim], spec, SparsePoly.constant(ONE, dim + 1),
+        lambda p: p * t, lambda c: SparsePoly.constant(c, dim + 1))
     supports = []
-    for k in range(1, dim + 1):
-        comp = poly_z.coeff_monomial(z ** (dim - k))
-        terms = {}
-        if comp != 0:
-            pk = sp.Poly(sp.expand(comp), *gens)
-            for mono, coeff in pk.terms():
-                u = mono[:dim]
-                tdeg = mono[dim]
-                terms.setdefault(u, {})[tdeg] = coeff
-        items = []
-        for u, by_t in sorted(terms.items()):
-            vals = sorted(d for d, c in by_t.items() if c != 0)
-            if not vals:
-                continue
-            v = vals[0]
-            items.append((tuple(u), Fraction(v), _sympy_to_scalar(by_t[v])))
-        supports.append(TropicalSupport(tuple(items)))
+    for comp in comps:
+        lowest = {}  # x/y exponents -> (least t-degree, its coefficient)
+        for mono, c in comp.terms.items():
+            u, tdeg = mono[:dim], mono[dim]
+            if u not in lowest or tdeg < lowest[u][0]:
+                lowest[u] = (tdeg, c)
+        supports.append(TropicalSupport(tuple(
+            (u, Fraction(v), c) for u, (v, c) in sorted(lowest.items()))))
     return supports

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +106,91 @@ class TestTropical:
         report = json.loads(capsys.readouterr().out)
         assert "tropical" in report
         assert code in (EXIT_OK, EXIT_CERTIFICATE)
+
+
+def _with(base, **changes):
+    return dict(base, **changes)
+
+
+def _shifts(*pairs):
+    return {"shifts": [list(p) for p in pairs]}
+
+
+# malformed specs that must fail validation (exit 2) with a reason,
+# not escape as a traceback or be rounded into a different problem
+BAD_SPECS = [
+    ("shifts_not_a_list", _with(QQ11, **{"lambda": {"shifts": 5}}),
+     "bad_lambda"),
+    ("shift_pair_too_short", _with(QQ11, **{"lambda": _shifts(["1"], ["2", 1])}),
+     "bad_lambda"),
+    ("K_null", _with(QQ11, K=None), "bad_integer"),
+    ("K_float", _with(QQ11, K=1.9), "bad_integer"),
+    ("K_bool", _with(QQ11, K=True), "bad_integer"),
+    ("m_string", _with(QQ11, m="1"), "bad_integer"),
+    ("N_max_null", _with(QQ11, N_max=None), "bad_integer"),
+    ("size_cap_float", _with(QQ11, tropical={"size_cap": 6.0}), "bad_integer"),
+    ("multiplicity_float",
+     _with(QQ11, **{"lambda": _shifts(["1", 1.0], ["2", 1])}), "bad_integer"),
+    ("multiplicity_bool",
+     _with(QQ11, **{"lambda": _shifts(["1", True], ["2", 1])}), "bad_integer"),
+    ("shift_float_part",
+     _with(QQ11, **{"lambda": _shifts([{"re": 0.1}, 1], ["2", 1])}),
+     "bad_scalar"),
+    ("shift_float", _with(QQ11, **{"lambda": _shifts([0.5, 1], ["2", 1])}),
+     "bad_scalar"),
+    ("shift_zero_denominator",
+     _with(QQ11, **{"lambda": _shifts(["1/0", 1], ["2", 1])}), "bad_scalar"),
+    ("shift_unknown_part",
+     _with(QQ11, **{"lambda": _shifts([{"real": "1"}, 1], ["2", 1])}),
+     "bad_scalar"),
+    ("no_unknowns", _with(QQ11, m=0, n=0, **{"lambda": _shifts()}),
+     "bad_degrees"),
+    ("N_max_zero", _with(QQ11, N_max=0), "bad_ramification_bound"),
+    ("q_float", _with(QQ_DIFF, q=3.0), "bad_scalar"),
+    ("q_null", _with(QQ_DIFF, q=None), "bad_scalar"),
+]
+
+
+@pytest.mark.parametrize("command", ["solve", "tropical", "enumerate"])
+@pytest.mark.parametrize("spec_obj,reason",
+                         [case[1:] for case in BAD_SPECS],
+                         ids=[case[0] for case in BAD_SPECS])
+def test_malformed_spec_fails_validation(tmp_path, capsys, command,
+                                         spec_obj, reason):
+    spec = write_spec(tmp_path, spec_obj)
+    assert main([command, spec]) == EXIT_VALIDATION
+    report = json.loads(capsys.readouterr().out)
+    assert [f["reason"] for f in report["failures"]] == [reason]
+    assert "spec" not in report
+
+
+def test_tropical_size_cap_reason(tmp_path, capsys):
+    spec = write_spec(tmp_path, _with(QQ11, tropical={"size_cap": 1}))
+    assert main(["tropical", spec]) == EXIT_VALIDATION
+    report = json.loads(capsys.readouterr().out)
+    assert [f["reason"] for f in report["failures"]] == ["size_cap_exceeded"]
+
+
+def test_generic_runs_do_not_import_sympy(tmp_path):
+    specs = [
+        write_spec(tmp_path, {"mode": "qq", "m": 2, "n": 1, "K": 3,
+                              "lambda": _shifts(["1", 1], ["2", 1], ["4", 1])},
+                   "qq.json"),
+        write_spec(tmp_path, QQ_DIFF, "QQ.json"),
+    ]
+    calls = [[cmd, spec, "--out", str(tmp_path / f"{cmd}{i}.json")]
+             for i, spec in enumerate(specs) for cmd in ("solve", "tropical")]
+    script = ("import json, sys\n"
+              "from qqsystems.cli import main\n"
+              f"codes = [main(argv) for argv in {calls!r}]\n"
+              "print(json.dumps([codes, 'sympy' in sys.modules]))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=300,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [[EXIT_OK] * 4, False]
 
 
 class TestEnumerate:

@@ -2,8 +2,7 @@ from math import comb
 
 from qqsystems.scalar import Scalar
 from qqsystems.systems import MasterData, ProblemSpec
-from qqsystems.infinite import (enumerate_infinite_solutions,
-                                classify_solution, InfiniteSolution)
+from qqsystems.infinite import enumerate_infinite_solutions
 
 
 def master(*shifts):
@@ -83,14 +82,6 @@ def test_difference_q_collision():
     assert sol.tier == "degenerate"
     assert sol.l == 1
     assert sol.scaled_collision
-
-
-def test_classify_round_trip():
-    spec = qq_spec([(1, 1), (2, 1)], 1, 1)
-    for sol in enumerate_infinite_solutions(spec):
-        again = classify_solution(
-            InfiniteSolution(x0=sol.x0, y0=sol.y0, l=0, tier="?"), spec)
-        assert again.l == sol.l and again.tier == sol.tier
 
 
 def test_json():

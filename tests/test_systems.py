@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import support_reference
 from qqsystems.scalar import Scalar, ZERO, ONE
 from qqsystems.series import Series
 from qqsystems.systems import (MasterData, ProblemSpec, CandidatePoint,
-                               SpecValidationError, evaluate_qq_residual,
-                               evaluate_QQ_residual, evaluate_residual,
+                               SpecValidationError, evaluate_residual,
                                jacobian_at_zero, symbolic_support)
 from qqsystems.infinite import enumerate_infinite_solutions
 
@@ -90,7 +91,7 @@ class TestQqResidual:
     def test_exact_base_is_zero_at_order_zero(self):
         spec = qq_spec([(1, 1), (2, 1)], 1, 1)
         p = CandidatePoint.from_scalars([Scalar(1)], [Scalar(2)], top=3)
-        res = evaluate_qq_residual(p, spec)
+        res = evaluate_residual(p, spec)
         for comp in res:
             assert comp.coeff(0) == ZERO
 
@@ -100,7 +101,7 @@ class TestQqResidual:
         # q+ = z+1, q- = z+2: W = q+ q-' - q- q+' = (z+1) - (z+2) = -1.
         spec = qq_spec([(1, 1), (2, 1)], 1, 1)
         p = CandidatePoint.from_scalars([Scalar(1)], [Scalar(2)], top=3)
-        res = evaluate_qq_residual(p, spec)
+        res = evaluate_residual(p, spec)
         assert res[0].coeff(1) == ZERO          # p_0 = n - m = 0
         assert res[1].coeff(1) == Scalar(-1)    # p_1 = W coefficient
 
@@ -109,7 +110,7 @@ class TestQqResidual:
         # e_2 - d_2 = -2, Wronskian of z*z is 0
         spec = qq_spec([(1, 1), (2, 1)], 1, 1)
         p = CandidatePoint.from_scalars([ZERO], [ZERO], top=2)
-        res = evaluate_qq_residual(p, spec)
+        res = evaluate_residual(p, spec)
         assert res[0].coeff(0) == Scalar(-3)
         assert res[1].coeff(0) == Scalar(-2)
 
@@ -119,7 +120,7 @@ class TestQQResidual:
         spec = QQ_spec([(1, 1), (2, 1)], 1, 1, 3)
         # base split: x0 = 3*1, y0 = 2
         p = CandidatePoint.from_scalars([Scalar(3)], [Scalar(2)], top=3)
-        res = evaluate_QQ_residual(p, spec)
+        res = evaluate_residual(p, spec)
         for comp in res:
             assert comp.coeff(0) == ZERO
 
@@ -134,15 +135,13 @@ class TestQQResidual:
         y = Series.from_t_coeffs([Scalar(2), Scalar(Fraction(4, 3)),
                                   Scalar(-4), Scalar(Fraction(484, 27)),
                                   Scalar(Fraction(-7876, 81))])
-        res = evaluate_QQ_residual(CandidatePoint((x,), (y,)), spec)
+        res = evaluate_residual(CandidatePoint((x,), (y,)), spec)
         for comp in res:
             assert comp.is_zero
 
     def test_mode_dispatch(self):
         spec = qq_spec([(1, 1), (2, 1)], 1, 1)
         p = CandidatePoint.from_scalars([Scalar(1)], [Scalar(2)], top=2)
-        with pytest.raises(ValueError):
-            evaluate_QQ_residual(p, spec)
         assert evaluate_residual(p, spec)[0].coeff(0) == ZERO
 
 
@@ -209,3 +208,30 @@ class TestSymbolicSupport:
         assert items[(1, 0)] == (Fraction(1), ONE)
         assert items[(0, 1)] == (Fraction(1), Scalar(-1))
         assert items[(0, 0)] == (Fraction(0), Scalar(-2))
+
+
+# Gaussian shifts with small rational parts
+SHIFTS = st.builds(lambda a, b, im: Scalar(Fraction(a, b), im),
+                   st.integers(-3, 3), st.integers(1, 3), st.integers(-2, 2))
+QS = [Scalar(2), Scalar(3), Scalar(Fraction(1, 2)), Scalar(1, 1)]
+
+
+@st.composite
+def small_specs(draw):
+    """Both modes, 1 <= m + n <= 4, distinct shifts with multiplicities."""
+    mode = draw(st.sampled_from(["qq", "QQ"]))
+    dim = draw(st.integers(1, 4))
+    m = draw(st.integers(0, dim))
+    shifts = draw(st.lists(SHIFTS, min_size=1, max_size=dim, unique=True))
+    mults = [1] * len(shifts)
+    for _ in range(dim - len(shifts)):
+        mults[draw(st.integers(0, len(shifts) - 1))] += 1
+    q = draw(st.sampled_from(QS)) if mode == "QQ" else None
+    return ProblemSpec(mode=mode, lam=MasterData(tuple(zip(shifts, mults))),
+                       m=m, n=dim - m, q=q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_specs())
+def test_symbolic_support_matches_sympy_reference(spec):
+    assert symbolic_support(spec) == support_reference.symbolic_support(spec)
