@@ -48,7 +48,6 @@ class BetheReport:
     roots: Tuple[Series, ...]
     twist: str
     flags: Dict[str, bool]
-    q_string_form: bool
     residuals: Optional[Tuple[Series, ...]]
     residual_valuations: Optional[Tuple[Optional[Fraction], ...]]
     q_window: Optional[int] = None  # exponent window used for q-distinctness
@@ -61,7 +60,6 @@ class BetheReport:
         return {"roots": [r.to_json() for r in self.roots],
                 "twist": self.twist,
                 "flags": dict(self.flags),
-                "q_string_form": self.q_string_form,
                 "q_window": self.q_window,
                 "residual_valuations":
                     [None if v is None else str(v)
@@ -115,27 +113,22 @@ def _q_distinct(roots, zeros, spec: ProblemSpec) -> bool:
     window = spec.unity_check_bound()
     targets = list(roots) + [Series.const(zv, roots[0].top, roots[0].n_ram)
                              for zv, _ in zeros]
+    consts = [tg.coeff(0) for tg in targets]
+    powers = [(k, q ** k) for k in range(-window, window + 1)]
     # pairs with at least one genuine root; k ranges over both signs, so
     # root-vs-root pairs are covered once from each side
     for i in range(len(roots)):
         for j in range(len(targets)):
             if i == j:
                 continue
-            for k in range(-window, window + 1):
+            for k, qk in powers:
                 if j < len(roots) and k == 0:
                     continue  # simple_zeros covers unscaled root pairs
-                if (targets[i] * (q ** k) - targets[j]).is_zero:
+                # every jet has offset 0, so unequal constant terms
+                # already make the difference a nonzero jet
+                if consts[i] * qk == consts[j] and \
+                        (targets[i] * qk - targets[j]).is_zero:
                     return False
-    return True
-
-
-def q_string_decomposition(spec: ProblemSpec) -> bool:
-    """Whether Lambda factors into q-strings prod_j (z - q^{-j} z_p).
-
-    Always true: every zero is itself a q-string of length one, so this
-    flag cannot exclude any master polynomial; it is reported for
-    completeness only.
-    """
     return True
 
 
@@ -180,7 +173,7 @@ def xxz_residual(ls: LiftedSolution, spec: ProblemSpec) -> List[Series]:
     work_top = ls.order + WORK_GUARD * n_ram
     xs = [s.widen(work_top) for s in ls.point.x]
     roots = [-s for s in xs]
-    lam_poly = spec.lam.poly()
+    lam = spec.lam.coeffs
 
     def eval_poly_at(coeffs, val: Series) -> Series:
         acc = Series.const(coeffs[-1], val.top, val.n_ram)
@@ -196,8 +189,8 @@ def xxz_residual(ls: LiftedSolution, spec: ProblemSpec) -> List[Series]:
 
     out = []
     for w in roots:
-        term1 = qplus_at(w * q) * eval_poly_at(lam_poly.coeffs, w * qinv)
-        term2 = qplus_at(w * qinv) * eval_poly_at(lam_poly.coeffs, w)
+        term1 = qplus_at(w * q) * eval_poly_at(lam, w * qinv)
+        term2 = qplus_at(w * qinv) * eval_poly_at(lam, w)
         out.append(term1 + term2.shift(n_ram))
     return out
 
@@ -212,13 +205,11 @@ def bethe_report(ls: LiftedSolution, spec: ProblemSpec) -> BetheReport:
         residuals = () if spec.m == 0 and all(flags.values()) else None
         vals = () if residuals == () else None
         return BetheReport(roots=roots, twist=twist, flags=flags,
-                           q_string_form=q_string_decomposition(spec),
                            residuals=residuals, residual_valuations=vals,
                            q_window=q_window)
     res = (xxz_residual(ls, spec) if spec.is_difference
            else gaudin_residual(ls, spec))
     vals = tuple(r.valuation() for r in res)
     return BetheReport(roots=roots, twist=twist, flags=flags,
-                       q_string_form=q_string_decomposition(spec),
                        residuals=tuple(res), residual_valuations=vals,
                        q_window=q_window)

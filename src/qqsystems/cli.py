@@ -1,9 +1,9 @@
 """Command-line front end: enumerate, lift, verify, report.
 
 Exit codes: 0 success; 2 spec validation failure (or the tropical size
-cap exceeded); 3 ramification bound exceeded; 4 residual certificate
-failure.  Reports are deterministic JSON ("format": 1) with exact
-rational scalars throughout.
+cap exceeded); 3 ramification bound exceeded or branch explosion on some
+base; 4 residual certificate failure.  Reports are deterministic JSON
+("format": 2) with exact rational scalars throughout.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from typing import List, Optional
 from . import __version__
 from .bethe import bethe_report
 from .infinite import enumerate_infinite_solutions
-from .lifting import (RamificationBoundExceededError, lift_newton,
-                      lift_ramified)
+from .lifting import (BranchExplosionError, RamificationBoundExceededError,
+                      lift_newton, lift_ramified)
 from .systems import ProblemSpec, SizeCapExceededError, SpecValidationError
 from .tropical import prevariety
 
@@ -28,7 +28,7 @@ EXIT_VALIDATION = 2
 EXIT_RAMIFICATION = 3
 EXIT_CERTIFICATE = 4
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _emit(report: dict, out: Optional[str]) -> None:
@@ -81,9 +81,9 @@ def cmd_solve(args) -> int:
                 lifts = [lift_newton(base, spec)]
             else:
                 lifts = lift_ramified(base, spec)
-        except RamificationBoundExceededError as exc:
+        except (RamificationBoundExceededError, BranchExplosionError) as exc:
             report["failures"].append(
-                {"reason": "ramification_bound_exceeded", "message": str(exc)})
+                {"reason": exc.reason, "message": str(exc)})
             exit_code = max(exit_code, EXIT_RAMIFICATION)
             report["bases"].append(entry)
             continue

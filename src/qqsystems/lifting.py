@@ -31,6 +31,14 @@ class SingularJacobianError(ValueError):
 class RamificationBoundExceededError(RuntimeError):
     """No branch certified at any ramification index up to the bound."""
 
+    reason = "ramification_bound_exceeded"
+
+
+class BranchExplosionError(RuntimeError):
+    """The ramified search holds more than _MAX_BRANCHES open branches."""
+
+    reason = "branch_explosion"
+
 
 # extra window (in s-exponents, per unit of N) used when certifying: the
 # truncated point is treated as an exact polynomial so that the residual's
@@ -101,10 +109,6 @@ def certify_residual_point(point: CandidatePoint, spec: ProblemSpec) -> Fraction
     if best is None:
         return Fraction(eval_top + 1, n_ram)
     return best
-
-
-def certify_residual(ls: LiftedSolution, spec: ProblemSpec) -> Fraction:
-    return certify_residual_point(ls.point, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +330,9 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
                     table[i][order] = corr[i]
                 next_branches.append((table, live + new_params))
         if len(next_branches) > _MAX_BRANCHES:
-            raise RuntimeError("branch explosion in ramified lifting")
+            raise BranchExplosionError(
+                f"{len(next_branches)} open branches at s-order {order} "
+                f"for N = {n_ram} exceed the limit {_MAX_BRANCHES}")
         branches = next_branches
         if not branches:
             break

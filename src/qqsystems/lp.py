@@ -203,20 +203,3 @@ def feasible(a_ub=(), b_ub=(), a_eq=(), b_eq=(), dim: Optional[int] = None
     res = lp_solve([F0] * dim, a_ub, b_ub, a_eq, b_eq)
     return res.x if res.status == OPTIMAL else None
 
-
-def coordinate_range(j: int, dim: int, a_ub=(), b_ub=(), a_eq=(), b_eq=()
-                     ) -> Tuple[Optional[Fraction], Optional[Fraction]]:
-    """(min, max) of x_j over the polyhedron; None in a slot means unbounded.
-
-    Raises ValueError on an infeasible system.
-    """
-    c = [F0] * dim
-    c[j] = F1
-    lo = lp_solve(c, a_ub, b_ub, a_eq, b_eq)
-    if lo.status == INFEASIBLE:
-        raise ValueError("coordinate_range on infeasible system")
-    c[j] = -F1
-    hi = lp_solve(c, a_ub, b_ub, a_eq, b_eq)
-    low = lo.objective if lo.status == OPTIMAL else None
-    high = -hi.objective if hi.status == OPTIMAL else None
-    return low, high

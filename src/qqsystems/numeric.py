@@ -43,7 +43,7 @@ def residual_function(spec: ProblemSpec, t0: float
     from systems.residual_components on purpose: the oracle is only an
     independent check of the exact path if it shares no code with it.
     """
-    lam = np.array([complex(c) for c in spec.lam.poly().coeffs])
+    lam = np.array([complex(c) for c in spec.lam.coeffs])
     dim = spec.m + spec.n
     q = complex(spec.q) if spec.is_difference else None
 

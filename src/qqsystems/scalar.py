@@ -81,9 +81,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     # -- arithmetic ----------------------------------------------------
 
     def _coerce(self, other):
@@ -154,9 +151,6 @@ class Scalar:
             base = base * base
             n >>= 1
         return result
-
-    def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
 
     def abs2(self) -> Fraction:
         """Exact squared modulus |z|^2 as a rational."""

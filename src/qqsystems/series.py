@@ -8,7 +8,7 @@ pole order, which reciprocals of positive-valuation series require.
 
 Operations track the knowledge window: mixing two series keeps only the
 exponents both windows support.  Mixing different ramification indices
-raises; callers re-ramify explicitly.
+raises.
 """
 
 from __future__ import annotations
@@ -110,19 +110,6 @@ class Series:
             return self
         pad = (ZERO,) * (new_top - self.top)
         return Series(self.n_ram, self.coeffs + pad, self.offset)
-
-    def re_ramify(self, new_n: int) -> "Series":
-        """Rewrite in s' with t = s'^new_n; new_n must be a multiple of N."""
-        if new_n % self.n_ram != 0:
-            raise RamificationMismatchError(
-                f"cannot re-ramify N={self.n_ram} to N={new_n}")
-        f = new_n // self.n_ram
-        if f == 1:
-            return self
-        coeffs = [ZERO] * ((len(self.coeffs) - 1) * f + 1) if self.coeffs else []
-        for i, c in enumerate(self.coeffs):
-            coeffs[i * f] = c
-        return Series(new_n, coeffs, self.offset * f)
 
     def shift(self, e: int) -> "Series":
         """Exact multiplication by s^e."""

@@ -31,10 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .linalg import matrix_rank
-from .poly import Poly, SparsePoly, poly_from_shifts
+from .poly import SparsePoly
 from .scalar import Scalar, SpecValidationError, ZERO, ONE
 from .series import Series
 
@@ -55,12 +56,21 @@ def _integer(value, name: str) -> int:
 # problem data
 
 
+def _monic_from_shifts(shifts: Sequence, one) -> List:
+    """z-coefficients (lowest first) of prod (z + s) over the shifts."""
+    p = [one]
+    for sh in shifts:
+        p = [p[0] * sh] + [p[k - 1] + p[k] * sh for k in range(1, len(p))] \
+            + [one]
+    return p
+
+
 @dataclass(frozen=True)
 class MasterData:
     """The monic master polynomial, stored as shift/multiplicity pairs.
 
-    Lambda(z) = prod_k (z + a_k)^{m_k}; d_k is the coefficient of
-    z^{deg - k}, recomputed from the shifts (no redundant storage).
+    Lambda(z) = prod_k (z + a_k)^{m_k}.  Its z-coefficients are expanded
+    once from the shifts into coeffs; d_k is the coefficient of z^{deg - k}.
     """
 
     shifts: Tuple[Tuple[Scalar, int], ...]
@@ -89,12 +99,14 @@ class MasterData:
             out.extend([a] * mult)
         return out
 
-    def poly(self) -> Poly:
-        return poly_from_shifts(self.root_shift_multiset())
+    @cached_property
+    def coeffs(self) -> Tuple[Scalar, ...]:
+        """z-coefficients of Lambda, lowest degree first."""
+        return tuple(_monic_from_shifts(self.root_shift_multiset(), ONE))
 
     def d(self, k: int) -> Scalar:
         """Coefficient of z^{deg-k} in Lambda; d(0) = 1."""
-        return self.poly().coeff(self.degree - k)
+        return self.coeffs[self.degree - k] if 0 <= k <= self.degree else ZERO
 
     def nonzero_at_origin(self) -> bool:
         return all(not a.is_zero for a, _ in self.shifts)
@@ -158,6 +170,9 @@ class ProblemSpec:
         if self.n_max is not None and self.n_max < 1:
             raise SpecValidationError("bad_ramification_bound",
                                       "N_max must be positive")
+        if self.size_cap < 1:
+            raise SpecValidationError("bad_size_cap",
+                                      "tropical size_cap must be positive")
         if self.is_difference:
             if self.q is None or self.q.is_zero:
                 raise SpecValidationError("bad_q", "difference mode needs q != 0")
@@ -175,12 +190,6 @@ class ProblemSpec:
             raise SpecValidationError("lambda_root_at_origin",
                                       "Lambda(0) = 0: lifting theorems need "
                                       "a nonzero shift-free origin")
-
-    def alpha_pole(self) -> Optional[Scalar]:
-        """Pole location t = q^{m-n} of the normalization 1/(q^m - t q^n)."""
-        if not self.is_difference:
-            return None
-        return self.q ** (self.m - self.n)
 
     def to_json(self):
         obj = {"mode": self.mode, "lambda": self.lam.to_json(),
@@ -277,15 +286,6 @@ class CandidatePoint:
 # the residual, once for every ring
 
 
-def _monic_from_shifts(shifts: Sequence, one) -> List:
-    """z-coefficients (lowest first) of prod (z + s) over the shifts."""
-    p = [one]
-    for sh in shifts:
-        p = [p[0] * sh] + [p[k - 1] + p[k] * sh for k in range(1, len(p))] \
-            + [one]
-    return p
-
-
 def residual_components(xs: Sequence, ys: Sequence, spec: ProblemSpec, one,
                         times_t: Callable, const: Callable) -> List:
     """Components f_1..f_{m+n}: the z^{m+n-k} coefficients of the residual.
@@ -295,7 +295,7 @@ def residual_components(xs: Sequence, ys: Sequence, spec: ProblemSpec, one,
     const embeds a Scalar as something the ring's operations accept.
     """
     deg = spec.lam.degree
-    lam = spec.lam.poly()
+    lam = spec.lam.coeffs
     out = []
     if spec.is_difference:
         qinv = const(ONE / spec.q)
@@ -303,7 +303,7 @@ def residual_components(xs: Sequence, ys: Sequence, spec: ProblemSpec, one,
         b = _monic_from_shifts(list(xs) + [y * qinv for y in ys], one)
         qm, qn = const(spec.q ** spec.m), const(spec.q ** spec.n)
         for e in range(deg - 1, -1, -1):
-            d = const(lam.coeff(e))
+            d = const(lam[e])
             out.append((a[e] - d) * qm - times_t((b[e] - d) * qn))
         return out
     qp = _monic_from_shifts(xs, one)
@@ -320,7 +320,7 @@ def residual_components(xs: Sequence, ys: Sequence, spec: ProblemSpec, one,
                 w = ab * (j - i)
                 wr[i + j - 1] = w if wr[i + j - 1] is None else wr[i + j - 1] + w
     for e in range(deg - 1, -1, -1):
-        comp = prod[e] - const(lam.coeff(e))
+        comp = prod[e] - const(lam[e])
         if wr[e] is not None:
             comp = comp + times_t(wr[e])
         out.append(comp)
@@ -343,12 +343,11 @@ def evaluate_residual(p: CandidatePoint, spec: ProblemSpec) -> List[Series]:
 def _check_base_solution(x0: Sequence[Scalar], y0: Sequence[Scalar],
                          spec: ProblemSpec) -> List[Scalar]:
     """Verify the infinite-system identity; returns the Jacobian shift list."""
-    lam_poly = spec.lam.poly()
     if spec.is_difference:
         u = [v / spec.q for v in x0] + list(y0)
     else:
         u = list(x0) + list(y0)
-    if poly_from_shifts(u) != lam_poly:
+    if tuple(_monic_from_shifts(u, ONE)) != spec.lam.coeffs:
         raise ValueError("point is not a solution of the infinite system")
     return u
 
@@ -357,18 +356,19 @@ def jacobian_at_zero(sol, spec: ProblemSpec) -> Tuple[List[List[Scalar]], int]:
     """Exact t=0 derivative matrix of the coefficient system, with its rank.
 
     Differential mode: column j holds the z-coefficients of
-    Lambda(z)/(z + b_j) for the concatenated shifts b.  Difference mode:
-    the gradient of e_k(x/q, y) - d_k, which is the same matrix in the
-    variables u = (x/q, y) with the x-columns scaled by 1/q.
+    Lambda(z)/(z + b_j) for the concatenated shifts b, which is the
+    product of (z + b_i) over i != j once prod (z + b_i) = Lambda is
+    verified.  Difference mode: the gradient of e_k(x/q, y) - d_k, which
+    is the same matrix in the variables u = (x/q, y) with the x-columns
+    scaled by 1/q.
     """
     x0, y0 = list(sol.x0), list(sol.y0)
     u = _check_base_solution(x0, y0, spec)
-    lam_poly = spec.lam.poly()
     deg = spec.lam.degree
     cols = []
-    for j, b in enumerate(u):
-        quot = lam_poly.divexact(Poly((b, ONE)))
-        col = [quot.coeff(deg - k) for k in range(1, deg + 1)]
+    for j in range(deg):
+        # z^{deg-1} down to z^0, the rows of components k = 1..deg
+        col = _monic_from_shifts(u[:j] + u[j + 1:], ONE)[::-1]
         if spec.is_difference and j < spec.m:
             col = [c / spec.q for c in col]
         cols.append(col)

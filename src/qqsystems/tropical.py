@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from . import lp
 from .lp import F0, F1, feasible
@@ -56,30 +56,11 @@ class TropicalPoint:
 
 
 @dataclass(frozen=True)
-class TropicalCell:
-    """One choice of minimizing pair per polynomial, as a linear system.
-
-    Constraint semantics: for every polynomial k with chosen items (a, b),
-    val_a(w) = val_b(w) <= val_c(w) for all support items c.
-    """
-
-    pairs: Tuple[Tuple[int, int], ...]  # item indices per polynomial
-    a_eq: Tuple[Tuple[Fraction, ...], ...]
-    b_eq: Tuple[Fraction, ...]
-    a_ub: Tuple[Tuple[Fraction, ...], ...]
-    b_ub: Tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
 class PrevarietyResult:
-    cells: Tuple[TropicalCell, ...]
+    cell_count: int  # feasible cells: one minimizing pair per polynomial
     is_origin_only: bool
     points_bounded: bool
     witness: Optional[TropicalPoint]  # a nonzero prevariety point, when found
-
-    @property
-    def cell_count(self) -> int:
-        return len(self.cells)
 
     def to_json(self):
         return {"cell_count": self.cell_count,
@@ -207,6 +188,7 @@ class _AffineState:
 
 
 def _pair_constraints(s: TropicalSupport, a: int, b: int):
+    """val_a(w) = val_b(w) <= val_c(w) for the other items c, as rows."""
     ua, va, _ = s.items[a]
     ub, vb, _ = s.items[b]
     eq = (tuple(Fraction(i - j) for i, j in zip(ua, ub)), vb - va)
@@ -223,28 +205,22 @@ def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult
     from .systems import symbolic_support
     if theorem_mode:
         check_theorem_hypothesis(spec)
-    supports = symbolic_support(spec)
     dim = spec.m + spec.n
-    # smallest supports first for maximal pruning; remember original order
-    order = sorted(range(len(supports)), key=lambda k: len(supports[k].items))
+    # smallest supports first for maximal pruning; each level's pair
+    # constraints are built once, in the order the cells are visited
+    supports = sorted(symbolic_support(spec), key=lambda s: len(s.items))
+    levels = [[_pair_constraints(s, a, b)
+               for a in range(len(s.items))
+               for b in range(a + 1, len(s.items))] for s in supports]
 
-    cells: List[TropicalCell] = []
+    cell_count = 0
     origin_only = True
     bounded = True
     witness: Optional[TropicalPoint] = None
 
-    def record_cell(pairs, eqs, ubs):
-        cell_pairs = [None] * len(order)
-        for lvl, k in enumerate(order):
-            cell_pairs[k] = pairs[lvl]
-        cells.append(TropicalCell(
-            pairs=tuple(cell_pairs),
-            a_eq=tuple(r for r, _ in eqs), b_eq=tuple(h for _, h in eqs),
-            a_ub=tuple(r for r, _ in ubs), b_ub=tuple(h for _, h in ubs)))
-
-    def leaf(state: _AffineState, pairs, eqs, ubs):
-        nonlocal origin_only, bounded, witness
-        record_cell(pairs, eqs, ubs)
+    def leaf(state: _AffineState):
+        nonlocal cell_count, origin_only, bounded, witness
+        cell_count += 1
         r = state.rank_free
         if r == 0:
             w = tuple(state.w0)
@@ -295,34 +271,24 @@ def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult
                 if any(c != 0 for c in w):
                     witness = TropicalPoint(w)
 
-    def dfs(level, state: _AffineState, pairs, eqs, ubs):
-        if level == len(order):
-            leaf(state, pairs, eqs, ubs)
+    def dfs(level, state: _AffineState):
+        if level == len(levels):
+            leaf(state)
             return
-        s = supports[order[level]]
-        nitems = len(s.items)
-        for a in range(nitems):
-            for b in range(a + 1, nitems):
-                eq, pair_ubs = _pair_constraints(s, a, b)
-                st = state.copy()
-                if not st.add_equality(eq[0], eq[1]):
-                    continue
-                ok = True
-                for row, h in pair_ubs:
-                    if not st.add_inequality(row, h):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                if st.rank_free > 0 and st.ineqs and st.lp_feasible() is None:
-                    continue
-                dfs(level + 1, st, pairs + [(a, b)],
-                    eqs + [eq], ubs + pair_ubs)
+        for eq, pair_ubs in levels[level]:
+            st = state.copy()
+            if not st.add_equality(eq[0], eq[1]):
+                continue
+            if not all(st.add_inequality(row, h) for row, h in pair_ubs):
+                continue
+            if st.rank_free > 0 and st.ineqs and st.lp_feasible() is None:
+                continue
+            dfs(level + 1, st)
 
-    dfs(0, _AffineState.full(dim), [], [], [])
-    if not cells:
+    dfs(0, _AffineState.full(dim))
+    if not cell_count:
         origin_only = False  # empty prevariety: the theorems expect {0}
-    return PrevarietyResult(cells=tuple(cells), is_origin_only=origin_only,
+    return PrevarietyResult(cell_count=cell_count, is_origin_only=origin_only,
                             points_bounded=bounded, witness=witness)
 
 

@@ -70,6 +70,27 @@ class TestNondegeneracy:
         flags = nondegeneracy_check(ls, spec)
         assert not flags["q_distinct"]
 
+    def test_q_distinct_constant_terms_collide_jets_differ(self):
+        # q = 2, roots w = -x: 2 * w_1(0) = -2 = w_2(0), so the constant
+        # terms collide; only the t-coefficient of x_1 decides the flag
+        from qqsystems.systems import CandidatePoint
+        from qqsystems.infinite import InfiniteSolution
+        spec = QQ_spec([(3, 1), (5, 1)], 2, 0, 2, K=2)
+        base = InfiniteSolution(x0=(Scalar(1), Scalar(2)), y0=(), l=2,
+                                tier="generic")
+        x2 = Series.from_t_coeffs([Scalar(2), ZERO, ZERO])
+
+        def flags_with_x1_slope(c):
+            x1 = Series.from_t_coeffs([Scalar(1), Scalar(c), ZERO])
+            ls = LiftedSolution(point=CandidatePoint((x1, x2), ()), base=base,
+                                alpha=None, residual_valuation=Fraction(0))
+            return nondegeneracy_check(ls, spec)
+
+        assert flags_with_x1_slope(1) == {"simple_zeros": True,
+                                          "disjoint_from_lambda": True,
+                                          "q_distinct": True}
+        assert not flags_with_x1_slope(0)["q_distinct"]
+
     def test_q_unit_modulus_undecidable(self):
         # q = (3+4i)/5 has |q| = 1 but is not a root of unity
         q = Scalar(Fraction(3, 5), Fraction(4, 5))
@@ -197,6 +218,5 @@ class TestReport:
         rep = bethe_report(ls, spec)
         assert rep.twist == TWIST_XXZ
         assert rep.flags["q_distinct"]
-        assert rep.q_string_form
         assert rep.q_window == 2 * (spec.m + spec.n) + 4
         assert rep.residual_valuations == (Fraction(4),)

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from qqsystems.cli import main, EXIT_OK, EXIT_VALIDATION, EXIT_CERTIFICATE
+from qqsystems import lifting
+from qqsystems.cli import (main, EXIT_OK, EXIT_VALIDATION, EXIT_RAMIFICATION,
+                           EXIT_CERTIFICATE)
 
 
 def write_spec(tmp_path, obj, name="spec.json"):
@@ -28,7 +30,7 @@ class TestSolve:
         out = tmp_path / "report.json"
         assert main(["solve", spec, "--out", str(out)]) == EXIT_OK
         report = json.loads(out.read_text())
-        assert report["format"] == 1
+        assert report["format"] == 2
         assert len(report["bases"]) == 2
         for entry in report["bases"]:
             assert entry["branch_count"] == 1
@@ -146,6 +148,9 @@ BAD_SPECS = [
     ("no_unknowns", _with(QQ11, m=0, n=0, **{"lambda": _shifts()}),
      "bad_degrees"),
     ("N_max_zero", _with(QQ11, N_max=0), "bad_ramification_bound"),
+    ("size_cap_zero", _with(QQ11, tropical={"size_cap": 0}), "bad_size_cap"),
+    ("size_cap_negative", _with(QQ11, tropical={"size_cap": -1}),
+     "bad_size_cap"),
     ("q_float", _with(QQ_DIFF, q=3.0), "bad_scalar"),
     ("q_null", _with(QQ_DIFF, q=None), "bad_scalar"),
 ]
@@ -169,6 +174,19 @@ def test_tropical_size_cap_reason(tmp_path, capsys):
     assert main(["tropical", spec]) == EXIT_VALIDATION
     report = json.loads(capsys.readouterr().out)
     assert [f["reason"] for f in report["failures"]] == ["size_cap_exceeded"]
+
+
+def test_branch_explosion_reported_per_base(tmp_path, capsys, monkeypatch):
+    # (z+1)^2 (z+2) has two degenerate bases; with room for one open
+    # branch both searches overflow at s-order 2
+    monkeypatch.setattr(lifting, "_MAX_BRANCHES", 1)
+    spec = write_spec(tmp_path, {"mode": "qq", "m": 1, "n": 2, "K": 2,
+                                 "lambda": _shifts(["1", 2], ["2", 1])})
+    assert main(["solve", spec]) == EXIT_RAMIFICATION
+    report = json.loads(capsys.readouterr().out)
+    assert [f["reason"] for f in report["failures"]] == ["branch_explosion"] * 2
+    assert [e["base"]["x0"] for e in report["bases"]] == [["1"], ["2"]]
+    assert report["tropical"]["is_origin_only"]
 
 
 def test_generic_runs_do_not_import_sympy(tmp_path):

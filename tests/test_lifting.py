@@ -6,7 +6,7 @@ from qqsystems.scalar import Scalar, ZERO, ONE
 from qqsystems.series import Series
 from qqsystems.systems import MasterData, ProblemSpec, CandidatePoint
 from qqsystems.infinite import enumerate_infinite_solutions
-from qqsystems.lifting import (lift_newton, lift_ramified, certify_residual,
+from qqsystems.lifting import (lift_newton, lift_ramified,
                                certify_residual_point, SingularJacobianError,
                                LiftedSolution)
 

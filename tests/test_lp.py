@@ -1,11 +1,9 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 import lp_reference
-from qqsystems.lp import (lp_solve, feasible, coordinate_range,
-                          OPTIMAL, INFEASIBLE, UNBOUNDED)
+from qqsystems.lp import lp_solve, feasible, OPTIMAL, INFEASIBLE, UNBOUNDED
 
 F = Fraction
 
@@ -72,16 +70,6 @@ def test_feasible_helper():
     assert feasible(a_ub=[[F(1)], [F(-1)]], b_ub=[F(-1), F(0)], dim=1) is None
 
 
-def test_coordinate_range():
-    # 0 <= x <= 2 exactly
-    lo, hi = coordinate_range(0, 1, a_ub=[[F(1)], [F(-1)]], b_ub=[F(2), F(0)])
-    assert (lo, hi) == (F(0), F(2))
-    lo, hi = coordinate_range(0, 1, a_ub=[[F(-1)]], b_ub=[F(0)])
-    assert lo == F(0) and hi is None
-    with pytest.raises(ValueError):
-        coordinate_range(0, 1, a_ub=[[F(1)], [F(-1)]], b_ub=[F(-1), F(0)])
-
-
 def test_no_constraints():
     res = lp_solve([F(0), F(0)])
     assert res.status == OPTIMAL
@@ -91,7 +79,6 @@ def test_no_constraints():
 def test_no_constraints_nonzero_cost_is_unbounded():
     assert lp_solve([F(1)]).status == UNBOUNDED
     assert lp_solve([F(0), F(-1, 2)]).status == UNBOUNDED
-    assert coordinate_range(0, 1) == (None, None)
 
 
 _small = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))

@@ -90,14 +90,6 @@ def test_ramification_mismatch():
         S(1, 1) + S(1, 1, n_ram=2)
 
 
-def test_re_ramify():
-    s = S(1, 2)  # 1 + 2t
-    r = s.re_ramify(3)
-    assert r.n_ram == 3
-    assert r.coeff(0) == Scalar(1)
-    assert r.coeff(3) == Scalar(2)
-    assert r.coeff(1) == ZERO
-
 
 def test_widen_vs_truncate():
     s = S(1, 2)

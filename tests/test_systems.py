@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import support_reference
+from qqsystems.poly import SparsePoly
 from qqsystems.scalar import Scalar, ZERO, ONE
 from qqsystems.series import Series
 from qqsystems.systems import (MasterData, ProblemSpec, CandidatePoint,
                                SpecValidationError, evaluate_residual,
-                               jacobian_at_zero, symbolic_support)
+                               jacobian_at_zero, residual_components,
+                               symbolic_support)
 from qqsystems.infinite import enumerate_infinite_solutions
 
 
@@ -29,6 +31,7 @@ class TestMasterData:
     def test_coefficients(self):
         lam = master((1, 1), (2, 1))  # (z+1)(z+2) = z^2 + 3z + 2
         assert lam.degree == 2
+        assert lam.coeffs == (Scalar(2), Scalar(3), ONE)
         assert lam.d(0) == ONE
         assert lam.d(1) == Scalar(3)
         assert lam.d(2) == Scalar(2)
@@ -235,3 +238,28 @@ def small_specs(draw):
 @given(small_specs())
 def test_symbolic_support_matches_sympy_reference(spec):
     assert symbolic_support(spec) == support_reference.symbolic_support(spec)
+
+
+def _unit(i, dim):
+    return tuple(int(j == i) for j in range(dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_specs())
+def test_jacobian_is_linear_part_of_residual(spec):
+    """At every base, jacobian_at_zero (times q^m in QQ mode, where the
+    residual is cleared) is the linear part of residual_components over
+    SparsePoly in delta at (x0 + delta, t = 0)."""
+    dim = spec.m + spec.n
+    scale = spec.q ** spec.m if spec.is_difference else ONE
+    for sol in enumerate_infinite_solutions(spec):
+        u = [SparsePoly.constant(v, dim) + SparsePoly.variable(i, dim)
+             for i, v in enumerate(sol.x0 + sol.y0)]
+        comps = residual_components(
+            u[:spec.m], u[spec.m:], spec, SparsePoly.constant(ONE, dim),
+            lambda p: p * 0, lambda c: SparsePoly.constant(c, dim))
+        matrix, _ = jacobian_at_zero(sol, spec)
+        for row, comp in zip(matrix, comps):
+            assert (0,) * dim not in comp.terms  # the base solves t = 0
+            assert [comp.terms.get(_unit(j, dim), ZERO) for j in range(dim)] \
+                == [e * scale for e in row]
