@@ -12,7 +12,6 @@ from .infinite import InfiniteSolution, enumerate_infinite_solutions
 from .lifting import (LiftedSolution, SingularJacobianError,
                       RamificationBoundExceededError, BranchExplosionError,
                       lift_newton, lift_ramified, certify_residual_point)
-from .numeric import NumericCheck, numeric_check, damped_newton
 from .lp import LPResult, lp_solve
 from .tropical import (TropicalSupport, TropicalPoint, PrevarietyResult,
                        hypersurface_contains, prevariety, exclusion_witness)
@@ -34,7 +33,6 @@ __all__ = [
     "LiftedSolution", "SingularJacobianError",
     "RamificationBoundExceededError", "BranchExplosionError",
     "lift_newton", "lift_ramified", "certify_residual_point",
-    "NumericCheck", "numeric_check", "damped_newton",
     "LPResult", "lp_solve",
     "TropicalSupport", "TropicalPoint", "PrevarietyResult",
     "hypersurface_contains", "prevariety", "exclusion_witness",
@@ -43,3 +41,15 @@ __all__ = [
     "UndecidableQDistinctnessError", "NondegeneracyError",
     "__version__",
 ]
+
+
+# the numeric oracle needs numpy (the "oracle" extra): its names load on
+# first use and stay out of __all__, so importing the package never loads it
+_ORACLE = ("NumericCheck", "numeric_check", "damped_newton")
+
+
+def __getattr__(name):
+    if name in _ORACLE:
+        from . import numeric
+        return getattr(numeric, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

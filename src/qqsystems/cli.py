@@ -1,8 +1,8 @@
 """Command-line front end: enumerate, lift, verify, report.
 
 Exit codes: 0 success; 2 spec validation failure (or the tropical size
-cap exceeded); 3 ramification bound exceeded or branch explosion on some
-base; 4 residual certificate failure.  Reports are deterministic JSON
+cap exceeded, or a solve with |q| = 1); 3 ramification bound exceeded or
+branch explosion on some base; 4 residual certificate failure.  Reports are deterministic JSON
 ("format": 2) with exact rational scalars throughout.
 """
 
@@ -68,6 +68,12 @@ def cmd_solve(args) -> int:
     spec = _load_spec(args, require_nonzero_at_origin=True)
     if spec is None:
         return EXIT_VALIDATION
+    if spec.is_difference and spec.q.abs2() == 1:
+        # validate() rejects the roots of unity; for any other |q| = 1 no
+        # finite exponent window decides the Bethe check's q-distinctness
+        return _fail(args, "q_unit_modulus",
+                     f"|q| = 1 with q = {spec.q} not a root of unity: "
+                     "q-distinctness of the Bethe roots is undecidable")
     bases = enumerate_infinite_solutions(spec)
     report = {"format": FORMAT_VERSION, "version": __version__,
               "spec": spec.to_json(), "bases": [], "failures": []}
@@ -113,7 +119,7 @@ def cmd_solve(args) -> int:
         try:
             trop = prevariety(spec, theorem_mode=False)
             report["tropical"] = trop.to_json()
-        except Exception as exc:  # size cap, etc.: advisory only for solve
+        except SizeCapExceededError as exc:  # advisory only for solve
             report["tropical"] = {"skipped": str(exc)}
     else:
         report["tropical"] = {"skipped": "cell enumeration above m+n=4 is "

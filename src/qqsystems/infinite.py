@@ -80,24 +80,15 @@ def enumerate_infinite_solutions(spec: ProblemSpec) -> List[InfiniteSolution]:
     """One solution per size-m sub-multiset of Lambda's root shifts.
 
     Deterministic order: lexicographic on the sorted plus-part shifts.
-    Duplicate splits (only possible with repeated roots) appear once.
     """
     if spec.m + spec.n != spec.lam.degree:
         raise ValueError("m + n must equal deg Lambda")
-    counts = list(spec.lam.shifts)
     total = spec.lam.root_shift_multiset()
-    seen = set()
     out = []
-    for sub in _sub_multisets(counts, spec.m):
+    for sub in _sub_multisets(list(spec.lam.shifts), spec.m):
         rest = list(total)
         for v in sub:
             rest.remove(v)
-        sol = _make_solution(sub, rest, spec)
-        key = (tuple(v.sort_key() for v in sol.x0),
-               tuple(v.sort_key() for v in sol.y0))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(sol)
+        out.append(_make_solution(sub, rest, spec))
     out.sort(key=lambda s: tuple(v.sort_key() for v in s.x0))
     return out

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .infinite import InfiniteSolution
-from .linalg import solve_unique
+from .linalg import rref, solve_unique
 from .scalar import Scalar, ZERO, ONE
 from .series import Series
 from .systems import (CandidatePoint, ProblemSpec, evaluate_residual,
@@ -115,20 +115,10 @@ def certify_residual_point(point: CandidatePoint, spec: ProblemSpec) -> Fraction
 # generic (Newton/Hensel) path
 
 
-def _cleared_jacobian(sol: InfiniteSolution, spec: ProblemSpec
-                      ) -> Tuple[List[List[Scalar]], int]:
-    """Jacobian of the residual actually evaluated (cleared in QQ mode)."""
-    matrix, rank = jacobian_at_zero(sol, spec)
-    if spec.is_difference:
-        scale = spec.q ** spec.m
-        matrix = [[e * scale for e in row] for row in matrix]
-    return matrix, rank
-
-
 def lift_newton(sol: InfiniteSolution, spec: ProblemSpec) -> LiftedSolution:
     """Unique order-K lift of a generic base (N = 1)."""
     dim = spec.m + spec.n
-    matrix, rank = _cleared_jacobian(sol, spec)
+    matrix, rank = jacobian_at_zero(sol, spec)
     if rank < dim:
         raise SingularJacobianError(
             f"t=0 Jacobian has rank {rank} < {dim}; route this base "
@@ -146,7 +136,7 @@ def lift_newton(sol: InfiniteSolution, spec: ProblemSpec) -> LiftedSolution:
         defect = [comp.coeff(k) for comp in res]
         if all(d.is_zero for d in defect):
             continue
-        corr = solve_unique(matrix, [-d for d in defect], ZERO, ONE)
+        corr = solve_unique(matrix, [-d for d in defect], ZERO)
         for i in range(dim):
             coeffs[i][k] = corr[i]
     point = current_point()
@@ -162,19 +152,19 @@ def lift_newton(sol: InfiniteSolution, spec: ProblemSpec) -> LiftedSolution:
 _MAX_BRANCHES = 256
 
 
-def lift_ramified(sol: InfiniteSolution, spec: ProblemSpec,
-                  n_max: Optional[int] = None) -> List[LiftedSolution]:
-    """All certified branches over ramification indices 1..n_max.
+def lift_ramified(sol: InfiniteSolution, spec: ProblemSpec
+                  ) -> List[LiftedSolution]:
+    """All certified branches over ramification indices 1..N_max.
 
-    Branches found at a higher index that only use exponents divisible by
-    some factor are normalized down and deduplicated, so each series
-    solution appears once with its minimal ramification.
+    N_max is spec.ramification_bound.  Branches found at a higher index
+    that only use exponents divisible by some factor are normalized down
+    and deduplicated, so each series solution appears once with its
+    minimal ramification.
     """
-    if n_max is None:
-        n_max = spec.ramification_bound
     if sol.tier == "generic":
         return [lift_newton(sol, spec)]
-    matrix, _ = _cleared_jacobian(sol, spec)
+    n_max = spec.ramification_bound
+    matrix, _ = jacobian_at_zero(sol, spec)
     found: List[LiftedSolution] = []
     seen_keys = set()
     dropped_outside_field = 0
@@ -264,26 +254,17 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
     s = sp.Symbol("s")
     base = [_scalar_to_sympy(v) for v in list(sol.x0) + list(sol.y0)]
 
-    # L * J0 = R (rref); zero rows of R yield consistency constraints
-    j0 = sp.Matrix([[_scalar_to_sympy(e) for e in row] for row in matrix])
-    aug = j0.row_join(sp.eye(dim))
-    red, _ = aug.rref()
-    r_mat = red[:, :dim]
-    l_mat = red[:, dim:]
-    pivot_cols = []
-    zero_rows = []
-    for i in range(dim):
-        row_pivot = None
-        for c in range(dim):
-            if r_mat[i, c] != 0:
-                row_pivot = c
-                break
-        if row_pivot is None:
-            zero_rows.append(i)
-        else:
-            pivot_cols.append((i, row_pivot))
-    free_cols = [c for c in range(dim)
-                 if c not in {pc for _, pc in pivot_cols}]
+    # [J0 | I] reduces to [R | L] with L * J0 = R; a row whose pivot lies
+    # in the L block is a zero row of R and yields consistency constraints
+    red, pivots = rref([list(row) + [ONE if c == i else ZERO
+                                     for c in range(dim)]
+                        for i, row in enumerate(matrix)], ZERO)
+    red = [[_scalar_to_sympy(e) for e in row] for row in red]
+    r_mat = [row[:dim] for row in red]
+    l_mat = [row[dim:] for row in red]
+    pivot_cols = [(i, c) for i, c in enumerate(pivots) if c < dim]
+    zero_rows = [i for i, c in enumerate(pivots) if c >= dim]
+    free_cols = [c for c in range(dim) if c not in pivots]
     t = s ** n_ram
 
     def residual_rows(coeff_table):
@@ -297,8 +278,7 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
                                    _scalar_to_sympy)
 
     def defect_at(coeff_table, order):
-        rows = residual_rows(coeff_table)
-        return sp.Matrix([sp.expand(r).coeff(s, order) for r in rows])
+        return [sp.expand(r).coeff(s, order) for r in residual_rows(coeff_table)]
 
     # a branch: (coeff_table, free_params)
     initial = ([[sp.Integer(0)] * (k_s + 1) for _ in range(dim)], [])
@@ -307,7 +287,8 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
         next_branches = []
         for coeff_table, params in branches:
             defect = defect_at(coeff_table, order)
-            rhs = l_mat * (-defect)
+            rhs = [sp.Add(*[-l * d for l, d in zip(row, defect)])
+                   for row in l_mat]
             constraints = [sp.expand(rhs[i]) for i in zero_rows]
             for subs in _constraint_solutions(constraints, params):
                 if subs is None:
@@ -315,8 +296,8 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
                 table = [[sp.expand(e.subs(subs)) if subs else e
                           for e in row] for row in coeff_table]
                 live = [p for p in params if p not in subs]
-                rhs_sub = sp.Matrix([sp.expand(e.subs(subs)) if subs else e
-                                     for e in rhs])
+                rhs_sub = [sp.expand(e.subs(subs)) if subs else e
+                           for e in rhs]
                 new_params = [sp.Symbol(f"brk_{order}_{c}") for c in free_cols]
                 corr = [sp.Integer(0)] * dim
                 for idx, c in enumerate(free_cols):
@@ -324,7 +305,7 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
                 for i, pc in pivot_cols:
                     val = rhs_sub[i]
                     for idx, c in enumerate(free_cols):
-                        val = val - r_mat[i, c] * new_params[idx]
+                        val = val - r_mat[i][c] * new_params[idx]
                     corr[pc] = sp.expand(val)
                 for i in range(dim):
                     table[i][order] = corr[i]

@@ -2,12 +2,12 @@
 
 Plain Gaussian elimination with exact division; no floating point
 anywhere.  Generic over the coefficient field: callers pass the field's
-zero and one.
+zero.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 def rref(rows: List[List], zero) -> Tuple[List[List], List[int]]:
@@ -46,51 +46,12 @@ def matrix_rank(rows: Sequence[Sequence], zero) -> int:
     return len(pivots)
 
 
-def solve_affine(A: Sequence[Sequence], b: Sequence, zero, one
-                 ) -> Tuple[Optional[List], List[List]]:
-    """Solve A x = b exactly.
-
-    Returns (particular, nullspace_basis); particular is None when the
-    system is inconsistent.  Free coordinates of the particular solution
-    are pinned to zero.
-    """
-    nrows = len(A)
-    ncols = len(A[0]) if nrows else 0
-    aug = [list(A[i]) + [b[i]] for i in range(nrows)]
-    m, pivots = rref(aug, zero)
-    if ncols in pivots:
-        return None, nullspace(A, zero, one)
-    pivots_a = pivots  # all pivots are in the coefficient block here
-    x = [zero] * ncols
-    for r, c in enumerate(pivots_a):
-        x[c] = m[r][ncols]
-    return x, _nullspace_from_rref([row[:ncols] for row in m], pivots_a, ncols, zero, one)
-
-
-def nullspace(A: Sequence[Sequence], zero, one) -> List[List]:
-    nrows = len(A)
-    ncols = len(A[0]) if nrows else 0
-    m, pivots = rref([list(r) for r in A], zero)
-    return _nullspace_from_rref(m, pivots, ncols, zero, one)
-
-
-def _nullspace_from_rref(m, pivots, ncols, zero, one):
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [zero] * ncols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(v)
-    return basis
-
-
-def solve_unique(A: Sequence[Sequence], b: Sequence, zero, one) -> List:
+def solve_unique(A: Sequence[Sequence], b: Sequence, zero) -> List:
     """Solve a square nonsingular system; raises on singularity."""
-    x, null = solve_affine(A, b, zero, one)
-    if x is None:
+    ncols = len(A[0]) if A else 0
+    m, pivots = rref([list(row) + [v] for row, v in zip(A, b)], zero)
+    if ncols in pivots:
         raise ValueError("inconsistent linear system")
-    if null:
+    if len(pivots) < ncols:
         raise ValueError("singular linear system")
-    return x
+    return [row[ncols] for row in m[:ncols]]

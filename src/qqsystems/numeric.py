@@ -5,6 +5,9 @@ few small sample values of t, seeded by evaluating the truncated series
 there.  Agreement between the numeric root and the series jet, and the
 decay exponent of the mismatch as t shrinks, are independent of the
 exact lifting code path and so catch algebraic mistakes.
+
+This is the only module that uses numpy, which comes with the ``oracle``
+extra (``pip install .[oracle]``); the exact pipeline never imports it.
 """
 
 from __future__ import annotations

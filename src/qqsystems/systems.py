@@ -176,14 +176,9 @@ class ProblemSpec:
         if self.is_difference:
             if self.q is None or self.q.is_zero:
                 raise SpecValidationError("bad_q", "difference mode needs q != 0")
-            if self.q.abs2() == 1:
-                # unit modulus: roots of unity in Q(i) are +-1, +-i; anything
-                # else is checked up to the bound as a proxy
-                for k in range(1, self.unity_check_bound() + 1):
-                    if self.q ** k == ONE:
-                        raise SpecValidationError(
-                            "q_root_of_unity",
-                            f"q is a {k}-th root of unity")
+            if self.q ** 4 == ONE:  # the roots of unity in Q(i): +-1, +-i
+                raise SpecValidationError("q_root_of_unity",
+                                          f"q = {self.q} is a root of unity")
         elif self.q is not None:
             raise SpecValidationError("unexpected_q", "q is only valid in QQ mode")
         if require_nonzero_at_origin and not self.lam.nonzero_at_origin():
@@ -353,25 +348,27 @@ def _check_base_solution(x0: Sequence[Scalar], y0: Sequence[Scalar],
 
 
 def jacobian_at_zero(sol, spec: ProblemSpec) -> Tuple[List[List[Scalar]], int]:
-    """Exact t=0 derivative matrix of the coefficient system, with its rank.
+    """Exact t=0 Jacobian of residual_components as written, with its rank.
 
     Differential mode: column j holds the z-coefficients of
     Lambda(z)/(z + b_j) for the concatenated shifts b, which is the
     product of (z + b_i) over i != j once prod (z + b_i) = Lambda is
-    verified.  Difference mode: the gradient of e_k(x/q, y) - d_k, which
-    is the same matrix in the variables u = (x/q, y) with the x-columns
-    scaled by 1/q.
+    verified.  Difference mode: the residual is cleared by q^m, so this is
+    q^m times the gradient of e_k(x/q, y) - d_k: the same matrix in
+    u = (x/q, y), with x-columns scaled by q^(m-1) and y-columns by q^m.
     """
     x0, y0 = list(sol.x0), list(sol.y0)
     u = _check_base_solution(x0, y0, spec)
     deg = spec.lam.degree
+    scale = [ONE] * deg
+    if spec.is_difference:
+        qm = spec.q ** spec.m
+        scale = [qm / spec.q] * spec.m + [qm] * spec.n
     cols = []
     for j in range(deg):
         # z^{deg-1} down to z^0, the rows of components k = 1..deg
         col = _monic_from_shifts(u[:j] + u[j + 1:], ONE)[::-1]
-        if spec.is_difference and j < spec.m:
-            col = [c / spec.q for c in col]
-        cols.append(col)
+        cols.append([c * scale[j] for c in col])
     matrix = [[cols[j][i] for j in range(deg)] for i in range(deg)]
     return matrix, matrix_rank(matrix, ZERO)
 

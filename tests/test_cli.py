@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qqsystems import lifting
+from qqsystems import cli, lifting
 from qqsystems.cli import (main, EXIT_OK, EXIT_VALIDATION, EXIT_RAMIFICATION,
                            EXIT_CERTIFICATE)
 
@@ -151,6 +151,7 @@ BAD_SPECS = [
     ("size_cap_zero", _with(QQ11, tropical={"size_cap": 0}), "bad_size_cap"),
     ("size_cap_negative", _with(QQ11, tropical={"size_cap": -1}),
      "bad_size_cap"),
+    ("q_i", _with(QQ_DIFF, q={"re": "0", "im": "1"}), "q_root_of_unity"),
     ("q_float", _with(QQ_DIFF, q=3.0), "bad_scalar"),
     ("q_null", _with(QQ_DIFF, q=None), "bad_scalar"),
 ]
@@ -189,26 +190,98 @@ def test_branch_explosion_reported_per_base(tmp_path, capsys, monkeypatch):
     assert report["tropical"]["is_origin_only"]
 
 
-def test_generic_runs_do_not_import_sympy(tmp_path):
-    specs = [
-        write_spec(tmp_path, {"mode": "qq", "m": 2, "n": 1, "K": 3,
-                              "lambda": _shifts(["1", 1], ["2", 1], ["4", 1])},
-                   "qq.json"),
-        write_spec(tmp_path, QQ_DIFF, "QQ.json"),
-    ]
-    calls = [[cmd, spec, "--out", str(tmp_path / f"{cmd}{i}.json")]
-             for i, spec in enumerate(specs) for cmd in ("solve", "tropical")]
-    script = ("import json, sys\n"
-              "from qqsystems.cli import main\n"
-              f"codes = [main(argv) for argv in {calls!r}]\n"
-              "print(json.dumps([codes, 'sympy' in sys.modules]))\n")
+def test_solve_rejects_unit_modulus_q(tmp_path, capsys):
+    # (3+4i)/5 has |q| = 1 but is no root of unity: the Bethe check could
+    # not decide q-distinctness, so solve refuses it before lifting
+    spec = write_spec(tmp_path, _with(QQ_DIFF, K=2,
+                                      q={"re": "3/5", "im": "4/5"}))
+    assert main(["solve", spec]) == EXIT_VALIDATION
+    report = json.loads(capsys.readouterr().out)
+    assert [f["reason"] for f in report["failures"]] == ["q_unit_modulus"]
+    assert main(["enumerate", spec]) == EXIT_OK
+    assert len(json.loads(capsys.readouterr().out)["solutions"]) == 2
+    assert main(["tropical", spec]) in (EXIT_OK, EXIT_CERTIFICATE)
+    assert "tropical" in json.loads(capsys.readouterr().out)
+
+
+def test_solve_reports_tropical_size_cap_as_skipped(tmp_path, capsys):
+    spec = write_spec(tmp_path, _with(QQ11, tropical={"size_cap": 1}))
+    assert main(["solve", spec]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["tropical"] == {
+        "skipped": "m + n = 2 exceeds the symbolic size cap 1"}
+
+
+def test_solve_does_not_swallow_tropical_crash(tmp_path, monkeypatch):
+    def broken(spec, theorem_mode):
+        raise RuntimeError("prevariety crashed")
+    monkeypatch.setattr(cli, "prevariety", broken)
+    spec = write_spec(tmp_path, QQ11)
+    with pytest.raises(RuntimeError, match="prevariety crashed"):
+        main(["solve", spec])
+
+
+def _python(script):
+    """Stdout of a fresh interpreter running script against this src/."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     res = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, timeout=300,
                          env=dict(os.environ, PYTHONPATH=path))
     assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout) == [[EXIT_OK] * 4, False]
+    return res.stdout
+
+
+def _modules_loaded_by(calls, modules):
+    """Exit codes of cli.main over calls in a fresh interpreter, and which
+    of the named modules it loaded."""
+    return json.loads(_python(
+        "import contextlib, io, json, sys\n"
+        "from qqsystems.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {calls!r}]\n"
+        f"print(json.dumps([codes, [m in sys.modules for m in {modules!r}]]))\n"))
+
+
+def test_generic_runs_do_not_import_sympy(tmp_path):
+    """Generic solve, tropical and enumerate load neither numpy nor sympy;
+    a degenerate solve loads sympy (the ramified search) but not numpy."""
+    specs = [
+        write_spec(tmp_path, {"mode": "qq", "m": 2, "n": 1, "K": 3,
+                              "lambda": _shifts(["1", 1], ["2", 1], ["4", 1])},
+                   "qq.json"),
+        write_spec(tmp_path, QQ_DIFF, "QQ.json"),
+    ]
+    calls = [[cmd, spec] for spec in specs
+             for cmd in ("solve", "tropical", "enumerate")]
+    assert _modules_loaded_by(calls, ["numpy", "sympy"]) == \
+        [[EXIT_OK] * 6, [False, False]]
+    degenerate = write_spec(tmp_path, {"mode": "qq", "m": 1, "n": 1, "K": 2,
+                                       "lambda": _shifts(["1", 2])}, "deg.json")
+    assert _modules_loaded_by([["solve", degenerate]], ["numpy", "sympy"]) == \
+        [[EXIT_OK], [False, True]]
+
+
+def test_oracle_names_resolve_lazily():
+    """The numeric oracle's names still resolve from the package, but only
+    loading them imports numpy, and import * never does."""
+    script = ("import sys\n"
+              "from qqsystems import *\n"
+              "assert 'numpy' not in sys.modules\n"
+              "assert 'numeric_check' not in dir()\n"
+              "import qqsystems\n"
+              "from qqsystems import numeric_check\n"
+              "assert 'numpy' in sys.modules\n"
+              "from qqsystems import numeric, NumericCheck\n"
+              "assert numeric_check is numeric.numeric_check\n"
+              "assert qqsystems.numeric_check is numeric.numeric_check\n"
+              "assert NumericCheck is numeric.NumericCheck\n"
+              "assert qqsystems.damped_newton is numeric.damped_newton\n"
+              "try:\n"
+              "    qqsystems.no_such_name\n"
+              "except AttributeError:\n"
+              "    print('ok')\n")
+    assert _python(script).strip() == "ok"
 
 
 class TestEnumerate:

@@ -1,4 +1,7 @@
+from itertools import combinations
 from math import comb
+
+import pytest
 
 from qqsystems.scalar import Scalar
 from qqsystems.systems import MasterData, ProblemSpec
@@ -41,6 +44,28 @@ def test_repeated_root_dedup():
     assert len(sols) == 1
     assert sols[0].tier == "degenerate"
     assert sols[0].l == 1
+
+
+@pytest.mark.parametrize("mode", ["qq", "QQ"])
+@pytest.mark.parametrize("shifts,m", [
+    ([(1, 2)], 1), ([(1, 4)], 2), ([(1, 2), (2, 1)], 2),
+    ([(1, 3), (2, 2)], 2), ([(1, 2), (2, 2), (3, 1)], 3)])
+def test_bases_are_the_distinct_m_combinations(mode, shifts, m):
+    """Oracle: the distinct sorted m-combinations of the root multiset,
+    with the plus part scaled by q in QQ mode; each appears exactly once."""
+    lam = master(*shifts)
+    n = lam.degree - m
+    spec = qq_spec(shifts, m, n) if mode == "qq" else QQ_spec(shifts, m, n, 3)
+    scale = Scalar(3) if mode == "QQ" else Scalar(1)
+    roots = lam.root_shift_multiset()
+    expected = set()
+    for idx in combinations(range(len(roots)), m):
+        sub = sorted((scale * roots[i] for i in idx), key=Scalar.sort_key)
+        rest = [roots[i] for i in range(len(roots)) if i not in idx]
+        expected.add((tuple(sub), tuple(sorted(rest, key=Scalar.sort_key))))
+    got = [(s.x0, s.y0) for s in enumerate_infinite_solutions(spec)]
+    assert len(got) == len(expected)
+    assert set(got) == expected
 
 
 def test_partial_degeneracy():

@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qqsystems.linalg import (rref, matrix_rank, solve_affine, nullspace,
-                              solve_unique)
+from qqsystems.linalg import rref, matrix_rank, solve_unique
 from qqsystems.scalar import Scalar, ZERO, ONE
 
 
@@ -30,41 +29,21 @@ def test_rref_pivots():
 
 
 def test_solve_unique():
-    x = solve_unique(M([[1, 1], [1, -1]]), V([3, 1]), ZERO, ONE)
+    x = solve_unique(M([[1, 1], [1, -1]]), V([3, 1]), ZERO)
     assert x == V([2, 1])
 
 
 def test_solve_unique_singular_raises():
-    with pytest.raises(ValueError):
-        solve_unique(M([[1, 1], [1, 1]]), V([1, 1]), ZERO, ONE)
-
-
-def test_solve_affine_underdetermined():
-    # x + y = 2: particular has the free coordinate pinned to 0
-    part, null = solve_affine(M([[1, 1]]), V([2]), ZERO, ONE)
-    assert part == V([2, 0])
-    assert len(null) == 1
-    # null vector satisfies the homogeneous system
-    assert null[0][0] + null[0][1] == ZERO
-
-
-def test_solve_affine_inconsistent():
-    part, null = solve_affine(M([[1, 1], [1, 1]]), V([1, 2]), ZERO, ONE)
-    assert part is None
-    assert len(null) == 1
-
-
-def test_nullspace_dimension():
-    basis = nullspace(M([[1, 2, 3]]), ZERO, ONE)
-    assert len(basis) == 2
-    for v in basis:
-        assert v[0] + Scalar(2) * v[1] + Scalar(3) * v[2] == ZERO
+    with pytest.raises(ValueError, match="singular"):
+        solve_unique(M([[1, 1], [1, 1]]), V([1, 1]), ZERO)
+    with pytest.raises(ValueError, match="inconsistent"):
+        solve_unique(M([[1, 1], [1, 1]]), V([1, 2]), ZERO)
 
 
 def test_works_over_fractions_too():
     rows = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
     assert matrix_rank(rows, Fraction(0)) == 2
-    x = solve_unique(rows, [Fraction(5), Fraction(11)], Fraction(0), Fraction(1))
+    x = solve_unique(rows, [Fraction(5), Fraction(11)], Fraction(0))
     assert x == [Fraction(1), Fraction(2)]
 
 
@@ -72,6 +51,6 @@ def test_gaussian_rational_pivots():
     i = Scalar(0, 1)
     rows = [[i, Scalar(1)], [Scalar(1), i]]
     # det = i*i - 1 = -2, nonsingular
-    x = solve_unique(rows, V([1, 0]), ZERO, ONE)
+    x = solve_unique(rows, V([1, 0]), ZERO)
     assert rows[0][0] * x[0] + rows[0][1] * x[1] == ONE
     assert rows[1][0] * x[0] + rows[1][1] * x[1] == ZERO

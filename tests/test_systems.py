@@ -64,10 +64,18 @@ class TestValidation:
         assert e.value.code == "lambda_root_at_origin"
 
     def test_q_root_of_unity(self):
-        spec = QQ_spec([(1, 1), (2, 1)], 1, 1, -1)
-        with pytest.raises(SpecValidationError) as e:
-            spec.validate()
-        assert e.value.code == "q_root_of_unity"
+        # the roots of unity in Q(i) are exactly +-1 and +-i
+        def spec(q):
+            return ProblemSpec(mode="QQ", lam=master((1, 1), (2, 1)),
+                               m=1, n=1, q=q)
+        for q in (ONE, Scalar(-1), Scalar(0, 1), Scalar(0, -1)):
+            with pytest.raises(SpecValidationError) as e:
+                spec(q).validate()
+            assert e.value.code == "q_root_of_unity"
+        # other unit-modulus q and q off the unit circle validate
+        for q in (Scalar(Fraction(3, 5), Fraction(4, 5)), Scalar(1, 1),
+                  Scalar(0, 2)):
+            spec(q).validate()
 
     def test_q_in_qq_mode_rejected(self):
         spec = ProblemSpec(mode="qq", lam=master((1, 1), (2, 1)),
@@ -173,15 +181,16 @@ class TestJacobian:
             assert rank == sol.l
 
     def test_difference_mode_scaling(self):
-        # u = (x/q, y): x-columns are scaled by 1/q
+        # u = (x/q, y): x-columns are scaled by 1/q, and the whole matrix
+        # by the clearing factor q^m = 3
         spec = QQ_spec([(1, 1), (2, 1)], 1, 1, 3)
         sol = enumerate_infinite_solutions(spec)[0]  # x0 = 3, y0 = 2
         matrix, rank = jacobian_at_zero(sol, spec)
         assert rank == 2
-        assert matrix[0][0] == Scalar(Fraction(1, 3))
-        assert matrix[1][0] == Scalar(Fraction(2, 3))
-        assert matrix[0][1] == ONE
-        assert matrix[1][1] == ONE
+        assert matrix[0][0] == ONE
+        assert matrix[1][0] == Scalar(2)
+        assert matrix[0][1] == Scalar(3)
+        assert matrix[1][1] == Scalar(3)
 
     def test_q_collision_detected(self):
         # x0 = 3, y0 = 1 looks distinct but x0/q = y0: rank drops
@@ -247,11 +256,9 @@ def _unit(i, dim):
 @settings(max_examples=60, deadline=None)
 @given(small_specs())
 def test_jacobian_is_linear_part_of_residual(spec):
-    """At every base, jacobian_at_zero (times q^m in QQ mode, where the
-    residual is cleared) is the linear part of residual_components over
-    SparsePoly in delta at (x0 + delta, t = 0)."""
+    """At every base, jacobian_at_zero is the linear part of
+    residual_components over SparsePoly in delta at (x0 + delta, t = 0)."""
     dim = spec.m + spec.n
-    scale = spec.q ** spec.m if spec.is_difference else ONE
     for sol in enumerate_infinite_solutions(spec):
         u = [SparsePoly.constant(v, dim) + SparsePoly.variable(i, dim)
              for i, v in enumerate(sol.x0 + sol.y0)]
@@ -262,4 +269,4 @@ def test_jacobian_is_linear_part_of_residual(spec):
         for row, comp in zip(matrix, comps):
             assert (0,) * dim not in comp.terms  # the base solves t = 0
             assert [comp.terms.get(_unit(j, dim), ZERO) for j in range(dim)] \
-                == [e * scale for e in row]
+                == row
