@@ -36,7 +36,7 @@ WORK_GUARD = 4
 
 
 class UndecidableQDistinctnessError(ValueError):
-    """|q| = 1 and q is not a root of unity: no finite exponent window."""
+    """|q| = 1 and q is not a root of unity: the moduli do not fix k."""
 
 
 class NondegeneracyError(ValueError):
@@ -50,7 +50,6 @@ class BetheReport:
     flags: Dict[str, bool]
     residuals: Optional[Tuple[Series, ...]]
     residual_valuations: Optional[Tuple[Optional[Fraction], ...]]
-    q_window: Optional[int] = None  # exponent window used for q-distinctness
 
     @property
     def gated(self) -> bool:
@@ -60,7 +59,6 @@ class BetheReport:
         return {"roots": [r.to_json() for r in self.roots],
                 "twist": self.twist,
                 "flags": dict(self.flags),
-                "q_window": self.q_window,
                 "residual_valuations":
                     [None if v is None else str(v)
                      for v in self.residual_valuations]
@@ -82,7 +80,7 @@ def nondegeneracy_check(ls: LiftedSolution, spec: ProblemSpec
     simple_zeros: the roots w_l are pairwise distinct jets.
     disjoint_from_lambda: no w_l coincides with a zero of Lambda as a jet.
     q_distinct (difference only): no q^k * w_l meets another root or a
-    Lambda zero, for |k| up to the decidability window.
+    Lambda zero, for any integer k.
     """
     roots = _roots(ls)
     flags = {"simple_zeros": True, "disjoint_from_lambda": True}
@@ -101,35 +99,56 @@ def nondegeneracy_check(ls: LiftedSolution, spec: ProblemSpec
 
 
 def _q_distinct(roots, zeros, spec: ProblemSpec) -> bool:
+    """False iff q^k * w_i equals another root (k != 0) or a Lambda zero
+    for some integer k; each pair is compared at its one candidate k."""
     q = spec.q
-    if q.abs2() == 1:
-        # validate() already rejects the Q(i) roots of unity; any other
-        # unit-modulus q admits no finite exponent window
+    q2 = q.abs2()
+    if q2 == 1:
+        # validate() already rejects the Q(i) roots of unity; for any other
+        # unit-modulus q the moduli do not fix k
         raise UndecidableQDistinctnessError(
-            "|q| = 1 with q not a root of unity: q-distinctness is not "
-            "decidable by a finite exponent window")
+            "|q| = 1 with q not a root of unity: the moduli of the roots "
+            "do not fix the exponent k of a q-collision")
     if not roots:
         return True
-    window = spec.unity_check_bound()
     targets = list(roots) + [Series.const(zv, roots[0].top, roots[0].n_ram)
                              for zv, _ in zeros]
-    consts = [tg.coeff(0) for tg in targets]
-    powers = [(k, q ** k) for k in range(-window, window + 1)]
-    # pairs with at least one genuine root; k ranges over both signs, so
-    # root-vs-root pairs are covered once from each side
+    # pairs with at least one genuine root; root-vs-root pairs are covered
+    # once from each side
     for i in range(len(roots)):
         for j in range(len(targets)):
             if i == j:
                 continue
-            for k, qk in powers:
-                if j < len(roots) and k == 0:
-                    continue  # simple_zeros covers unscaled root pairs
-                # every jet has offset 0, so unequal constant terms
-                # already make the difference a nonzero jet
-                if consts[i] * qk == consts[j] and \
-                        (targets[i] * qk - targets[j]).is_zero:
-                    return False
+            k = _collision_exponent(targets[i], targets[j], q2)
+            if k is None or (k == 0 and j < len(roots)):
+                continue  # simple_zeros covers unscaled root pairs
+            if (targets[i] * q ** k - targets[j]).is_zero:
+                return False
     return True
+
+
+def _collision_exponent(w: Series, v: Series, q2: Fraction) -> Optional[int]:
+    """The only k for which q^k * w = v can hold (q2 = |q|^2 != 1), or None.
+
+    Equal jets have equal lowest terms c s^e, so q2^k = |c_v|^2 / |c_w|^2,
+    whose numerator or denominator is then max(p, r)^|k| >= 2^|k| for
+    q2 = p/r in lowest terms.  Two zero jets agree at every k; 1 stands in.
+    """
+    lw, lv = _lowest_term(w), _lowest_term(v)
+    if lw is None or lv is None:
+        return 1
+    if lw[0] != lv[0]:
+        return None
+    ratio = lv[1].abs2() / lw[1].abs2()
+    bound = max(ratio.numerator.bit_length(), ratio.denominator.bit_length())
+    return next((k for k in range(-bound, bound + 1) if q2 ** k == ratio),
+                None)
+
+
+def _lowest_term(w: Series) -> Optional[Tuple[int, Scalar]]:
+    """(exponent, coefficient) of the lowest nonzero term; None if w = 0."""
+    return next(((e, c) for e, c in enumerate(w.coeffs, w.offset)
+                 if not c.is_zero), None)
 
 
 def gaudin_residual(ls: LiftedSolution, spec: ProblemSpec) -> List[Series]:
@@ -200,16 +219,11 @@ def bethe_report(ls: LiftedSolution, spec: ProblemSpec) -> BetheReport:
     roots = _roots(ls)
     flags = nondegeneracy_check(ls, spec)
     twist = TWIST_XXZ if spec.is_difference else TWIST_GAUDIN
-    q_window = spec.unity_check_bound() if spec.is_difference else None
-    if not all(flags.values()) or spec.m == 0:
-        residuals = () if spec.m == 0 and all(flags.values()) else None
-        vals = () if residuals == () else None
+    if not all(flags.values()):
         return BetheReport(roots=roots, twist=twist, flags=flags,
-                           residuals=residuals, residual_valuations=vals,
-                           q_window=q_window)
+                           residuals=None, residual_valuations=None)
     res = (xxz_residual(ls, spec) if spec.is_difference
            else gaudin_residual(ls, spec))
     vals = tuple(r.valuation() for r in res)
     return BetheReport(roots=roots, twist=twist, flags=flags,
-                       residuals=tuple(res), residual_valuations=vals,
-                       q_window=q_window)
+                       residuals=tuple(res), residual_valuations=vals)

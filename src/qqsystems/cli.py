@@ -3,7 +3,7 @@
 Exit codes: 0 success; 2 spec validation failure (or the tropical size
 cap exceeded, or a solve with |q| = 1); 3 ramification bound exceeded or
 branch explosion on some base; 4 residual certificate failure.  Reports are deterministic JSON
-("format": 2) with exact rational scalars throughout.
+("format": 3) with exact rational scalars throughout.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ EXIT_VALIDATION = 2
 EXIT_RAMIFICATION = 3
 EXIT_CERTIFICATE = 4
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def _emit(report: dict, out: Optional[str]) -> None:
@@ -69,8 +69,8 @@ def cmd_solve(args) -> int:
     if spec is None:
         return EXIT_VALIDATION
     if spec.is_difference and spec.q.abs2() == 1:
-        # validate() rejects the roots of unity; for any other |q| = 1 no
-        # finite exponent window decides the Bethe check's q-distinctness
+        # validate() rejects the roots of unity; for any other |q| = 1 the
+        # moduli of the Bethe roots do not fix the exponent of a q-collision
         return _fail(args, "q_unit_modulus",
                      f"|q| = 1 with q = {spec.q} not a root of unity: "
                      "q-distinctness of the Bethe roots is undecidable")

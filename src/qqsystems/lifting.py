@@ -17,15 +17,11 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .infinite import InfiniteSolution
-from .linalg import rref, solve_unique
+from .linalg import SingularJacobianError, rref, solve_unique
 from .scalar import Scalar, ZERO, ONE
 from .series import Series
 from .systems import (CandidatePoint, ProblemSpec, evaluate_residual,
                       jacobian_at_zero, residual_components)
-
-
-class SingularJacobianError(ValueError):
-    """lift_newton was handed a degenerate base; use lift_ramified."""
 
 
 class RamificationBoundExceededError(RuntimeError):
@@ -116,33 +112,39 @@ def certify_residual_point(point: CandidatePoint, spec: ProblemSpec) -> Fraction
 
 
 def lift_newton(sol: InfiniteSolution, spec: ProblemSpec) -> LiftedSolution:
-    """Unique order-K lift of a generic base (N = 1)."""
+    """Unique order-K lift of a generic base (N = 1).
+
+    J0 is inverted once (SingularJacobianError at a degenerate base), and
+    order k sets c_k = -J0^-1 defect_k.  The order-k residual coefficient
+    reads only coefficients of order <= k, so step k evaluates the
+    residual of the jet truncated at k.
+    """
     dim = spec.m + spec.n
-    matrix, rank = jacobian_at_zero(sol, spec)
-    if rank < dim:
-        raise SingularJacobianError(
-            f"t=0 Jacobian has rank {rank} < {dim}; route this base "
-            "through lift_ramified")
+    inverse = solve_unique(jacobian_at_zero(sol, spec), _identity(dim), ZERO)
     K = spec.K
     coeffs = [[v] + [ZERO] * K for v in list(sol.x0) + list(sol.y0)]
 
-    def current_point() -> CandidatePoint:
-        xs = tuple(Series(1, coeffs[i]) for i in range(spec.m))
-        ys = tuple(Series(1, coeffs[spec.m + j]) for j in range(spec.n))
+    def point_through(top: int) -> CandidatePoint:
+        xs = tuple(Series(1, coeffs[i][:top + 1]) for i in range(spec.m))
+        ys = tuple(Series(1, coeffs[spec.m + j][:top + 1])
+                   for j in range(spec.n))
         return CandidatePoint(xs, ys)
 
     for k in range(1, K + 1):
-        res = evaluate_residual(current_point(), spec)
+        res = evaluate_residual(point_through(k), spec)
         defect = [comp.coeff(k) for comp in res]
         if all(d.is_zero for d in defect):
             continue
-        corr = solve_unique(matrix, [-d for d in defect], ZERO)
-        for i in range(dim):
-            coeffs[i][k] = corr[i]
-    point = current_point()
+        for i, row in enumerate(inverse):
+            coeffs[i][k] = -sum((a * d for a, d in zip(row, defect)), ZERO)
+    point = point_through(K)
     return LiftedSolution(point=point, base=sol,
                           alpha=_alpha_series(spec, K, 1),
                           residual_valuation=certify_residual_point(point, spec))
+
+
+def _identity(dim: int) -> List[List[Scalar]]:
+    return [[ONE if c == i else ZERO for c in range(dim)] for i in range(dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +166,15 @@ def lift_ramified(sol: InfiniteSolution, spec: ProblemSpec
     if sol.tier == "generic":
         return [lift_newton(sol, spec)]
     n_max = spec.ramification_bound
-    matrix, _ = jacobian_at_zero(sol, spec)
+    # [J0 | I] reduces to [R | L] with L * J0 = R, once for every N
+    reduced = rref([row + id_row for row, id_row in
+                    zip(jacobian_at_zero(sol, spec), _identity(spec.m + spec.n))],
+                   ZERO)
     found: List[LiftedSolution] = []
     seen_keys = set()
     dropped_outside_field = 0
     for n_ram in range(1, n_max + 1):
-        points, dropped = _branch_search(sol, spec, matrix, n_ram)
+        points, dropped = _branch_search(sol, spec, reduced, n_ram)
         dropped_outside_field += dropped
         for point in points:
             point = _reduce_ramification(point)
@@ -237,15 +242,16 @@ def _reduce_ramification(point: CandidatePoint) -> CandidatePoint:
 
 
 def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
-                   matrix: List[List[Scalar]], n_ram: int
+                   reduced: Tuple[List[List[Scalar]], List[int]], n_ram: int
                    ) -> Tuple[List[CandidatePoint], int]:
     """Symbolic order-by-order search in s (t = s^N) with kernel branching.
 
-    The singular t=0 Jacobian is row-reduced once; at every s-order the
-    zero rows of the reduced system give polynomial consistency
-    constraints on the still-free kernel parameters, whose finitely many
-    exact solutions are branched on.  Parameters that stay unconstrained
-    through the final order are pinned to zero.
+    `reduced` is rref of [J0 | I] for the singular t=0 Jacobian J0, with
+    its pivot columns; at every s-order the zero rows of the reduced
+    system give polynomial consistency constraints on the still-free
+    kernel parameters, whose finitely many exact solutions are branched
+    on.  Parameters that stay unconstrained through the final order are
+    pinned to zero.
     """
     import sympy as sp
 
@@ -254,11 +260,9 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
     s = sp.Symbol("s")
     base = [_scalar_to_sympy(v) for v in list(sol.x0) + list(sol.y0)]
 
-    # [J0 | I] reduces to [R | L] with L * J0 = R; a row whose pivot lies
-    # in the L block is a zero row of R and yields consistency constraints
-    red, pivots = rref([list(row) + [ONE if c == i else ZERO
-                                     for c in range(dim)]
-                        for i, row in enumerate(matrix)], ZERO)
+    # a row whose pivot lies in the L block is a zero row of R and yields
+    # consistency constraints
+    red, pivots = reduced
     red = [[_scalar_to_sympy(e) for e in row] for row in red]
     r_mat = [row[:dim] for row in red]
     l_mat = [row[dim:] for row in red]
@@ -291,8 +295,6 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
                    for row in l_mat]
             constraints = [sp.expand(rhs[i]) for i in zero_rows]
             for subs in _constraint_solutions(constraints, params):
-                if subs is None:
-                    continue
                 table = [[sp.expand(e.subs(subs)) if subs else e
                           for e in row] for row in coeff_table]
                 live = [p for p in params if p not in subs]
@@ -367,42 +369,27 @@ def _try_scalar(expr) -> Optional[Scalar]:
     return Scalar(Fraction(re_q.p, re_q.q), Fraction(im_q.p, im_q.q))
 
 
-def _constraint_solutions(constraints, params):
-    """Enumerate exact solutions of the pending consistency constraints.
-
-    Yields substitution dicts (possibly empty); yields None markers for
-    inconsistent alternatives so callers can skip them.
-    """
+def _constraint_solutions(constraints, params) -> List[dict]:
+    """Exact solutions of the pending consistency constraints, as
+    substitution dicts (one empty dict when nothing is constrained; none
+    when the constraints are inconsistent)."""
     import sympy as sp
     live = [sp.expand(c) for c in constraints]
     live = [c for c in live if c != 0]
     if not live:
-        yield {}
-        return
+        return [{}]
     involved = sorted({p for c in live for p in c.free_symbols},
                       key=lambda p: p.name)
     if not involved:
-        # nonzero constant constraint: inconsistent
-        yield None
-        return
+        return []  # nonzero constant constraint
     try:
         sols = sp.solve(live, involved, dict=True)
     except NotImplementedError:
-        yield None
-        return
-    if not sols:
-        yield None
-        return
+        return []
+    out = []
     for sol_map in sols:
-        clean = {}
-        bad = False
-        for key, val in sol_map.items():
-            val = sp.expand(val)
-            if val.free_symbols - set(involved):
-                bad = True
-                break
-            clean[key] = val
-        if bad:
-            yield None
-        else:
-            yield clean
+        clean = {key: sp.expand(val) for key, val in sol_map.items()}
+        if all(not (val.free_symbols - set(involved))
+               for val in clean.values()):
+            out.append(clean)
+    return out

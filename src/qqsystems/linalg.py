@@ -39,19 +39,19 @@ def rref(rows: List[List], zero) -> Tuple[List[List], List[int]]:
     return m, pivots
 
 
-def matrix_rank(rows: Sequence[Sequence], zero) -> int:
-    if not rows:
-        return 0
-    _, pivots = rref([list(r) for r in rows], zero)
-    return len(pivots)
+class SingularJacobianError(ValueError):
+    """solve_unique met a singular matrix: at a degenerate base the t = 0
+    Jacobian is one, and lifting goes through lift_ramified."""
 
 
-def solve_unique(A: Sequence[Sequence], b: Sequence, zero) -> List:
-    """Solve a square nonsingular system; raises on singularity."""
-    ncols = len(A[0]) if A else 0
-    m, pivots = rref([list(row) + [v] for row, v in zip(A, b)], zero)
-    if ncols in pivots:
-        raise ValueError("inconsistent linear system")
-    if len(pivots) < ncols:
-        raise ValueError("singular linear system")
-    return [row[ncols] for row in m[:ncols]]
+def solve_unique(A: Sequence[Sequence], B: Sequence[Sequence], zero) -> List[List]:
+    """X with A X = B for square nonsingular A; B has one column per
+    right-hand side.  Raises SingularJacobianError on a singular A."""
+    n = len(A)
+    m, pivots = rref([list(a) + list(b) for a, b in zip(A, B)], zero)
+    rank = sum(1 for c in pivots if c < n)
+    if rank < n:
+        inconsistent = ", inconsistent" if len(pivots) > rank else ""
+        raise SingularJacobianError(
+            f"singular linear system (rank {rank} < {n}{inconsistent})")
+    return [row[n:] for row in m]

@@ -190,16 +190,8 @@ def _drive_out_artificials(rows, basis, ncols):
         i += 1
 
 
-def feasible(a_ub=(), b_ub=(), a_eq=(), b_eq=(), dim: Optional[int] = None
+def feasible(a_ub=(), b_ub=(), a_eq=(), b_eq=(), *, dim: int
              ) -> Optional[Tuple[Fraction, ...]]:
-    """A feasible point of the system, or None."""
-    if dim is None:
-        if a_ub:
-            dim = len(a_ub[0])
-        elif a_eq:
-            dim = len(a_eq[0])
-        else:
-            return ()
+    """A feasible point of the system in dim variables, or None."""
     res = lp_solve([F0] * dim, a_ub, b_ub, a_eq, b_eq)
     return res.x if res.status == OPTIMAL else None
-

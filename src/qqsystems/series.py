@@ -218,14 +218,6 @@ class Series:
             keep = 1  # at least the leading coefficient is certain
         return Series(self.n_ram, inv[:keep], -v)
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Scalar)):
-            c = other if isinstance(other, Scalar) else Scalar(other)
-            return self * (ONE / c)
-        if isinstance(other, Series):
-            return self * other.reciprocal()
-        return NotImplemented
-
     # -- comparison -----------------------------------------------------------
 
     def same_through(self, other: "Series", top: int) -> bool:

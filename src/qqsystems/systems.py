@@ -34,7 +34,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .linalg import matrix_rank
 from .poly import SparsePoly
 from .scalar import Scalar, SpecValidationError, ZERO, ONE
 from .series import Series
@@ -150,9 +149,6 @@ class ProblemSpec:
     @property
     def ramification_bound(self) -> int:
         return self.n_max if self.n_max is not None else self.m + self.n
-
-    def unity_check_bound(self) -> int:
-        return 2 * (self.m + self.n) + 4
 
     def validate(self, require_nonzero_at_origin: bool = False) -> None:
         """Raises SpecValidationError with a machine-readable code."""
@@ -347,8 +343,8 @@ def _check_base_solution(x0: Sequence[Scalar], y0: Sequence[Scalar],
     return u
 
 
-def jacobian_at_zero(sol, spec: ProblemSpec) -> Tuple[List[List[Scalar]], int]:
-    """Exact t=0 Jacobian of residual_components as written, with its rank.
+def jacobian_at_zero(sol, spec: ProblemSpec) -> List[List[Scalar]]:
+    """Exact t=0 Jacobian of residual_components as written.
 
     Differential mode: column j holds the z-coefficients of
     Lambda(z)/(z + b_j) for the concatenated shifts b, which is the
@@ -356,6 +352,8 @@ def jacobian_at_zero(sol, spec: ProblemSpec) -> Tuple[List[List[Scalar]], int]:
     verified.  Difference mode: the residual is cleared by q^m, so this is
     q^m times the gradient of e_k(x/q, y) - d_k: the same matrix in
     u = (x/q, y), with x-columns scaled by q^(m-1) and y-columns by q^m.
+    Its rank is the number l of distinct values among the shifts u, which
+    the enumeration already records on the base.
     """
     x0, y0 = list(sol.x0), list(sol.y0)
     u = _check_base_solution(x0, y0, spec)
@@ -370,7 +368,7 @@ def jacobian_at_zero(sol, spec: ProblemSpec) -> Tuple[List[List[Scalar]], int]:
         col = _monic_from_shifts(u[:j] + u[j + 1:], ONE)[::-1]
         cols.append([c * scale[j] for c in col])
     matrix = [[cols[j][i] for j in range(deg)] for i in range(deg)]
-    return matrix, matrix_rank(matrix, ZERO)
+    return matrix
 
 
 # ---------------------------------------------------------------------------

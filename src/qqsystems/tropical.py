@@ -173,9 +173,7 @@ class _AffineState:
         return len(self.basis)
 
     def lp_feasible(self) -> Optional[Tuple[Fraction, ...]]:
-        """A feasible parameter point, or None (trivial when no inequalities)."""
-        if not self.ineqs:
-            return tuple([F0] * self.rank_free)
+        """A feasible parameter point, or None."""
         a_ub = [list(g) for g, _ in self.ineqs]
         b_ub = [h for _, h in self.ineqs]
         return feasible(a_ub, b_ub, dim=self.rank_free)
@@ -222,13 +220,6 @@ def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult
         nonlocal cell_count, origin_only, bounded, witness
         cell_count += 1
         r = state.rank_free
-        if r == 0:
-            w = tuple(state.w0)
-            if any(v != 0 for v in w):
-                origin_only = False
-                if witness is None:
-                    witness = TropicalPoint(w)
-            return
         a_ub = [list(g) for g, _ in state.ineqs]
         b_ub = [h for _, h in state.ineqs]
         target = [F0] * dim

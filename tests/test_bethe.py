@@ -55,20 +55,22 @@ class TestNondegeneracy:
         assert all(flags.values())
 
     def test_q_distinct_collision(self):
-        # q = 2, root at -1 (x = 1), Lambda zero at -2: 2*(-1) = -2
-        spec = QQ_spec([(2, 1), (8, 1)], 1, 1, 2, K=2)
+        # q = 2, root at -1 (x = 1) and a Lambda zero at -2^k
+        from qqsystems.systems import CandidatePoint
+        from qqsystems.infinite import InfiniteSolution
         # construct a constant jet x = 1 directly (roots at -1)
         x = Series.from_t_coeffs([Scalar(1), ZERO, ZERO])
         y = Series.from_t_coeffs([Scalar(4), ZERO, ZERO])
-        from qqsystems.systems import CandidatePoint
-        from qqsystems.infinite import InfiniteSolution
         point = CandidatePoint((x,), (y,))
         base = InfiniteSolution(x0=(Scalar(1),), y0=(Scalar(4),),
                                 l=2, tier="generic")
         ls = LiftedSolution(point=point, base=base, alpha=None,
                             residual_valuation=Fraction(0))
-        flags = nondegeneracy_check(ls, spec)
-        assert not flags["q_distinct"]
+        for shifts in ([(2, 1), (8, 1)],       # 2^1 * (-1) = -2
+                       [(3, 1), (512, 1)]):    # 2^9 * (-1) = -512
+            spec = QQ_spec(shifts, 1, 1, 2, K=2)
+            flags = nondegeneracy_check(ls, spec)
+            assert not flags["q_distinct"], shifts
 
     def test_q_distinct_constant_terms_collide_jets_differ(self):
         # q = 2, roots w = -x: 2 * w_1(0) = -2 = w_2(0), so the constant
@@ -208,7 +210,6 @@ class TestReport:
         rep = bethe_report(ls, spec)
         assert rep.twist == TWIST_GAUDIN
         assert not rep.gated
-        assert rep.q_window is None
         obj = rep.to_json()
         assert obj["flags"]["simple_zeros"] is True
 
@@ -218,5 +219,4 @@ class TestReport:
         rep = bethe_report(ls, spec)
         assert rep.twist == TWIST_XXZ
         assert rep.flags["q_distinct"]
-        assert rep.q_window == 2 * (spec.m + spec.n) + 4
         assert rep.residual_valuations == (Fraction(4),)

@@ -30,7 +30,7 @@ class TestSolve:
         out = tmp_path / "report.json"
         assert main(["solve", spec, "--out", str(out)]) == EXIT_OK
         report = json.loads(out.read_text())
-        assert report["format"] == 2
+        assert report["format"] == 3
         assert len(report["bases"]) == 2
         for entry in report["bases"]:
             assert entry["branch_count"] == 1
@@ -108,6 +108,20 @@ class TestTropical:
         report = json.loads(capsys.readouterr().out)
         assert "tropical" in report
         assert code in (EXIT_OK, EXIT_CERTIFICATE)
+
+    def test_zero_shift_fails_gate_and_leaves_origin(self, tmp_path, capsys):
+        # Lambda = z(z+1): d_2 = 0; without the gate a nonzero witness
+        spec = write_spec(tmp_path, {
+            "mode": "qq", "lambda": {"shifts": [["0", 1], ["1", 1]]},
+            "m": 1, "n": 1, "K": 3})
+        assert main(["tropical", spec]) == EXIT_VALIDATION
+        report = json.loads(capsys.readouterr().out)
+        assert report["failures"][0]["reason"] == "zero_coefficient d_2"
+        assert main(["tropical", spec, "--no-theorem-mode"]) == EXIT_CERTIFICATE
+        report = json.loads(capsys.readouterr().out)
+        assert report["tropical"] == {"cell_count": 2, "is_origin_only": False,
+                                      "points_bounded": True,
+                                      "witness": ["1", "0"]}
 
 
 def _with(base, **changes):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qqsystems.linalg import rref, matrix_rank, solve_unique
+from qqsystems.linalg import SingularJacobianError, rref, solve_unique
 from qqsystems.scalar import Scalar, ZERO, ONE
 
 
@@ -10,15 +10,15 @@ def M(rows):
     return [[Scalar(v) for v in r] for r in rows]
 
 
-def V(vals):
-    return [Scalar(v) for v in vals]
+def rank(rows, zero):
+    return len(rref(rows, zero)[1])
 
 
 def test_rank():
-    assert matrix_rank(M([[1, 2], [2, 4]]), ZERO) == 1
-    assert matrix_rank(M([[1, 0], [0, 1]]), ZERO) == 2
-    assert matrix_rank(M([[0, 0]]), ZERO) == 0
-    assert matrix_rank([], ZERO) == 0
+    assert rank(M([[1, 2], [2, 4]]), ZERO) == 1
+    assert rank(M([[1, 0], [0, 1]]), ZERO) == 2
+    assert rank(M([[0, 0]]), ZERO) == 0
+    assert rank([], ZERO) == 0
 
 
 def test_rref_pivots():
@@ -29,28 +29,34 @@ def test_rref_pivots():
 
 
 def test_solve_unique():
-    x = solve_unique(M([[1, 1], [1, -1]]), V([3, 1]), ZERO)
-    assert x == V([2, 1])
+    x = solve_unique(M([[1, 1], [1, -1]]), M([[3], [1]]), ZERO)
+    assert x == M([[2], [1]])
+
+
+def test_solve_unique_identity_gives_inverse():
+    a = M([[2, 1], [1, 1]])
+    inverse = solve_unique(a, M([[1, 0], [0, 1]]), ZERO)
+    assert inverse == M([[1, -1], [-1, 2]])
 
 
 def test_solve_unique_singular_raises():
-    with pytest.raises(ValueError, match="singular"):
-        solve_unique(M([[1, 1], [1, 1]]), V([1, 1]), ZERO)
-    with pytest.raises(ValueError, match="inconsistent"):
-        solve_unique(M([[1, 1], [1, 1]]), V([1, 2]), ZERO)
+    with pytest.raises(SingularJacobianError, match="singular"):
+        solve_unique(M([[1, 1], [1, 1]]), M([[1], [1]]), ZERO)
+    with pytest.raises(SingularJacobianError, match="inconsistent"):
+        solve_unique(M([[1, 1], [1, 1]]), M([[1], [2]]), ZERO)
 
 
 def test_works_over_fractions_too():
     rows = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
-    assert matrix_rank(rows, Fraction(0)) == 2
-    x = solve_unique(rows, [Fraction(5), Fraction(11)], Fraction(0))
-    assert x == [Fraction(1), Fraction(2)]
+    assert rank(rows, Fraction(0)) == 2
+    x = solve_unique(rows, [[Fraction(5)], [Fraction(11)]], Fraction(0))
+    assert x == [[Fraction(1)], [Fraction(2)]]
 
 
 def test_gaussian_rational_pivots():
     i = Scalar(0, 1)
     rows = [[i, Scalar(1)], [Scalar(1), i]]
     # det = i*i - 1 = -2, nonsingular
-    x = solve_unique(rows, V([1, 0]), ZERO)
-    assert rows[0][0] * x[0] + rows[0][1] * x[1] == ONE
-    assert rows[1][0] * x[0] + rows[1][1] * x[1] == ZERO
+    (x0,), (x1,) = solve_unique(rows, M([[1], [0]]), ZERO)
+    assert rows[0][0] * x0 + rows[0][1] * x1 == ONE
+    assert rows[1][0] * x0 + rows[1][1] * x1 == ZERO

@@ -81,6 +81,21 @@ class TestPrevariety:
         res = prevariety(spec, theorem_mode=False)
         assert res.cell_count >= 1
 
+    @pytest.mark.parametrize("shifts, m, n, cells, bounded, witness", [
+        ([(0, 1), (1, 1)], 1, 1, 2, True, (1, 0)),     # z(z+1)
+        ([(0, 2)], 1, 1, 3, False, (1, 1)),            # z^2
+        ([(0, 3)], 2, 1, 216, False, (1, 1, 1)),       # z^3
+    ])
+    def test_zero_shift_leaves_the_origin(self, shifts, m, n, cells, bounded,
+                                          witness):
+        # a zero shift kills d_k, so cells reach nonzero points, some of
+        # them fixed by the equalities alone (no free parameter left)
+        res = prevariety(qq_spec(shifts, m, n), theorem_mode=False)
+        assert res.cell_count == cells
+        assert not res.is_origin_only
+        assert res.points_bounded is bounded
+        assert res.witness == TropicalPoint.of(*witness)
+
     def test_permutation_invariance(self):
         # same shifts, m and n swapped: same verdict and cell count
         a = prevariety(qq_spec([(1, 1), (2, 1), (3, 1)], 2, 1))
