@@ -45,15 +45,16 @@ class NondegeneracyError(ValueError):
 
 @dataclass(frozen=True)
 class BetheReport:
+    """Nondegeneracy flags and Bethe residual valuations of one lift.
+
+    residual_valuations is None when some flag fails: the residuals are
+    gated and never computed.
+    """
+
     roots: Tuple[Series, ...]
     twist: str
     flags: Dict[str, bool]
-    residuals: Optional[Tuple[Series, ...]]
     residual_valuations: Optional[Tuple[Optional[Fraction], ...]]
-
-    @property
-    def gated(self) -> bool:
-        return self.residuals is None
 
     def to_json(self):
         return {"roots": [r.to_json() for r in self.roots],
@@ -134,7 +135,7 @@ def _collision_exponent(w: Series, v: Series, q2: Fraction) -> Optional[int]:
     whose numerator or denominator is then max(p, r)^|k| >= 2^|k| for
     q2 = p/r in lowest terms.  Two zero jets agree at every k; 1 stands in.
     """
-    lw, lv = _lowest_term(w), _lowest_term(v)
+    lw, lv = w.lowest_term(), v.lowest_term()
     if lw is None or lv is None:
         return 1
     if lw[0] != lv[0]:
@@ -143,12 +144,6 @@ def _collision_exponent(w: Series, v: Series, q2: Fraction) -> Optional[int]:
     bound = max(ratio.numerator.bit_length(), ratio.denominator.bit_length())
     return next((k for k in range(-bound, bound + 1) if q2 ** k == ratio),
                 None)
-
-
-def _lowest_term(w: Series) -> Optional[Tuple[int, Scalar]]:
-    """(exponent, coefficient) of the lowest nonzero term; None if w = 0."""
-    return next(((e, c) for e, c in enumerate(w.coeffs, w.offset)
-                 if not c.is_zero), None)
 
 
 def gaudin_residual(ls: LiftedSolution, spec: ProblemSpec) -> List[Series]:
@@ -221,9 +216,8 @@ def bethe_report(ls: LiftedSolution, spec: ProblemSpec) -> BetheReport:
     twist = TWIST_XXZ if spec.is_difference else TWIST_GAUDIN
     if not all(flags.values()):
         return BetheReport(roots=roots, twist=twist, flags=flags,
-                           residuals=None, residual_valuations=None)
+                           residual_valuations=None)
     res = (xxz_residual(ls, spec) if spec.is_difference
            else gaudin_residual(ls, spec))
-    vals = tuple(r.valuation() for r in res)
     return BetheReport(roots=roots, twist=twist, flags=flags,
-                       residuals=tuple(res), residual_valuations=vals)
+                       residual_valuations=tuple(r.valuation() for r in res))

@@ -22,8 +22,11 @@ class InfiniteSolution:
 
     l counts the distinct values of the multiset that controls the t=0
     Jacobian rank: x0 + y0 in differential mode, (x0/q) + y0 in
-    difference mode.  The two differ only when q-scaling causes a
-    collision between the two parts; scaled_collision records that.
+    difference mode.  Either is Lambda's root multiset, so l is the
+    number of distinct shifts of Lambda for every base, and the tier is
+    generic iff those shifts are all simple.  In difference mode x0 + y0
+    itself can have fewer distinct values, when q-scaling makes the two
+    parts collide; scaled_collision records that.
     """
 
     x0: Tuple[Scalar, ...]
@@ -59,19 +62,11 @@ def _sub_multisets(counts: List[Tuple[Scalar, int]], size: int
 
 
 def _make_solution(sub: Sequence[Scalar], rest: Sequence[Scalar],
-                   spec: ProblemSpec) -> InfiniteSolution:
-    if spec.is_difference:
-        x0 = _canon([spec.q * a for a in sub])
-    else:
-        x0 = _canon(sub)
+                   spec: ProblemSpec, l: int, tier: str) -> InfiniteSolution:
+    x0 = _canon([spec.q * a for a in sub] if spec.is_difference else sub)
     y0 = _canon(rest)
-    jac_multiset = list(sub) + list(rest)  # = (x0/q) + y0 in difference mode
-    l = len({v.sort_key() for v in jac_multiset})
-    tier = "generic" if l == spec.m + spec.n else "degenerate"
-    collision = False
-    if spec.is_difference:
-        l_scaled = len({v.sort_key() for v in list(x0) + list(y0)})
-        collision = l_scaled != l
+    collision = (spec.is_difference
+                 and len({v.sort_key() for v in x0 + y0}) != l)
     return InfiniteSolution(x0=x0, y0=y0, l=l, tier=tier,
                             scaled_collision=collision)
 
@@ -84,11 +79,13 @@ def enumerate_infinite_solutions(spec: ProblemSpec) -> List[InfiniteSolution]:
     if spec.m + spec.n != spec.lam.degree:
         raise ValueError("m + n must equal deg Lambda")
     total = spec.lam.root_shift_multiset()
+    l = len(spec.lam.shifts)
+    tier = "generic" if l == spec.lam.degree else "degenerate"
     out = []
     for sub in _sub_multisets(list(spec.lam.shifts), spec.m):
         rest = list(total)
         for v in sub:
             rest.remove(v)
-        out.append(_make_solution(sub, rest, spec))
+        out.append(_make_solution(sub, rest, spec, l, tier))
     out.sort(key=lambda s: tuple(v.sort_key() for v in s.x0))
     return out

@@ -181,14 +181,14 @@ def lift_ramified(sol: InfiniteSolution, spec: ProblemSpec
             key = _branch_key(point)
             if key in seen_keys:
                 continue
-            val = certify_residual_point(point, spec)
-            if val < Fraction(point.top + 1, point.n_ram):
-                continue
-            seen_keys.add(key)
-            found.append(LiftedSolution(
+            lifted = LiftedSolution(
                 point=point, base=sol,
                 alpha=_alpha_series(spec, point.top, point.n_ram),
-                residual_valuation=val))
+                residual_valuation=certify_residual_point(point, spec))
+            if not lifted.certified():
+                continue
+            seen_keys.add(key)
+            found.append(lifted)
     if not found:
         extra = ""
         if dropped_outside_field:
@@ -294,7 +294,7 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
             rhs = [sp.Add(*[-l * d for l, d in zip(row, defect)])
                    for row in l_mat]
             constraints = [sp.expand(rhs[i]) for i in zero_rows]
-            for subs in _constraint_solutions(constraints, params):
+            for subs in _constraint_solutions(constraints):
                 table = [[sp.expand(e.subs(subs)) if subs else e
                           for e in row] for row in coeff_table]
                 live = [p for p in params if p not in subs]
@@ -369,7 +369,7 @@ def _try_scalar(expr) -> Optional[Scalar]:
     return Scalar(Fraction(re_q.p, re_q.q), Fraction(im_q.p, im_q.q))
 
 
-def _constraint_solutions(constraints, params) -> List[dict]:
+def _constraint_solutions(constraints) -> List[dict]:
     """Exact solutions of the pending consistency constraints, as
     substitution dicts (one empty dict when nothing is constrained; none
     when the constraints are inconsistent)."""
@@ -386,10 +386,5 @@ def _constraint_solutions(constraints, params) -> List[dict]:
         sols = sp.solve(live, involved, dict=True)
     except NotImplementedError:
         return []
-    out = []
-    for sol_map in sols:
-        clean = {key: sp.expand(val) for key, val in sol_map.items()}
-        if all(not (val.free_symbols - set(involved))
-               for val in clean.values()):
-            out.append(clean)
-    return out
+    return [{key: sp.expand(val) for key, val in sol_map.items()}
+            for sol_map in sols]

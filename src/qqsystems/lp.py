@@ -190,8 +190,8 @@ def _drive_out_artificials(rows, basis, ncols):
         i += 1
 
 
-def feasible(a_ub=(), b_ub=(), a_eq=(), b_eq=(), *, dim: int
+def feasible(a_ub=(), b_ub=(), *, dim: int
              ) -> Optional[Tuple[Fraction, ...]]:
-    """A feasible point of the system in dim variables, or None."""
-    res = lp_solve([F0] * dim, a_ub, b_ub, a_eq, b_eq)
+    """A feasible point of a_ub x <= b_ub in dim variables, or None."""
+    res = lp_solve([F0] * dim, a_ub, b_ub)
     return res.x if res.status == OPTIMAL else None

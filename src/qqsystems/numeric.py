@@ -38,6 +38,10 @@ def _np_derivative(p: np.ndarray) -> np.ndarray:
     return p[1:] * np.arange(1, len(p))
 
 
+def _padded(p: np.ndarray, length: int) -> np.ndarray:
+    return np.concatenate([p, np.zeros(length - len(p), dtype=complex)])
+
+
 def residual_function(spec: ProblemSpec, t0: float
                       ) -> Callable[[np.ndarray], np.ndarray]:
     """F(v) with v = (x_1..x_m, y_1..y_n), matching the exact residual.
@@ -60,10 +64,11 @@ def residual_function(spec: ProblemSpec, t0: float
         else:
             qp = _np_from_shifts(xs)
             qmn = _np_from_shifts(ys)
-            wr = np.convolve(qp, _np_derivative(qmn))
-            wr = wr - np.convolve(qmn, _np_derivative(qp))
             prod = np.convolve(qp, qmn)
-            wr = np.concatenate([wr, np.zeros(len(prod) - len(wr), dtype=complex)])
+            # a constant factor (m = 0 or n = 0) leaves its Wronskian term
+            # one entry shorter than the other
+            wr = (_padded(np.convolve(qp, _np_derivative(qmn)), len(prod))
+                  - _padded(np.convolve(qmn, _np_derivative(qp)), len(prod)))
             res = prod + t0 * wr - lam
         # components k = 1..dim are the z^{dim-k} coefficients
         return np.array([res[dim - k] for k in range(1, dim + 1)])
@@ -126,14 +131,6 @@ class NumericCheck:
     tolerances: Tuple[float, ...]
     decay_exponent: Optional[float]
     passed: bool
-
-    def to_json(self):
-        return {"samples": list(self.samples),
-                "mismatches": [None if math.isnan(e) else e
-                               for e in self.mismatches],
-                "tolerances": list(self.tolerances),
-                "decay_exponent": self.decay_exponent,
-                "passed": self.passed}
 
 
 def numeric_check(ls: LiftedSolution, spec: ProblemSpec,

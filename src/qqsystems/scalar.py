@@ -46,8 +46,11 @@ class Scalar:
     __slots__ = ("re", "im")
 
     def __init__(self, re: _RatLike = 0, im: _RatLike = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # the Fractions that the arithmetic below builds are kept as given
+        object.__setattr__(
+            self, "re", re if isinstance(re, Fraction) else Fraction(re))
+        object.__setattr__(
+            self, "im", im if isinstance(im, Fraction) else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")

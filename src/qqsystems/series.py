@@ -14,7 +14,7 @@ raises.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .scalar import Scalar, ZERO, ONE
 
@@ -84,12 +84,16 @@ class Series:
             return ZERO
         return self.coeffs[e - self.offset]
 
+    def lowest_term(self) -> Optional[Tuple[int, Scalar]]:
+        """(s-exponent, coefficient) of the lowest nonzero term; None if
+        zero through top."""
+        return next(((e, c) for e, c in enumerate(self.coeffs, self.offset)
+                     if not c.is_zero), None)
+
     def valuation(self) -> Optional[Fraction]:
         """min exponent with nonzero coefficient, over N; None if zero through top."""
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero:
-                return Fraction(self.offset + i, self.n_ram)
-        return None
+        low = self.lowest_term()
+        return None if low is None else Fraction(low[0], self.n_ram)
 
     @property
     def is_zero(self) -> bool:
@@ -197,13 +201,10 @@ class Series:
         is known through s^(top - 2v); a * a.reciprocal() == 1 holds through
         that product window.
         """
-        v = None
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero:
-                v = self.offset + i
-                break
-        if v is None:
+        low = self.lowest_term()
+        if low is None:
             raise NonInvertibleSeriesError("non-invertible series (zero through window)")
+        v = low[0]
         rel = self.top - v  # unit part known through this relative order
         u = [self.coeff(v + r) for r in range(rel + 1)]
         inv = [ONE / u[0]]
@@ -213,10 +214,7 @@ class Series:
                 acc = acc + u[j] * inv[r - j]
             inv.append(-acc / u[0])
         # result exponents -v .. top - 2v
-        keep = self.top - 2 * v - (-v) + 1
-        if keep < 1:
-            keep = 1  # at least the leading coefficient is certain
-        return Series(self.n_ram, inv[:keep], -v)
+        return Series(self.n_ram, inv, -v)
 
     # -- comparison -----------------------------------------------------------
 

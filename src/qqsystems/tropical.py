@@ -37,10 +37,6 @@ class TropicalSupport:
                 raise ValueError(f"repeated exponent vector {u}")
             seen.add(u)
 
-    @property
-    def dim(self) -> int:
-        return len(self.items[0][0])
-
     def values_at(self, w: "TropicalPoint") -> List[Fraction]:
         return [v + sum((Fraction(ui) * wi for ui, wi in zip(u, w.w)), F0)
                 for u, v, _ in self.items]

@@ -45,7 +45,7 @@ class TestNondegeneracy:
         flags = nondegeneracy_check(const, spec)
         assert not flags["disjoint_from_lambda"]
         rep = bethe_report(const, spec)
-        assert rep.residuals is None  # gated
+        assert rep.residual_valuations is None  # gated
 
     def test_moving_branch_passes(self):
         spec = qq_spec([(1, 2)], 1, 1, K=3)
@@ -209,7 +209,7 @@ class TestReport:
         ls, spec = closed_form_lift()
         rep = bethe_report(ls, spec)
         assert rep.twist == TWIST_GAUDIN
-        assert not rep.gated
+        assert rep.residual_valuations is not None
         obj = rep.to_json()
         assert obj["flags"]["simple_zeros"] is True
 

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -168,6 +170,18 @@ BAD_SPECS = [
     ("q_i", _with(QQ_DIFF, q={"re": "0", "im": "1"}), "q_root_of_unity"),
     ("q_float", _with(QQ_DIFF, q=3.0), "bad_scalar"),
     ("q_null", _with(QQ_DIFF, q=None), "bad_scalar"),
+    ("mode_unknown", _with(QQ11, mode="qQ"), "bad_mode"),
+    ("K_negative", _with(QQ11, K=-1), "bad_truncation"),
+    ("q_zero", _with(QQ_DIFF, q="0"), "bad_q"),
+    ("n_missing", {k: v for k, v in QQ11.items() if k != "n"}, "missing_key"),
+    ("spec_a_list", [QQ11], "bad_spec"),
+    ("lambda_extra_key",
+     _with(QQ11, **{"lambda": dict(QQ11["lambda"], x=1)}), "bad_lambda"),
+    ("tropical_extra_key", _with(QQ11, tropical={"size_cap": 6, "x": 1}),
+     "bad_tropical"),
+    ("multiplicity_zero",
+     _with(QQ11, **{"lambda": _shifts(["1", 0], ["2", 1])}),
+     "bad_multiplicity"),
 ]
 
 
@@ -202,6 +216,32 @@ def test_branch_explosion_reported_per_base(tmp_path, capsys, monkeypatch):
     assert [f["reason"] for f in report["failures"]] == ["branch_explosion"] * 2
     assert [e["base"]["x0"] for e in report["bases"]] == [["1"], ["2"]]
     assert report["tropical"]["is_origin_only"]
+
+
+# Lambda = z + 1 with m = 1, n = 0: a single generic base and a single root
+ONE_BASE = {"mode": "qq", "lambda": _shifts(["1", 1]), "m": 1, "n": 0, "K": 3}
+
+
+def test_solve_reports_certificate_failure(tmp_path, capsys, monkeypatch):
+    real = cli.lift_newton
+    monkeypatch.setattr(cli, "lift_newton", lambda base, spec: replace(
+        real(base, spec), residual_valuation=Fraction(0)))
+    spec = write_spec(tmp_path, ONE_BASE)
+    assert main(["solve", spec]) == EXIT_CERTIFICATE
+    report = json.loads(capsys.readouterr().out)
+    assert [f["reason"] for f in report["failures"]] == ["certificate_failure"]
+    assert report["bases"][0]["lifts"][0]["certified"] is False
+
+
+def test_solve_reports_low_bethe_valuation(tmp_path, capsys, monkeypatch):
+    real = cli.bethe_report
+    monkeypatch.setattr(cli, "bethe_report", lambda ls, spec: replace(
+        real(ls, spec), residual_valuations=(Fraction(spec.K - 2),)))
+    spec = write_spec(tmp_path, ONE_BASE)
+    assert main(["solve", spec]) == EXIT_CERTIFICATE
+    report = json.loads(capsys.readouterr().out)
+    assert [f["reason"] for f in report["failures"]] == ["bethe_valuation"]
+    assert report["bases"][0]["lifts"][0]["certified"] is True
 
 
 def test_solve_rejects_unit_modulus_q(tmp_path, capsys):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,32 @@ class TestNumericOracle:
         assert nc.passed
         for err, tol in zip(nc.mismatches, nc.tolerances):
             assert err <= tol
+
+    @pytest.mark.parametrize("shifts,m,n", [((1, 2), 0, 2), ((1, 2), 2, 0),
+                                            ((1, 2, 3), 0, 3),
+                                            ((1, 2, 3), 3, 0)])
+    def test_one_sided_split_agreement(self, shifts, m, n):
+        # with m = 0 or n = 0 one factor of the Wronskian is a constant
+        from qqsystems.numeric import numeric_check
+        spec = qq_spec([(a, 1) for a in shifts], m, n, K=3)
+        ls = lift_newton(enumerate_infinite_solutions(spec)[0], spec)
+        nc = numeric_check(ls, spec)
+        assert nc.passed
+        for err, tol in zip(nc.mismatches, nc.tolerances):
+            assert err <= tol
+
+    def test_difference_lift_agreement(self):
+        # on (z+1)(z+2) the order-4 coefficients (about 200 and 310) exceed
+        # the oracle's 10 t^(K+1) allowance; the x0 = 3 jet here has small
+        # ones (3, 2/3, -14/81, -254/2187)
+        from qqsystems.numeric import numeric_check
+        spec = QQ_spec([(1, 1), (4, 1)], 1, 1, 3, K=3)
+        ls = lift_newton(enumerate_infinite_solutions(spec)[0], spec)
+        assert numeric_check(ls, spec).passed
+        x = ls.point.x[0]
+        bumped = Series(1, (x.coeffs[0], x.coeffs[1] + 1) + x.coeffs[2:])
+        wrong = replace(ls, point=CandidatePoint((bumped,), ls.point.y))
+        assert not numeric_check(wrong, spec).passed
 
     def test_branch_agreement(self):
         from qqsystems.numeric import numeric_check
