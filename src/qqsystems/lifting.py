@@ -293,8 +293,7 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
             defect = defect_at(coeff_table, order)
             rhs = [sp.Add(*[-l * d for l, d in zip(row, defect)])
                    for row in l_mat]
-            constraints = [sp.expand(rhs[i]) for i in zero_rows]
-            for subs in _constraint_solutions(constraints):
+            for subs in _constraint_solutions([rhs[i] for i in zero_rows]):
                 table = [[sp.expand(e.subs(subs)) if subs else e
                           for e in row] for row in coeff_table]
                 live = [p for p in params if p not in subs]

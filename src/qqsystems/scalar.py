@@ -1,14 +1,16 @@
 """Exact Gaussian-rational scalars.
 
-All coefficient arithmetic in this package happens in Q(i): complex
-numbers whose real and imaginary parts are arbitrary-precision
-rationals.  Equality is decidable and canonical, which downstream
-valuation certificates and tropical membership tests rely on.
+All coefficient arithmetic in this package happens in Q(i).  A Scalar
+is the integer triple (a, b, d) for (a + b*i)/d, with d > 0 and
+gcd(a, b, d) = 1.  The form is canonical, so equality compares the
+integers, and each operation does integer products and one gcd.  The
+parts re and im read as Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
 _RatLike = Union[int, Fraction]
@@ -41,19 +43,22 @@ def _exact_rational(obj) -> Fraction:
 
 
 class Scalar:
-    """A Gaussian rational re + im*i with exact arithmetic."""
+    """A Gaussian rational (a + b*i)/d with exact arithmetic."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re: _RatLike = 0, im: _RatLike = 0):
-        # the Fractions that the arithmetic below builds are kept as given
-        object.__setattr__(
-            self, "re", re if isinstance(re, Fraction) else Fraction(re))
-        object.__setattr__(
-            self, "im", im if isinstance(im, Fraction) else Fraction(im))
+    def __new__(cls, re: _RatLike = 0, im: _RatLike = 0):
+        (an, ad), (bn, bd) = re.as_integer_ratio(), im.as_integer_ratio()
+        d = lcm(ad, bd)
+        return Scalar.reduced(an * (d // ad), bn * (d // bd), d)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
+    @staticmethod
+    def reduced(a: int, b: int, d: int) -> "Scalar":
+        """(a + b*i)/d for integers with d > 0, brought to lowest terms."""
+        g = gcd(a, b, d)
+        s = object.__new__(Scalar)
+        s._a, s._b, s._d = a // g, b // g, d // g
+        return s
 
     # -- constructors -------------------------------------------------
 
@@ -74,15 +79,23 @@ class Scalar:
         return Scalar(_exact_rational(obj))
 
     def to_json(self):
-        if self.im == 0:
+        if self._b == 0:
             return str(self.re)
         return {"re": str(self.re), "im": str(self.im)}
 
-    # -- predicates ----------------------------------------------------
+    # -- parts and predicates -------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self._a == 0 and self._b == 0
 
     # -- arithmetic ----------------------------------------------------
 
@@ -97,18 +110,19 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(self.re + o.re, self.im + o.im)
+        return Scalar.reduced(self._a * o._d + o._a * self._d,
+                              self._b * o._d + o._b * self._d, self._d * o._d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return Scalar.reduced(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(self.re - o.re, self.im - o.im)
+        return self + (-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -120,8 +134,9 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(self.re * o.re - self.im * o.im,
-                      self.re * o.im + self.im * o.re)
+        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
+        return Scalar.reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
+                              self._d * o._d)
 
     __rmul__ = __mul__
 
@@ -129,11 +144,12 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
+        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
+        n = a2 * a2 + b2 * b2
+        if n == 0:
             raise ZeroDivisionError("division by zero Scalar")
-        return Scalar((self.re * o.re + self.im * o.im) / d,
-                      (self.im * o.re - self.re * o.im) / d)
+        return Scalar.reduced(o._d * (a1 * a2 + b1 * b2),
+                              o._d * (b1 * a2 - a1 * b2), self._d * n)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -157,7 +173,8 @@ class Scalar:
 
     def abs2(self) -> Fraction:
         """Exact squared modulus |z|^2 as a rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b,
+                        self._d * self._d)
 
     # -- comparison / hashing -------------------------------------------
 
@@ -165,10 +182,10 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
-        if self.im == 0:
+        if self._b == 0:
             return hash(self.re)
         return hash((self.re, self.im))
 
@@ -179,19 +196,20 @@ class Scalar:
     # -- conversion -----------------------------------------------------
 
     def __complex__(self):
-        return complex(self.re) + 1j * complex(self.im)
+        # int / int rounds the exact quotient, as Fraction's float does
+        return complex(self._a / self._d) + 1j * complex(self._b / self._d)
 
     def __repr__(self):
-        if self.im == 0:
+        if self._b == 0:
             return f"Scalar({self.re})"
         return f"Scalar({self.re}, {self.im})"
 
     def __str__(self):
-        if self.im == 0:
+        if self._b == 0:
             return str(self.re)
-        if self.re == 0:
+        if self._a == 0:
             return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
+        sign = "+" if self._b > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
 
 

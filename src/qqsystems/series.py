@@ -6,6 +6,10 @@ offset are exactly zero, exponents above top are unknown (truncated
 tail).  A negative offset gives a truncated Laurent object with bounded
 pole order, which reciprocals of positive-valuation series require.
 
+Coefficients are integer numerators (real and imaginary parts) over one
+positive denominator, in lowest terms: a product is an integer convolution,
+a sum scales to a common denominator, and each reduces by one final gcd.
+
 Operations track the knowledge window: mixing two series keeps only the
 exponents both windows support.  Mixing different ramification indices
 raises.
@@ -14,6 +18,8 @@ raises.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, mul
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .scalar import Scalar, ZERO, ONE
@@ -28,17 +34,33 @@ class NonInvertibleSeriesError(ZeroDivisionError):
 
 
 class Series:
-    __slots__ = ("n_ram", "offset", "coeffs")
+    __slots__ = ("n_ram", "offset", "_den", "_re", "_im")
 
-    def __init__(self, n_ram: int, coeffs: Iterable[Scalar], offset: int = 0):
+    def __new__(cls, n_ram: int, coeffs: Iterable[Scalar], offset: int = 0):
         if n_ram < 1:
             raise ValueError("ramification index must be positive")
-        object.__setattr__(self, "n_ram", n_ram)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        coeffs = tuple(coeffs)
+        den = lcm(*(c._d for c in coeffs))
+        return Series._reduced(n_ram, offset, den,
+                               [c._a * (den // c._d) for c in coeffs],
+                               [c._b * (den // c._d) for c in coeffs])
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
+
+    @staticmethod
+    def _reduced(n_ram: int, offset: int, den: int,
+                 re: Sequence[int], im: Sequence[int]) -> "Series":
+        """sum (re[k] + im[k] i)/den s^(offset + k), in lowest terms."""
+        g = gcd(den, *re, *im)
+        if g != 1:
+            den //= g
+            re = [a // g for a in re]
+            im = [b // g for b in im]
+        s = object.__new__(Series)
+        for name, v in zip(Series.__slots__, (n_ram, offset, den, re, im)):
+            object.__setattr__(s, name, v)
+        return s
 
     # -- constructors ---------------------------------------------------
 
@@ -72,9 +94,15 @@ class Series:
     # -- window bookkeeping ----------------------------------------------
 
     @property
+    def coeffs(self) -> Tuple[Scalar, ...]:
+        """The coefficients of s^offset .. s^top, built as Scalars."""
+        return tuple(Scalar.reduced(a, b, self._den)
+                     for a, b in zip(self._re, self._im))
+
+    @property
     def top(self) -> int:
         """Largest s-exponent with a known coefficient."""
-        return self.offset + len(self.coeffs) - 1
+        return self.offset + len(self._re) - 1
 
     def coeff(self, e: int) -> Scalar:
         """Coefficient of s^e; exact zero below the window, error above it."""
@@ -82,13 +110,15 @@ class Series:
             raise IndexError(f"s^{e} is beyond the known window (top {self.top})")
         if e < self.offset:
             return ZERO
-        return self.coeffs[e - self.offset]
+        k = e - self.offset
+        return Scalar.reduced(self._re[k], self._im[k], self._den)
 
     def lowest_term(self) -> Optional[Tuple[int, Scalar]]:
         """(s-exponent, coefficient) of the lowest nonzero term; None if
         zero through top."""
-        return next(((e, c) for e, c in enumerate(self.coeffs, self.offset)
-                     if not c.is_zero), None)
+        return next(((e, self.coeff(e)) for e, (a, b)
+                     in enumerate(zip(self._re, self._im), self.offset)
+                     if a or b), None)
 
     def valuation(self) -> Optional[Fraction]:
         """min exponent with nonzero coefficient, over N; None if zero through top."""
@@ -98,7 +128,7 @@ class Series:
     @property
     def is_zero(self) -> bool:
         """Zero through the knowledge window."""
-        return all(c.is_zero for c in self.coeffs)
+        return not any(self._re) and not any(self._im)
 
     def truncate(self, new_top: int) -> "Series":
         if new_top >= self.top:
@@ -106,18 +136,21 @@ class Series:
         n = new_top - self.offset + 1
         if n <= 0:
             raise ValueError("truncation below the window offset")
-        return Series(self.n_ram, self.coeffs[:n], self.offset)
+        return Series._reduced(self.n_ram, self.offset, self._den,
+                               self._re[:n], self._im[:n])
 
     def widen(self, new_top: int) -> "Series":
         """Extend the window with exact zeros: treats the jet as an exact polynomial."""
         if new_top <= self.top:
             return self
-        pad = (ZERO,) * (new_top - self.top)
-        return Series(self.n_ram, self.coeffs + pad, self.offset)
+        pad = [0] * (new_top - self.top)
+        return Series._reduced(self.n_ram, self.offset, self._den,
+                               self._re + pad, self._im + pad)
 
     def shift(self, e: int) -> "Series":
         """Exact multiplication by s^e."""
-        return Series(self.n_ram, self.coeffs, self.offset + e)
+        return Series._reduced(self.n_ram, self.offset + e, self._den,
+                               self._re, self._im)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -137,6 +170,12 @@ class Series:
                           (ZERO,) * (-off) + (c,) + (ZERO,) * self.top, off)
         return None
 
+    def _numerators(self, off: int, n: int, factor: int):
+        """Numerators times factor at exponents off .. off + n - 1."""
+        lead = [0] * (self.offset - off)
+        return ((lead + [a * factor for a in self._re])[:n],
+                (lead + [b * factor for b in self._im])[:n])
+
     def __add__(self, other):
         o = self._embed(other)
         if o is None:
@@ -146,17 +185,17 @@ class Series:
         top = min(self.top, o.top)
         if top < off:
             raise ValueError("empty knowledge window in series addition")
-        out = []
-        for e in range(off, top + 1):
-            a = self.coeffs[e - self.offset] if self.offset <= e <= self.top else ZERO
-            b = o.coeffs[e - o.offset] if o.offset <= e <= o.top else ZERO
-            out.append(a + b)
-        return Series(self.n_ram, out, off)
+        g = gcd(self._den, o._den)
+        re1, im1 = self._numerators(off, top - off + 1, o._den // g)
+        re2, im2 = o._numerators(off, top - off + 1, self._den // g)
+        return Series._reduced(self.n_ram, off, self._den // g * o._den,
+                               list(map(add, re1, re2)), list(map(add, im1, im2)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series(self.n_ram, tuple(-c for c in self.coeffs), self.offset)
+        return Series._reduced(self.n_ram, self.offset, self._den,
+                               [-a for a in self._re], [-b for b in self._im])
 
     def __sub__(self, other):
         o = self._embed(other)
@@ -173,24 +212,25 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, (int, Scalar)):
             c = other if isinstance(other, Scalar) else Scalar(other)
-            return Series(self.n_ram, tuple(a * c for a in self.coeffs), self.offset)
+            return Series._reduced(
+                self.n_ram, self.offset, self._den * c._d,
+                [c._a * x - c._b * y for x, y in zip(self._re, self._im)],
+                [c._a * y + c._b * x for x, y in zip(self._re, self._im)])
         if not isinstance(other, Series):
             return NotImplemented
         self._check(other)
-        off = self.offset + other.offset
-        top = min(self.top + other.offset, other.top + self.offset)
-        n = top - off + 1
+        # the window through min(top1 + off2, top2 + off1): the shorter length
+        n = min(len(self._re), len(other._re))
         if n <= 0:
             raise ValueError("empty knowledge window in series product")
-        out = [ZERO] * n
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                k = i + j
-                if k < n and not b.is_zero:
-                    out[k] = out[k] + a * b
-        return Series(self.n_ram, out, off)
+        re, im = [], []
+        for k in range(n):
+            a, b = self._re[:k + 1], self._im[:k + 1]
+            c, d = other._re[k::-1], other._im[k::-1]
+            re.append(sum(map(mul, a, c)) - sum(map(mul, b, d)))
+            im.append(sum(map(mul, a, d)) + sum(map(mul, b, c)))
+        return Series._reduced(self.n_ram, self.offset + other.offset,
+                               self._den * other._den, re, im)
 
     __rmul__ = __mul__
 
@@ -200,21 +240,32 @@ class Series:
         For a with lowest nonzero exponent v the result has offset -v and
         is known through s^(top - 2v); a * a.reciprocal() == 1 holds through
         that product window.
+
+        For the unit part U_r / D (Gaussian integers U_r, n0 = |U_0|^2) the
+        inverse is D W_r / n0^(r+1): W_0 = conj(U_0), W_r = -conj(U_0) *
+        sum_{j=1..r} U_j W_{r-j} n0^(j-1), all Gaussian integers.
         """
         low = self.lowest_term()
         if low is None:
             raise NonInvertibleSeriesError("non-invertible series (zero through window)")
         v = low[0]
-        rel = self.top - v  # unit part known through this relative order
-        u = [self.coeff(v + r) for r in range(rel + 1)]
-        inv = [ONE / u[0]]
+        ur, ui = self._re[v - self.offset:], self._im[v - self.offset:]
+        x0, y0 = ur[0], ui[0]
+        n0 = x0 * x0 + y0 * y0
+        rel = len(ur) - 1  # unit part known through this relative order
+        wr, wi = [x0], [-y0]
         for r in range(1, rel + 1):
-            acc = ZERO
-            for j in range(1, r + 1):
-                acc = acc + u[j] * inv[r - j]
-            inv.append(-acc / u[0])
+            sr = si = 0
+            for j in range(r, 0, -1):  # Horner in n0
+                a, b, c, d = ur[j], ui[j], wr[r - j], wi[r - j]
+                sr = sr * n0 + a * c - b * d
+                si = si * n0 + a * d + b * c
+            wr.append(-(x0 * sr + y0 * si))
+            wi.append(y0 * sr - x0 * si)
+        scale = [self._den * n0 ** (rel - r) for r in range(rel + 1)]
         # result exponents -v .. top - 2v
-        return Series(self.n_ram, inv, -v)
+        return Series._reduced(self.n_ram, -v, n0 ** (rel + 1),
+                               list(map(mul, wr, scale)), list(map(mul, wi, scale)))
 
     # -- comparison -----------------------------------------------------------
 
@@ -224,10 +275,10 @@ class Series:
         if top > min(self.top, other.top):
             raise IndexError("comparison beyond a knowledge window")
         lo = min(self.offset, other.offset)
-        for e in range(lo, top + 1):
-            if self.coeff(e) != other.coeff(e):
-                return False
-        return True
+        n = max(top - lo + 1, 0)
+        # cross-multiplied numerators over the two denominators
+        return (self._numerators(lo, n, other._den)
+                == other._numerators(lo, n, self._den))
 
     def __eq__(self, other):
         if not isinstance(other, Series):

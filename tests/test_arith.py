@@ -1,0 +1,147 @@
+"""Property tests: the integer Scalar and Series against the Fraction-pair
+reference in ``arith_reference.py``.
+
+Both sides are built from the same random Gaussian rationals (mixed
+denominators, zero leading terms, negative offsets, N in {1, 2, 3}); every
+operation must give the same value, window, JSON and error type.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+import arith_reference as ref
+from qqsystems.scalar import Scalar
+from qqsystems.series import Series
+
+rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+gaussians = st.one_of(
+    st.just((Fraction(0), Fraction(0))),
+    st.tuples(rationals, st.just(Fraction(0))),
+    st.tuples(rationals, rationals))
+
+
+@st.composite
+def jets(draw, n_ram=None):
+    """(N, offset, coefficient pairs), often with zero leading terms."""
+    n = draw(st.sampled_from([1, 2, 3])) if n_ram is None else n_ram
+    zeros = draw(st.integers(0, 2))
+    pairs = [(Fraction(0), Fraction(0))] * zeros
+    pairs += draw(st.lists(gaussians, min_size=1, max_size=5))
+    return n, draw(st.integers(-3, 3)), pairs
+
+
+@st.composite
+def jet_pairs(draw):
+    a = draw(jets())
+    return a, draw(jets(n_ram=a[0]))
+
+
+def new_scalar(pair):
+    return Scalar(*pair)
+
+
+def ref_scalar(pair):
+    return ref.Scalar(*pair)
+
+
+def new_series(jet):
+    n, off, pairs = jet
+    return Series(n, [Scalar(*p) for p in pairs], off)
+
+
+def ref_series(jet):
+    n, off, pairs = jet
+    return ref.Series(n, [ref.Scalar(*p) for p in pairs], off)
+
+
+def value(x):
+    """A comparable picture of a Scalar or Series from either side."""
+    if isinstance(x, (Series, ref.Series)):
+        return ("series", x.n_ram, x.offset, x.top,
+                tuple(value(c) for c in x.coeffs), x.to_json())
+    if isinstance(x, (Scalar, ref.Scalar)):
+        return ("scalar", x.re, x.im, x.to_json(), str(x), x.sort_key(),
+                hash(x), x.abs2(), complex(x), x.is_zero)
+    return x
+
+
+def outcome(f, *args):
+    try:
+        return value(f(*args))
+    except (ValueError, ZeroDivisionError, IndexError) as exc:
+        return type(exc)
+
+
+def agree(f, new_args, ref_args):
+    assert outcome(f, *new_args) == outcome(f, *ref_args)
+
+
+@settings(deadline=None, max_examples=300)
+@given(gaussians, gaussians, st.integers(-4, 4))
+def test_scalar_operations(p, q, k):
+    a, b = new_scalar(p), new_scalar(q)
+    ra, rb = ref_scalar(p), ref_scalar(q)
+    assert value(a) == value(ra)
+    for f in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+              lambda x, y: x / y, lambda x, y: -x, lambda x, y: x == y,
+              lambda x, y: x ** k, lambda x, y: x + k, lambda x, y: k - x,
+              lambda x, y: x * k, lambda x, y: k / x, lambda x, y: x == k,
+              lambda x, y: x == p[0], lambda x, y: x * p[0]):
+        agree(f, (a, b), (ra, rb))
+
+
+@settings(deadline=None, max_examples=300)
+@given(jet_pairs(), gaussians, st.integers(-3, 3))
+def test_series_arithmetic(pair, c, k):
+    (ja, jb) = pair
+    a, b = new_series(ja), new_series(jb)
+    ra, rb = ref_series(ja), ref_series(jb)
+    assert value(a) == value(ra)
+    for f, args, rargs in (
+            (lambda x, y: x + y, (a, b), (ra, rb)),
+            (lambda x, y: x - y, (a, b), (ra, rb)),
+            (lambda x, y: x * y, (a, b), (ra, rb)),
+            (lambda x, y: x * y, (a, new_scalar(c)), (ra, ref_scalar(c))),
+            (lambda x, y: x + y, (a, new_scalar(c)), (ra, ref_scalar(c))),
+            (lambda x, y: y - x, (a, new_scalar(c)), (ra, ref_scalar(c))),
+            (lambda x: x * k, (a,), (ra,)),
+            (lambda x: k * x, (a,), (ra,)),
+            (lambda x: x - k, (a,), (ra,)),
+            (lambda x: -x, (a,), (ra,)),
+            (lambda x: x.reciprocal(), (a,), (ra,))):
+        agree(f, args, rargs)
+
+
+@settings(deadline=None, max_examples=300)
+@given(jet_pairs(), st.integers(-4, 6))
+def test_series_windows(pair, e):
+    (ja, jb) = pair
+    a, b = new_series(ja), new_series(jb)
+    ra, rb = ref_series(ja), ref_series(jb)
+    for f, args, rargs in (
+            (lambda x: x.shift(e), (a,), (ra,)),
+            (lambda x: x.truncate(e), (a,), (ra,)),
+            (lambda x: x.widen(e), (a,), (ra,)),
+            (lambda x: x.coeff(e), (a,), (ra,)),
+            (lambda x: x.valuation(), (a,), (ra,)),
+            (lambda x: x.is_zero, (a,), (ra,)),
+            (lambda x: x.lowest_term() and (x.lowest_term()[0],
+                                            value(x.lowest_term()[1])),
+             (a,), (ra,)),
+            (lambda x, y: x.same_through(y, e), (a, b), (ra, rb)),
+            (lambda x, y: x == y, (a, b), (ra, rb)),
+            (lambda x: x.to_json(), (a,), (ra,)),
+            (lambda x: x.eval_at(0.01), (a,), (ra,))):
+        agree(f, args, rargs)
+
+
+@settings(deadline=None, max_examples=100)
+@given(jets())
+def test_reciprocal_inverts(jet):
+    a = new_series(jet)
+    if a.is_zero:
+        return
+    inv = a.reciprocal()
+    prod = a * inv
+    assert prod.same_through(Series.one(prod.top, prod.n_ram), prod.top)

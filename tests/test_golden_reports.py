@@ -1,0 +1,70 @@
+"""The exact content of CLI reports is the behaviour contract.
+
+Each case runs ``cli.main`` on a fixed spec and compares the sha256 of the
+exit code plus the report (without ``elapsed_seconds``, re-serialised in
+the CLI's own key order) with a digest recorded from the implementation
+over Fraction-pair scalars.  A change of arithmetic, lifting or reporting
+that moves any byte of these reports fails here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from qqsystems import cli
+
+
+def _shifts(*pairs):
+    return {"shifts": [[a, mult] for a, mult in pairs]}
+
+
+CASES = {
+    "qq (2,2) K=4": (
+        "solve", {"mode": "qq",
+                  "lambda": _shifts(("1", 1), ("2", 1), ("3", 1), ("4", 1)),
+                  "m": 2, "n": 2, "K": 4},
+        "0ef837df9be38e8cdf164a48ac3e08511591fb96432803a44efe13379be0c9e5"),
+    "QQ (2,1) q=3 K=3": (
+        "solve", {"mode": "QQ", "q": "3",
+                  "lambda": _shifts(("1", 1), ("2", 1), ("4", 1)),
+                  "m": 2, "n": 1, "K": 3},
+        "5904a73c10e0f773a589cf9a5f69b432de965a37b98299f548f8a80de66cf3f6"),
+    "qq gaussian (2,1)": (
+        "solve", {"mode": "qq",
+                  "lambda": _shifts(({"re": "1", "im": "1"}, 1),
+                                    ({"re": "1", "im": "-1"}, 1), ("2", 1)),
+                  "m": 2, "n": 1},
+        "90a4d87efaeda084f9d54879a9c1f98b0548bc43767df62dd3894d6e00f4a136"),
+    "qq (z+1)^2 K=4": (
+        "solve", {"mode": "qq", "lambda": _shifts(("1", 2)),
+                  "m": 1, "n": 1, "K": 4},
+        "26d7acd3173263bca81006bcf2db0166d019ca530171ff2566427aa53a8548ab"),
+    "QQ (z+1)^2 q=3 K=2": (
+        "solve", {"mode": "QQ", "q": "3", "lambda": _shifts(("1", 2)),
+                  "m": 1, "n": 1, "K": 2},
+        "44c4f0533d9aab68f54fae23225079b137544033af3d24b0788b4bf57a097450"),
+    "tropical qq (2,1)": (
+        "tropical", {"mode": "qq",
+                     "lambda": _shifts(("1", 1), ("2", 1), ("3", 1)),
+                     "m": 2, "n": 1},
+        "bef77bf2fee406cee4babb61167dc08dfa8531d0c0217032c8eae4f24a103adf"),
+}
+
+
+def report_digest(cmd, spec, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    capsys.readouterr()
+    code = cli.main([cmd, str(path)])
+    report = json.loads(capsys.readouterr().out)
+    report.pop("elapsed_seconds", None)
+    text = f"{code}\n{json.dumps(report, indent=2)}"
+    return code, hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_report_bytes(label, tmp_path, capsys):
+    cmd, spec, digest = CASES[label]
+    code, got = report_digest(cmd, spec, tmp_path, capsys)
+    assert got == digest, f"{label}: exit {code}, report digest {got}"

@@ -72,3 +72,21 @@ def test_immutability():
     a = Scalar(1)
     with pytest.raises(AttributeError):
         a.re = Fraction(2)
+
+
+def test_canonical_form():
+    a = Scalar(Fraction(2, 4), Fraction(1, 2))
+    b = Scalar(Fraction(1, 2), Fraction(1, 2))
+    assert a == b and hash(a) == hash(b)
+    assert hash(Scalar(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert Scalar(Fraction(1, 6), Fraction(1, 4)) * 12 == Scalar(2, 3)
+    c = Scalar.reduced(2, 4, 6)
+    assert c == Scalar(Fraction(1, 3), Fraction(2, 3))
+    assert hash(c) == hash(Scalar(Fraction(1, 3), Fraction(2, 3)))
+
+
+def test_division_by_zero_scalar_raises():
+    with pytest.raises(ZeroDivisionError):
+        Scalar(1) / Scalar(0)
+    with pytest.raises(ZeroDivisionError):
+        ZERO ** -1

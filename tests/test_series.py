@@ -130,3 +130,19 @@ def test_json():
     obj = s.to_json()
     assert obj["N"] == 2 and obj["offset"] == -1
     assert obj["coeffs"] == ["1", "-2"]
+
+
+def test_unreduced_coefficients_same_json():
+    unreduced = Series(2, [Scalar(Fraction(2, 4), Fraction(6, 8)),
+                           Scalar(Fraction(3, 9)), ZERO], -1)
+    reduced = Series(2, [Scalar(Fraction(1, 2), Fraction(3, 4)),
+                         Scalar(Fraction(1, 3)), ZERO], -1)
+    assert unreduced.to_json() == reduced.to_json()
+    # a product whose numerators share a factor reduces to the same jet
+    doubled = unreduced * Scalar(2) * Scalar(Fraction(1, 2))
+    assert doubled.to_json() == reduced.to_json()
+
+
+def test_reciprocal_of_zero_laurent_jet_raises():
+    with pytest.raises(NonInvertibleSeriesError):
+        Series(3, [ZERO, ZERO], -2).reciprocal()
