@@ -48,36 +48,28 @@ class LPResult:
 
 def lp_solve(c: Sequence[Fraction],
              a_ub: Sequence[Sequence[Fraction]] = (),
-             b_ub: Sequence[Fraction] = (),
-             a_eq: Sequence[Sequence[Fraction]] = (),
-             b_eq: Sequence[Fraction] = ()) -> LPResult:
-    """Minimize c.x subject to a_ub x <= b_ub and a_eq x = b_eq, x free."""
+             b_ub: Sequence[Fraction] = ()) -> LPResult:
+    """Minimize c.x subject to a_ub x <= b_ub, x free."""
     c = [_rational(v) for v in c]
     n = len(c)
-    n_slack = len(a_ub)
-    ncols = 2 * n + n_slack
-    nrows = n_slack + len(a_eq)
+    nrows = len(a_ub)
+    ncols = 2 * n + nrows
     if nrows == 0:
         if any(c):
             return LPResult(UNBOUNDED, None, None)
         return LPResult(OPTIMAL, tuple([F0] * n), F0)
     total = ncols + nrows
 
-    # columns: x+ (n), x- (n), slacks (n_slack), artificials (nrows), rhs
+    # columns: x+ (n), x- (n), slacks (nrows), artificials (nrows), rhs
     rows = []
     for i in range(nrows):
-        if i < n_slack:
-            row, rhs = a_ub[i], b_ub[i]
-        else:
-            row, rhs = a_eq[i - n_slack], b_eq[i - n_slack]
-        vals = [_rational(v) for v in row]
-        rhs = _rational(rhs)
+        vals = [_rational(v) for v in a_ub[i]]
+        rhs = _rational(b_ub[i])
         scale = lcm(rhs.denominator, *(v.denominator for v in vals))
         s = -scale if rhs < 0 else scale  # normalize to rhs >= 0
         ints = [s * v.numerator // v.denominator for v in vals]
-        line = ints + [-v for v in ints] + [0] * (n_slack + nrows)
-        if i < n_slack:
-            line[2 * n + i] = s
+        line = ints + [-v for v in ints] + [0] * (2 * nrows)
+        line[2 * n + i] = s
         line[ncols + i] = scale
         line.append(s * rhs.numerator // rhs.denominator)
         rows.append(_reduce(line))
@@ -96,7 +88,7 @@ def lp_solve(c: Sequence[Fraction],
     cscale = lcm(*(v.denominator for v in c))
     cost = [cscale * v.numerator // v.denominator for v in c]
     z = _cost_row(rows, basis,
-                  cost + [-v for v in cost] + [0] * (n_slack + 1) + [cscale])
+                  cost + [-v for v in cost] + [0] * (nrows + 1) + [cscale])
     if _simplex(rows, basis, z, ncols) == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None)
     value = {b: Fraction(row[-1], row[b])
@@ -176,18 +168,14 @@ def _pivot(rows, basis, r, col, z=None):
 
 
 def _drive_out_artificials(rows, basis, ncols):
-    """Pivot basic artificials onto real columns; drop redundant rows."""
-    i = 0
-    while i < len(rows):
+    """Pivot basic artificials onto real columns.
+
+    Every row has a nonzero real column: the slack columns alone give the
+    real part of the tableau full row rank.
+    """
+    for i in range(len(rows)):
         if basis[i] >= ncols:
-            row = rows[i]
-            col = next((j for j in range(ncols) if row[j]), None)
-            if col is None:
-                del rows[i]
-                del basis[i]
-                continue
-            _pivot(rows, basis, i, col)
-        i += 1
+            _pivot(rows, basis, i, next(j for j in range(ncols) if rows[i][j]))
 
 
 def feasible(a_ub=(), b_ub=(), *, dim: int

@@ -30,7 +30,6 @@ purpose, so that the numeric oracle stays an independent check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -402,5 +401,5 @@ def symbolic_support(spec: ProblemSpec):
             if u not in lowest or tdeg < lowest[u][0]:
                 lowest[u] = (tdeg, c)
         supports.append(TropicalSupport(tuple(
-            (u, Fraction(v), c) for u, (v, c) in sorted(lowest.items()))))
+            (u, v, c) for u, (v, c) in sorted(lowest.items()))))
     return supports

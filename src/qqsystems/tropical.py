@@ -4,20 +4,23 @@ The tropicalization of each coefficient polynomial is min over its
 support of (coefficient valuation + w . exponent); a point lies on the
 hypersurface when the minimum is attained at least twice.  The
 prevariety of the system is enumerated as a finite union of polyhedral
-cells, one per choice of minimizing pair for every polynomial; each
-cell is an exact-rational linear system decided by simplex feasibility
-and per-coordinate min/max.  On theorem instances the expected outcome
-is that every feasible cell collapses to the origin.
+cells, one per choice of minimizing pair for every polynomial.  A cell
+is kept as primitive integer rows: its equalities in reduced echelon
+form, its inequalities on the free columns.  It is decided by simplex
+feasibility and per-coordinate min/max over the free columns.  On
+theorem instances the expected outcome is that every feasible cell
+collapses to the origin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import List, Optional, Tuple
 
 from . import lp
-from .lp import F0, F1, feasible
+from .lp import feasible
 from .scalar import Scalar
 from .systems import ProblemSpec, SpecValidationError
 
@@ -26,7 +29,7 @@ from .systems import ProblemSpec, SpecValidationError
 class TropicalSupport:
     """Support of one polynomial: (exponent vector, valuation, coefficient)."""
 
-    items: Tuple[Tuple[Tuple[int, ...], Fraction, Scalar], ...]
+    items: Tuple[Tuple[Tuple[int, ...], int, Scalar], ...]
 
     def __post_init__(self):
         if not self.items:
@@ -38,7 +41,10 @@ class TropicalSupport:
             seen.add(u)
 
     def values_at(self, w: "TropicalPoint") -> List[Fraction]:
-        return [v + sum((Fraction(ui) * wi for ui, wi in zip(u, w.w)), F0)
+        if len(w.w) != len(self.items[0][0]):
+            raise ValueError(f"a point with {len(w.w)} coordinates against "
+                             f"exponents of length {len(self.items[0][0])}")
+        return [v + sum(ui * wi for ui, wi in zip(u, w.w))
                 for u, v, _ in self.items]
 
 
@@ -92,105 +98,100 @@ def check_theorem_hypothesis(spec: ProblemSpec) -> None:
                 "require all d_k nonzero")
 
 
-class _AffineState:
-    """Solution set of the accumulated equalities, parametrized exactly.
+def _primitive(row) -> Tuple[int, ...]:
+    """The integer row divided by the gcd of its entries (if nonzero)."""
+    g = gcd(*row) or 1
+    return tuple(v // g for v in row)
 
-    w = w0 + sum_j p_j * basis[j]; pending inequalities live in the free
-    parameters p.  Adding an equality either detects inconsistency,
-    eliminates one parameter (substituting into everything), or is
-    redundant.  Inequalities that reduce to constants are checked on the
-    spot, so LP is only ever needed for genuinely underdetermined cells.
+
+def _eliminate(row, pivot_row, col):
+    """row with column col cleared by pivot_row, whose entry there is > 0.
+
+    row is multiplied by that positive entry only, so an inequality row
+    keeps its direction.
+    """
+    f = row[col]
+    if not f:
+        return row
+    p = pivot_row[col]
+    return _primitive([p * a - f * b for a, b in zip(row, pivot_row)])
+
+
+class _Cell:
+    """A polyhedral cell: equalities c.w = h and inequalities c.w <= h.
+
+    Every row is a primitive integer tuple (c_1..c_dim, h).  The equalities
+    are in reduced echelon form, keyed by their pivot column: the pivot
+    entry is positive and every other row is zero there.  The inequalities
+    are zero in the pivot columns, so they live on the free columns, which
+    in increasing order are the LP variables.  Inequalities that reduce to
+    constants are checked on the spot, so LP is only ever needed for
+    genuinely underdetermined cells.
     """
 
-    __slots__ = ("w0", "basis", "ineqs")
+    __slots__ = ("eqs", "ineqs")
 
-    def __init__(self, w0, basis, ineqs):
-        self.w0 = w0          # list of dim Fractions
-        self.basis = basis    # list of columns, each a list of dim Fractions
-        self.ineqs = ineqs    # list of (g: tuple of r Fractions, h: Fraction)
+    def __init__(self, eqs, ineqs):
+        self.eqs = eqs        # pivot column -> row
+        self.ineqs = ineqs    # row -> None, in insertion order
 
-    @staticmethod
-    def full(dim: int) -> "_AffineState":
-        basis = [[F1 if i == j else F0 for i in range(dim)] for j in range(dim)]
-        return _AffineState([F0] * dim, basis, [])
+    def copy(self) -> "_Cell":
+        return _Cell(dict(self.eqs), dict(self.ineqs))
 
-    def copy(self) -> "_AffineState":
-        return _AffineState(list(self.w0), [list(c) for c in self.basis],
-                            list(self.ineqs))
+    def _reduced(self, row):
+        for col, e in self.eqs.items():
+            row = _eliminate(row, e, col)
+        return row
 
-    def _to_params(self, row, rhs):
-        """Rewrite row.w (<=|=) rhs in the free parameters."""
-        g = tuple(sum((row[i] * col[i] for i in range(len(row))), F0)
-                  for col in self.basis)
-        h = rhs - sum((row[i] * self.w0[i] for i in range(len(row))), F0)
-        return g, h
-
-    def add_equality(self, row, rhs) -> bool:
+    def add_equality(self, row) -> bool:
         """False on inconsistency (with the equalities or a constant ineq)."""
-        g, h = self._to_params(row, rhs)
-        piv = next((j for j, v in enumerate(g) if v != 0), None)
-        if piv is None:
-            return h == 0
-        coef = g[piv]
-        pivcol = self.basis[piv]
-        shift = h / coef
-        dim = len(self.w0)
-        self.w0 = [self.w0[i] + shift * pivcol[i] for i in range(dim)]
-        new_basis = []
-        keep = [j for j in range(len(self.basis)) if j != piv]
-        for j in keep:
-            f = g[j] / coef
-            col = self.basis[j]
-            new_basis.append([col[i] - f * pivcol[i] for i in range(dim)])
-        self.basis = new_basis
-        new_ineqs = []
-        for gi, hi in self.ineqs:
-            f = gi[piv] / coef
-            g2 = tuple(gi[j] - f * g[j] for j in keep)
-            h2 = hi - f * h
-            if any(v != 0 for v in g2):
-                new_ineqs.append((g2, h2))
-            elif h2 < 0:
+        row = self._reduced(row)
+        col = next((j for j, v in enumerate(row[:-1]) if v), None)
+        if col is None:
+            return row[-1] == 0
+        row = _primitive(row if row[col] > 0 else [-v for v in row])
+        for c, e in self.eqs.items():
+            self.eqs[c] = _eliminate(e, row, col)
+        self.eqs[col] = row
+        ineqs = {}
+        for g in self.ineqs:
+            g = _eliminate(g, row, col)
+            if any(g[:-1]):
+                ineqs[g] = None
+            elif g[-1] < 0:
                 return False
-        self.ineqs = new_ineqs
+        self.ineqs = ineqs
         return True
 
-    def add_inequality(self, row, rhs) -> bool:
+    def add_inequality(self, row) -> bool:
         """False when the inequality is constant-infeasible."""
-        g, h = self._to_params(row, rhs)
-        if all(v == 0 for v in g):
-            return h >= 0
-        if (g, h) not in self.ineqs:
-            self.ineqs.append((g, h))
+        row = self._reduced(row)
+        if not any(row[:-1]):
+            return row[-1] >= 0
+        self.ineqs[_primitive(row)] = None
         return True
 
-    @property
-    def rank_free(self) -> int:
-        return len(self.basis)
+    def on_free(self, dim: int):
+        """The free columns, and the inequalities on them as a_ub, b_ub."""
+        free = [j for j in range(dim) if j not in self.eqs]
+        return (free, [[g[j] for j in free] for g in self.ineqs],
+                [g[-1] for g in self.ineqs])
 
-    def lp_feasible(self) -> Optional[Tuple[Fraction, ...]]:
-        """A feasible parameter point, or None."""
-        a_ub = [list(g) for g, _ in self.ineqs]
-        b_ub = [h for _, h in self.ineqs]
-        return feasible(a_ub, b_ub, dim=self.rank_free)
-
-    def point_at(self, p) -> Tuple[Fraction, ...]:
-        dim = len(self.w0)
-        return tuple(self.w0[i] +
-                     sum((p[j] * self.basis[j][i] for j in range(len(p))), F0)
-                     for i in range(dim))
+    def coordinate(self, i: int, free):
+        """(d, a, h) with d > 0 and d w_i = h - a . w_free on the cell."""
+        e = self.eqs.get(i)
+        if e is None:
+            return 1, [-1 if j == i else 0 for j in free], 0
+        return e[i], [e[j] for j in free], e[-1]
 
 
 def _pair_constraints(s: TropicalSupport, a: int, b: int):
-    """val_a(w) = val_b(w) <= val_c(w) for the other items c, as rows."""
+    """val_a(w) = val_b(w) <= val_c(w) for the other items c, as int rows."""
     ua, va, _ = s.items[a]
     ub, vb, _ = s.items[b]
-    eq = (tuple(Fraction(i - j) for i, j in zip(ua, ub)), vb - va)
-    ubs = []
-    for c, (uc, vc, _) in enumerate(s.items):
-        if c in (a, b):
-            continue
-        ubs.append((tuple(Fraction(i - j) for i, j in zip(ua, uc)), vc - va))
+    eq = tuple(i - j for i, j in zip(ua, ub)) + (vb - va,)
+    ubs = [tuple(i - j for i, j in zip(ua, uc)) + (vc - va,)
+           for c, (uc, vc, _) in enumerate(s.items) if c not in (a, b)]
     return eq, ubs
 
 
@@ -212,67 +213,63 @@ def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult
     bounded = True
     witness: Optional[TropicalPoint] = None
 
-    def leaf(state: _AffineState):
+    def leaf(cell: _Cell):
         nonlocal cell_count, origin_only, bounded, witness
         cell_count += 1
-        r = state.rank_free
-        a_ub = [list(g) for g, _ in state.ineqs]
-        b_ub = [h for _, h in state.ineqs]
-        target = [F0] * dim
-        for i in range(dim):
-            obj = [state.basis[j][i] for j in range(r)]
-            if all(v == 0 for v in obj):
-                if state.w0[i] != 0:
+        free, a_ub, b_ub = cell.on_free(dim)
+        coords = [cell.coordinate(i, free) for i in range(dim)]
+        # rows that hold a coordinate at a nonzero end of its range
+        pins_a, pins_b = [], []
+        for d, a, h in coords:
+            if not any(a):
+                if h:  # w_i = h/d on the whole cell: its pin is 0 <= 0
                     origin_only = False
-                    target[i] = state.w0[i]
+                    pins_a.append(a)
+                    pins_b.append(0)
                 continue
-            # min/max of w_i = w0_i + obj . p over the cell
-            res_min = lp_solve_obj(obj, a_ub, b_ub)
-            res_max = lp_solve_obj([-v for v in obj], a_ub, b_ub)
-            lo = state.w0[i] + res_min if res_min is not None else None
-            hi = state.w0[i] - res_max if res_max is not None else None
+            # d min(w_i) = h + lo and d max(w_i) = h - hi
+            neg = [-v for v in a]
+            lo = lp_solve_obj(neg, a_ub, b_ub)
+            hi = lp_solve_obj(a, a_ub, b_ub)
             if lo is None or hi is None:
                 bounded = False
                 origin_only = False
-                target[i] = F1 if hi is None else -F1
-            elif lo < 0:
+                # w_i >= 1 when unbounded above, else w_i <= -1
+                pins_a.append(a if hi is None else neg)
+                pins_b.append(h - d if hi is None else -d - h)
+            elif lo < -h:
                 origin_only = False
-                target[i] = lo
-            elif hi > 0:
+                pins_a.append(neg)
+                pins_b.append(lo)
+            elif hi < h:
                 origin_only = False
-                target[i] = hi
-        if witness is None and any(v != 0 for v in target):
-            extra_a = list(a_ub)
-            extra_b = list(b_ub)
-            for i, v in enumerate(target):
-                obj = [state.basis[j][i] for j in range(r)]
-                if v > 0:
-                    extra_a.append([-o for o in obj])
-                    extra_b.append(state.w0[i] - v)
-                elif v < 0:
-                    extra_a.append(list(obj))
-                    extra_b.append(v - state.w0[i])
-            pt = feasible(extra_a, extra_b, dim=r)
+                pins_a.append(a)
+                pins_b.append(hi)
+        if witness is None and pins_a:
+            pt = feasible(a_ub + pins_a, b_ub + pins_b, dim=len(free))
             if pt is not None:
-                w = state.point_at(pt)
-                if any(c != 0 for c in w):
+                w = tuple(Fraction(h - sum(v * p for v, p in zip(a, pt))) / d
+                          for d, a, h in coords)
+                if any(w):
                     witness = TropicalPoint(w)
 
-    def dfs(level, state: _AffineState):
+    def dfs(level, cell: _Cell):
         if level == len(levels):
-            leaf(state)
+            leaf(cell)
             return
         for eq, pair_ubs in levels[level]:
-            st = state.copy()
-            if not st.add_equality(eq[0], eq[1]):
+            c = cell.copy()
+            if not c.add_equality(eq):
                 continue
-            if not all(st.add_inequality(row, h) for row, h in pair_ubs):
+            if not all(c.add_inequality(row) for row in pair_ubs):
                 continue
-            if st.rank_free > 0 and st.ineqs and st.lp_feasible() is None:
-                continue
-            dfs(level + 1, st)
+            if c.ineqs:
+                free, a_ub, b_ub = c.on_free(dim)
+                if feasible(a_ub, b_ub, dim=len(free)) is None:
+                    continue
+            dfs(level + 1, c)
 
-    dfs(0, _AffineState.full(dim))
+    dfs(0, _Cell({}, {}))
     if not cell_count:
         origin_only = False  # empty prevariety: the theorems expect {0}
     return PrevarietyResult(cell_count=cell_count, is_origin_only=origin_only,

@@ -1,7 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import prevariety_reference
 from qqsystems.scalar import Scalar, ONE
 from qqsystems.systems import MasterData, ProblemSpec, SpecValidationError
 from qqsystems.tropical import (TropicalSupport, TropicalPoint,
@@ -111,6 +114,15 @@ class TestExclusionWitness:
         assert exclusion_witness(spec, TropicalPoint.of(0, 3)) == 2
         assert exclusion_witness(spec, TropicalPoint.of(0, 0)) is None
 
+    def test_point_of_the_wrong_length_rejected(self):
+        # m + n = 2: a point with one or three coordinates is not in R^2
+        spec = qq_spec([(1, 1), (2, 1)], 1, 1)
+        for w in (TropicalPoint.of(-1), TropicalPoint.of(0, 0, 7)):
+            with pytest.raises(ValueError):
+                exclusion_witness(spec, w)
+            with pytest.raises(ValueError):
+                hypersurface_contains(F2_SUPPORT, w)
+
     def test_consistency_with_prevariety(self):
         # points in no cell must have a witness; sampled rational points
         spec = qq_spec([(1, 1), (2, 1)], 1, 1)
@@ -132,6 +144,36 @@ class TestExclusionWitness:
             assert all(v == 0 for v in vals)
             w = TropicalPoint(tuple(F(v) for v in vals))
             assert exclusion_witness(spec, w) is None
+
+
+# shifts drawn with repetition: a repeated value is a multiplicity, and the
+# zero shift kills d_k, so witnesses and unbounded cells occur
+_SHIFTS = [0, 0, 1, -1, 2, F(1, 2), (1, 1)]
+_Q = [2, -3, F(1, 2), (1, 1)]
+
+
+def _scalar(v):
+    return Scalar(*v) if isinstance(v, tuple) else Scalar(v)
+
+
+@st.composite
+def _small_specs(draw):
+    dim = draw(st.integers(1, 3))
+    m = draw(st.integers(0, dim))
+    counts = Counter(draw(st.lists(st.sampled_from(_SHIFTS),
+                                   min_size=dim, max_size=dim)))
+    lam = MasterData(tuple((_scalar(a), k) for a, k in counts.items()))
+    if draw(st.booleans()):
+        return ProblemSpec(mode="qq", lam=lam, m=m, n=dim - m)
+    return ProblemSpec(mode="QQ", lam=lam, m=m, n=dim - m,
+                       q=_scalar(draw(st.sampled_from(_Q))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_specs())
+def test_prevariety_matches_fraction_reference(spec):
+    assert prevariety(spec, theorem_mode=False) == \
+        prevariety_reference.prevariety(spec, theorem_mode=False)
 
 
 class TestSizeCap:
