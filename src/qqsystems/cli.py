@@ -1,15 +1,17 @@
 """Command-line front end: enumerate, lift, verify, report.
 
-Exit codes: 0 success; 2 spec validation failure (or the tropical size
-cap exceeded, or a solve with |q| = 1); 3 ramification bound exceeded or
-branch explosion on some base; 4 residual certificate failure.  Reports are deterministic JSON
-("format": 3) with exact rational scalars throughout.
+Exit codes: 0 success; 2 spec validation failure (or an --out path that
+is no file in an existing directory, the tropical size cap exceeded, or
+a solve with |q| = 1); 3 ramification bound exceeded or branch explosion
+on some base; 4 residual certificate failure.  Reports are deterministic
+JSON ("format": 3) with exact rational scalars throughout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -48,14 +50,12 @@ def _fail(args, reason: str, message: str) -> int:
     return EXIT_VALIDATION
 
 
-def _load_spec(args, require_nonzero_at_origin: bool) -> Optional[ProblemSpec]:
+def _load_spec(args) -> Optional[ProblemSpec]:
     """The validated spec, or None once its failure report is emitted."""
     try:
         with open(args.spec, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        spec = ProblemSpec.from_json(obj)
-        spec.validate(require_nonzero_at_origin=require_nonzero_at_origin)
-        return spec
+        return ProblemSpec.from_json(obj)
     except SpecValidationError as exc:
         _fail(args, exc.code, str(exc))
     except (OSError, ValueError) as exc:  # unreadable file or not JSON
@@ -65,9 +65,13 @@ def _load_spec(args, require_nonzero_at_origin: bool) -> Optional[ProblemSpec]:
 
 def cmd_solve(args) -> int:
     started = time.time()
-    spec = _load_spec(args, require_nonzero_at_origin=True)
+    spec = _load_spec(args)
     if spec is None:
         return EXIT_VALIDATION
+    if not spec.lam.nonzero_at_origin():
+        return _fail(args, "lambda_root_at_origin",
+                     "Lambda(0) = 0: lifting theorems need a nonzero "
+                     "shift-free origin")
     if spec.is_difference and spec.q.abs2() == 1:
         # validate() rejects the roots of unity; for any other |q| = 1 the
         # moduli of the Bethe roots do not fix the exponent of a q-collision
@@ -130,7 +134,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_tropical(args) -> int:
-    spec = _load_spec(args, require_nonzero_at_origin=False)
+    spec = _load_spec(args)
     if spec is None:
         return EXIT_VALIDATION
     try:
@@ -146,7 +150,7 @@ def cmd_tropical(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    spec = _load_spec(args, require_nonzero_at_origin=False)
+    spec = _load_spec(args)
     if spec is None:
         return EXIT_VALIDATION
     bases = enumerate_infinite_solutions(spec)
@@ -186,6 +190,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = getattr(args, "out", None)
+    if out and (os.path.isdir(out) or
+                not os.path.isdir(os.path.dirname(os.path.abspath(out)))):
+        args.out = None  # nothing can be written there: report on stdout
+        return _fail(args, "bad_out_path",
+                     f"cannot write the report to {out}: not a file in an "
+                     "existing directory")
     return args.func(args)
 
 

@@ -120,7 +120,7 @@ def lift_newton(sol: InfiniteSolution, spec: ProblemSpec) -> LiftedSolution:
     residual of the jet truncated at k.
     """
     dim = spec.m + spec.n
-    inverse = solve_unique(jacobian_at_zero(sol, spec), _identity(dim), ZERO)
+    inverse = solve_unique(jacobian_at_zero(sol, spec), _identity(dim))
     K = spec.K
     coeffs = [[v] + [ZERO] * K for v in list(sol.x0) + list(sol.y0)]
 
@@ -168,8 +168,7 @@ def lift_ramified(sol: InfiniteSolution, spec: ProblemSpec
     n_max = spec.ramification_bound
     # [J0 | I] reduces to [R | L] with L * J0 = R, once for every N
     reduced = rref([row + id_row for row, id_row in
-                    zip(jacobian_at_zero(sol, spec), _identity(spec.m + spec.n))],
-                   ZERO)
+                    zip(jacobian_at_zero(sol, spec), _identity(spec.m + spec.n))])
     found: List[LiftedSolution] = []
     seen_keys = set()
     dropped_outside_field = 0

@@ -1,16 +1,17 @@
-"""Exact linear algebra over a field (Gaussian rationals or Fractions).
+"""Exact linear algebra over the Gaussian rationals (Scalar entries).
 
 Plain Gaussian elimination with exact division; no floating point
-anywhere.  Generic over the coefficient field: callers pass the field's
-zero.
+anywhere.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+from .scalar import Scalar
 
-def rref(rows: List[List], zero) -> Tuple[List[List], List[int]]:
+
+def rref(rows: List[List[Scalar]]) -> Tuple[List[List[Scalar]], List[int]]:
     """Reduced row echelon form (in place on a copy) and pivot columns."""
     m = [list(r) for r in rows]
     nrows = len(m)
@@ -20,7 +21,7 @@ def rref(rows: List[List], zero) -> Tuple[List[List], List[int]]:
     for c in range(ncols):
         pivot = None
         for i in range(r, nrows):
-            if m[i][c] != zero:
+            if not m[i][c].is_zero:
                 pivot = i
                 break
         if pivot is None:
@@ -29,7 +30,7 @@ def rref(rows: List[List], zero) -> Tuple[List[List], List[int]]:
         pv = m[r][c]
         m[r] = [x / pv for x in m[r]]
         for i in range(nrows):
-            if i != r and m[i][c] != zero:
+            if i != r and not m[i][c].is_zero:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
@@ -44,11 +45,12 @@ class SingularJacobianError(ValueError):
     Jacobian is one, and lifting goes through lift_ramified."""
 
 
-def solve_unique(A: Sequence[Sequence], B: Sequence[Sequence], zero) -> List[List]:
+def solve_unique(A: Sequence[Sequence[Scalar]], B: Sequence[Sequence[Scalar]]
+                 ) -> List[List[Scalar]]:
     """X with A X = B for square nonsingular A; B has one column per
     right-hand side.  Raises SingularJacobianError on a singular A."""
     n = len(A)
-    m, pivots = rref([list(a) + list(b) for a, b in zip(A, B)], zero)
+    m, pivots = rref([list(a) + list(b) for a, b in zip(A, B)])
     rank = sum(1 for c in pivots if c < n)
     if rank < n:
         inconsistent = ", inconsistent" if len(pivots) > rank else ""

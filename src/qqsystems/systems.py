@@ -21,7 +21,9 @@ commutative ring, and every exact consumer evaluates it in its own ring:
 * SparsePoly in (x, y, t) (symbolic_support): the supports read by the
   tropical engine;
 * symbolic expressions in lifting's ramified branch search, whose
-  kernel parameters are free symbols.
+  kernel parameters are free symbols;
+* Scalars at t = 0 (jacobian_at_zero): the base check and the t = 0
+  Jacobian J0 that lifting inverts or row-reduces.
 
 The floating-point residual in numeric.py is a separate encoding on
 purpose, so that the numeric oracle stays an independent check.
@@ -149,7 +151,7 @@ class ProblemSpec:
     def ramification_bound(self) -> int:
         return self.n_max if self.n_max is not None else self.m + self.n
 
-    def validate(self, require_nonzero_at_origin: bool = False) -> None:
+    def validate(self) -> None:
         """Raises SpecValidationError with a machine-readable code."""
         if self.mode not in MODES:
             raise SpecValidationError("bad_mode", f"mode must be one of {MODES}")
@@ -176,10 +178,6 @@ class ProblemSpec:
                                           f"q = {self.q} is a root of unity")
         elif self.q is not None:
             raise SpecValidationError("unexpected_q", "q is only valid in QQ mode")
-        if require_nonzero_at_origin and not self.lam.nonzero_at_origin():
-            raise SpecValidationError("lambda_root_at_origin",
-                                      "Lambda(0) = 0: lifting theorems need "
-                                      "a nonzero shift-free origin")
 
     def to_json(self):
         obj = {"mode": self.mode, "lambda": self.lam.to_json(),
@@ -330,44 +328,30 @@ def evaluate_residual(p: CandidatePoint, spec: ProblemSpec) -> List[Series]:
 # the t = 0 Jacobian
 
 
-def _check_base_solution(x0: Sequence[Scalar], y0: Sequence[Scalar],
-                         spec: ProblemSpec) -> List[Scalar]:
-    """Verify the infinite-system identity; returns the Jacobian shift list."""
-    if spec.is_difference:
-        u = [v / spec.q for v in x0] + list(y0)
-    else:
-        u = list(x0) + list(y0)
-    if tuple(_monic_from_shifts(u, ONE)) != spec.lam.coeffs:
-        raise ValueError("point is not a solution of the infinite system")
-    return u
-
-
 def jacobian_at_zero(sol, spec: ProblemSpec) -> List[List[Scalar]]:
-    """Exact t=0 Jacobian of residual_components as written.
+    """Exact t = 0 Jacobian of residual_components at a base solution.
 
-    Differential mode: column j holds the z-coefficients of
-    Lambda(z)/(z + b_j) for the concatenated shifts b, which is the
-    product of (z + b_i) over i != j once prod (z + b_i) = Lambda is
-    verified.  Difference mode: the residual is cleared by q^m, so this is
-    q^m times the gradient of e_k(x/q, y) - d_k: the same matrix in
-    u = (x/q, y), with x-columns scaled by q^(m-1) and y-columns by q^m.
-    Its rank is the number l of distinct values among the shifts u, which
-    the enumeration already records on the base.
+    f is residual_components over Scalars at t = 0.  Each component is
+    affine in each single unknown: at t = 0 it is, up to a constant
+    factor and term, a coefficient of a product of monic linear factors
+    with one factor per unknown, and such coefficients are elementary
+    symmetric, so multilinear.  Hence
+    f(base + e_j) - f(base) is exactly the j-th partial derivative, and
+    with f(base) = 0 (checked first; ValueError otherwise) column j is
+    f(base + e_j).  Its rank is the number l of distinct shifts of
+    Lambda, which the enumeration already records on the base.
     """
-    x0, y0 = list(sol.x0), list(sol.y0)
-    u = _check_base_solution(x0, y0, spec)
-    deg = spec.lam.degree
-    scale = [ONE] * deg
-    if spec.is_difference:
-        qm = spec.q ** spec.m
-        scale = [qm / spec.q] * spec.m + [qm] * spec.n
-    cols = []
-    for j in range(deg):
-        # z^{deg-1} down to z^0, the rows of components k = 1..deg
-        col = _monic_from_shifts(u[:j] + u[j + 1:], ONE)[::-1]
-        cols.append([c * scale[j] for c in col])
-    matrix = [[cols[j][i] for j in range(deg)] for i in range(deg)]
-    return matrix
+    base = list(sol.x0) + list(sol.y0)
+
+    def f(u: List[Scalar]) -> List[Scalar]:
+        return residual_components(u[:spec.m], u[spec.m:], spec, ONE,
+                                   lambda c: ZERO, lambda c: c)
+
+    if not all(c.is_zero for c in f(base)):
+        raise ValueError("point is not a solution of the infinite system")
+    cols = [f(base[:j] + [base[j] + ONE] + base[j + 1:])
+            for j in range(len(base))]
+    return [list(row) for row in zip(*cols)]
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ def test_criterion_3_count_rank_certificates(criterion3_lifts):
             dim = spec.m + spec.n
             assert len(bases) == comb(dim, spec.m)
             for base in bases:
-                _, pivots = rref(jacobian_at_zero(base, spec), ZERO)
+                _, pivots = rref(jacobian_at_zero(base, spec))
                 assert len(pivots) == dim
             for ls in lifts:
                 assert ls.residual_valuation >= Fraction(spec.K + 1)

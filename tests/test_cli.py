@@ -266,6 +266,29 @@ def test_solve_reports_tropical_size_cap_as_skipped(tmp_path, capsys):
         "skipped": "m + n = 2 exceeds the symbolic size cap 1"}
 
 
+@pytest.mark.parametrize("command", ["solve", "tropical"])
+def test_out_in_missing_directory_fails_before_work(tmp_path, capsys,
+                                                    monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the --out check")
+    monkeypatch.setattr(cli, "enumerate_infinite_solutions", no_work)
+    monkeypatch.setattr(cli, "prevariety", no_work)
+    spec = write_spec(tmp_path, QQ11)
+    out = tmp_path / "missing" / "report.json"
+    assert main([command, spec, "--out", str(out)]) == EXIT_VALIDATION
+    report = json.loads(capsys.readouterr().out)
+    assert [f["reason"] for f in report["failures"]] == ["bad_out_path"]
+    assert not out.parent.exists()
+
+
+def test_spec_failure_with_bad_out_path_reports_on_stdout(tmp_path, capsys):
+    spec = write_spec(tmp_path, dict(QQ11, extra=1))
+    # a directory is no file to write either
+    assert main(["solve", spec, "--out", str(tmp_path)]) == EXIT_VALIDATION
+    report = json.loads(capsys.readouterr().out)
+    assert [f["reason"] for f in report["failures"]] == ["bad_out_path"]
+
+
 def test_solve_does_not_swallow_tropical_crash(tmp_path, monkeypatch):
     def broken(spec, theorem_mode):
         raise RuntimeError("prevariety crashed")

@@ -2,6 +2,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qqsystems.scalar import Scalar, ZERO, ONE
 from qqsystems.series import Series
@@ -70,6 +71,49 @@ class TestNewton:
         for base in enumerate_infinite_solutions(spec):
             ls = lift_newton(base, spec)
             assert ls.residual_valuation >= Fraction(spec.K + 1)
+
+
+# Gaussian shifts with small rational parts; q off the unit circle
+SHIFTS = st.builds(lambda a, b, im: Scalar(Fraction(a, b), im),
+                   st.integers(-3, 3), st.integers(1, 3), st.integers(-2, 2))
+QS = [Scalar(2), Scalar(3), Scalar(Fraction(1, 2)), Scalar(1, 1),
+      Scalar(Fraction(-2, 3), 1)]
+
+
+@st.composite
+def generic_specs(draw):
+    """Both modes, 1 <= m + n <= 3, distinct simple shifts, 1 <= K <= 3."""
+    mode = draw(st.sampled_from(["qq", "QQ"]))
+    shifts = draw(st.lists(SHIFTS, min_size=1, max_size=3, unique=True))
+    m = draw(st.integers(0, len(shifts)))
+    return ProblemSpec(
+        mode=mode, lam=MasterData(tuple((a, 1) for a in shifts)), m=m,
+        n=len(shifts) - m, K=draw(st.integers(1, 3)),
+        q=draw(st.sampled_from(QS)) if mode == "QQ" else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generic_specs())
+def test_generic_lifts_certify_and_keep_invariants(spec):
+    """Every lift certifies to order K + 1, and through order K
+    qq: sum x + sum y = d_1 + (m - n) t;
+    QQ: (1 - t) prod x prod y = Lambda(0) (q^m - t q^n)."""
+    K = spec.K
+    t = Series.deformation_parameter(K)
+    for base in enumerate_infinite_solutions(spec):
+        ls = lift_newton(base, spec)
+        assert ls.residual_valuation >= K + 1
+        xy = ls.point.x + ls.point.y
+        if spec.is_difference:
+            prod = Series.one(K)
+            for s in xy:
+                prod = prod * s
+            lhs = (1 - t) * prod
+            rhs = (spec.q ** spec.m - t * spec.q ** spec.n) * spec.lam.coeffs[0]
+        else:
+            lhs = sum(xy, Series.zero(K))
+            rhs = spec.lam.d(1) + t * (spec.m - spec.n)
+        assert lhs.same_through(rhs, K)
 
 
 class TestCertificate:

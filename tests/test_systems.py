@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -58,11 +59,8 @@ class TestValidation:
         assert e.value.code == "degree_mismatch"
 
     def test_origin_shift_gate(self):
-        spec = qq_spec([(0, 1), (2, 1)], 1, 1)
-        spec.validate()  # allowed without the flag
-        with pytest.raises(SpecValidationError) as e:
-            spec.validate(require_nonzero_at_origin=True)
-        assert e.value.code == "lambda_root_at_origin"
+        # Lambda(0) = 0 is a valid spec; only solve refuses it
+        qq_spec([(0, 1), (2, 1)], 1, 1).validate()
 
     def test_q_root_of_unity(self):
         # the roots of unity in Q(i) are exactly +-1 and +-i
@@ -158,7 +156,7 @@ class TestQQResidual:
 
 
 def rank(matrix):
-    return len(rref(matrix, ZERO)[1])
+    return len(rref(matrix)[1])
 
 
 class TestJacobian:
@@ -201,6 +199,20 @@ class TestJacobian:
         sol = enumerate_infinite_solutions(spec)[0]
         assert sol.tier == "degenerate"
         assert rank(jacobian_at_zero(sol, spec)) == 1
+
+
+def test_jacobian_rejects_non_solution():
+    # qq (z+1)(z+2): the base x0 = 1, y0 = 2 with y0 moved off the root
+    spec = qq_spec([(1, 1), (2, 1)], 1, 1)
+    sol = enumerate_infinite_solutions(spec)[0]
+    with pytest.raises(ValueError, match="not a solution"):
+        jacobian_at_zero(replace(sol, y0=(Scalar(3),)), spec)
+    # QQ q = 3: the base has x0 = 3 = q * 1; x0 = 1 lacks the factor q
+    spec = QQ_spec([(1, 1), (2, 1)], 1, 1, 3)
+    sol = enumerate_infinite_solutions(spec)[0]
+    assert sol.x0 == (Scalar(3),)
+    with pytest.raises(ValueError, match="not a solution"):
+        jacobian_at_zero(replace(sol, x0=(ONE,)), spec)
 
 
 class TestSymbolicSupport:
