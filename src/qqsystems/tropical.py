@@ -10,12 +10,22 @@ form, its inequalities on the free columns.  It is decided by simplex
 feasibility and per-coordinate min/max over the free columns.  On
 theorem instances the expected outcome is that every feasible cell
 collapses to the origin.
+
+Every residual component is invariant under S_m x S_n, which permutes
+the x's among themselves and the y's among themselves, so the group maps
+cells onto cells and keeps their feasibility, their boundedness and
+whether they hold nonzero points.  The enumeration visits only the
+lexicographically least cell of each orbit and adds its orbit size to
+cell_count, which still counts every cell.  The first cell in visiting
+order that yields a witness is the least of its orbit, so the witness is
+the one a visit of every cell would find.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 from typing import List, Optional, Tuple
 
@@ -195,6 +205,25 @@ def _pair_constraints(s: TropicalSupport, a: int, b: int):
     return eq, ubs
 
 
+def _pair_images(s: TropicalSupport, pairs, group):
+    """images[j][g]: the index of the pair that group[g] maps pairs[j] to.
+
+    g permutes the coordinates, u -> (u[g[0]], u[g[1]], ...), and must map
+    the support onto itself with the valuations kept.
+    """
+    index = {(u, v): k for k, (u, v, _) in enumerate(s.items)}
+    where = {p: j for j, p in enumerate(pairs)}
+    per_g = []
+    for g in group:
+        img = [index.get((tuple(u[i] for i in g), v)) for u, v, _ in s.items]
+        if None in img:
+            raise RuntimeError(f"coordinate permutation {g} does not map a "
+                               "residual support onto itself")
+        per_g.append([where[min(img[a], img[b]), max(img[a], img[b])]
+                      for a, b in pairs])
+    return list(zip(*per_g))
+
+
 def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult:
     """Enumerate the prevariety cells and decide whether their union is {0}."""
     from .systems import symbolic_support
@@ -204,18 +233,26 @@ def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult
     # smallest supports first for maximal pruning; each level's pair
     # constraints are built once, in the order the cells are visited
     supports = sorted(symbolic_support(spec), key=lambda s: len(s.items))
-    levels = [[_pair_constraints(s, a, b)
-               for a in range(len(s.items))
-               for b in range(a + 1, len(s.items))] for s in supports]
+    pairs = [[(a, b) for a in range(len(s.items))
+              for b in range(a + 1, len(s.items))] for s in supports]
+    levels = [[_pair_constraints(s, a, b) for a, b in ps]
+              for s, ps in zip(supports, pairs)]
+    # S_m x S_n permutes the x's among themselves and the y's among
+    # themselves; every support is invariant under it, so it permutes each
+    # level's pairs and maps cells onto cells
+    group = [xs + tuple(spec.m + j for j in ys)
+             for xs in permutations(range(spec.m))
+             for ys in permutations(range(spec.n))]
+    images = [_pair_images(s, ps, group) for s, ps in zip(supports, pairs)]
 
     cell_count = 0
     origin_only = True
     bounded = True
     witness: Optional[TropicalPoint] = None
 
-    def leaf(cell: _Cell):
+    def leaf(cell: _Cell, orbit_size: int):
         nonlocal cell_count, origin_only, bounded, witness
-        cell_count += 1
+        cell_count += orbit_size
         free, a_ub, b_ub = cell.on_free(dim)
         coords = [cell.coordinate(i, free) for i in range(dim)]
         # rows that hold a coordinate at a nonzero end of its range
@@ -253,11 +290,18 @@ def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult
                 if any(w):
                     witness = TropicalPoint(w)
 
-    def dfs(level, cell: _Cell):
+    def dfs(level, cell: _Cell, stab):
+        # stab: the group elements that fix the chosen pairs so far
         if level == len(levels):
-            leaf(cell)
+            leaf(cell, len(group) // len(stab))
             return
-        for eq, pair_ubs in levels[level]:
+        for j, (eq, pair_ubs) in enumerate(levels[level]):
+            # only the lexicographically least cell of each orbit: a
+            # symmetry of the prefix that maps pair j lower leads to a
+            # smaller cell of the same orbit
+            img = images[level][j]
+            if any(img[g] < j for g in stab):
+                continue
             c = cell.copy()
             if not c.add_equality(eq):
                 continue
@@ -267,9 +311,9 @@ def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult
                 free, a_ub, b_ub = c.on_free(dim)
                 if feasible(a_ub, b_ub, dim=len(free)) is None:
                     continue
-            dfs(level + 1, c)
+            dfs(level + 1, c, [g for g in stab if img[g] == j])
 
-    dfs(0, _Cell({}, {}))
+    dfs(0, _Cell({}, {}), range(len(group)))
     if not cell_count:
         origin_only = False  # empty prevariety: the theorems expect {0}
     return PrevarietyResult(cell_count=cell_count, is_origin_only=origin_only,

@@ -1,13 +1,16 @@
 """Reference prevariety over an exact Fraction parametrisation (tests only).
 
-This is the cell enumeration that ``qqsystems.tropical`` replaced with
-primitive integer rows in reduced echelon form.  Each cell here stores a
-point w0 and a basis of Fraction columns, and rewrites every inequality in
-the free parameters; the free parameters are the same coordinates, in the
-same order, as the new cell's free columns.  Both visit the cells in the
-same order and hand the same LPs (up to positive row multiples) to
-``qqsystems.lp``, so they must return equal ``PrevarietyResult``s: the
-property test in ``test_tropical.py`` holds the integer cells to this one.
+This enumeration visits every cell.  ``qqsystems.tropical`` keeps its
+cells as primitive integer rows in reduced echelon form and visits only the
+lexicographically least cell of each S_m x S_n orbit.  Each cell here
+stores a point w0 and a basis of Fraction columns, and rewrites every
+inequality in the free parameters; the free parameters are the same
+coordinates, in the same order, as the integer cell's free columns.  Both
+walk the cells in the same order and hand the same LPs (up to positive row
+multiples) to ``qqsystems.lp`` on the cells they share, so they must return
+equal ``PrevarietyResult``s: the first cell that yields a witness is the
+least of its orbit, so both find the same one.  The tests in
+``test_tropical.py`` hold the orbit enumeration to this one.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ from qqsystems.scalar import Scalar, ONE
 from qqsystems.systems import MasterData, ProblemSpec, SpecValidationError
 from qqsystems.tropical import (TropicalSupport, TropicalPoint,
                                 hypersurface_contains, prevariety,
-                                exclusion_witness, check_theorem_hypothesis)
+                                exclusion_witness, check_theorem_hypothesis,
+                                _pair_images)
 
 F = Fraction
 
@@ -24,6 +25,12 @@ def qq_spec(shifts, m, n):
 
 def QQ_spec(shifts, m, n, q):
     return ProblemSpec(mode="QQ", lam=master(*shifts), m=m, n=n, q=Scalar(q))
+
+
+def mode_spec(mode, shifts, m, n):
+    """A qq spec, or a QQ spec at q = 3."""
+    return qq_spec(shifts, m, n) if mode == "qq" else \
+        QQ_spec(shifts, m, n, 3)
 
 
 def support(items):
@@ -98,6 +105,15 @@ class TestPrevariety:
         assert not res.is_origin_only
         assert res.points_bounded is bounded
         assert res.witness == TropicalPoint.of(*witness)
+
+    @pytest.mark.parametrize("mode, m, n", [
+        ("qq", 3, 1), ("qq", 1, 3), ("QQ", 3, 1), ("QQ", 1, 3)])
+    def test_dimension_4_is_origin_only(self, mode, m, n):
+        shifts = [(k, 1) for k in range(1, 5)]
+        res = prevariety(mode_spec(mode, shifts, m, n))
+        assert res.cell_count == 2100
+        assert res.is_origin_only
+        assert res.witness is None
 
     def test_permutation_invariance(self):
         # same shifts, m and n swapped: same verdict and cell count
@@ -174,6 +190,34 @@ def _small_specs(draw):
 def test_prevariety_matches_fraction_reference(spec):
     assert prevariety(spec, theorem_mode=False) == \
         prevariety_reference.prevariety(spec, theorem_mode=False)
+
+
+# dimension 4, where |S_m x S_n| reaches 6: the orbit enumeration against
+# the reference, which visits every cell.  Zero shifts give witnesses and
+# unbounded cells; each spec has cells with nontrivial stabilisers (of
+# order up to 4 at (2,2)), which count for fewer than |G| cells.
+_Z4 = [(0, 1), (1, 1), (2, 1), (-1, 1)]  # z(z+1)(z+2)(z-1)
+_Z2 = [(0, 2), (1, 2)]                   # z^2 (z+1)^2
+_R2 = [(1, 2), (2, 2)]                   # (z+1)^2 (z+2)^2
+
+
+@pytest.mark.parametrize("mode, shifts, m, n", [
+    ("qq", _Z4, 2, 2), ("qq", _Z2, 2, 2), ("QQ", _R2, 2, 2),
+    ("qq", _Z4, 3, 1), ("QQ", _R2, 3, 1),
+    ("qq", _Z4, 1, 3), ("QQ", _R2, 1, 3)],
+    ids=["qq-z4-2-2", "qq-z2-2-2", "QQ-r2-2-2", "qq-z4-3-1", "QQ-r2-3-1",
+         "qq-z4-1-3", "QQ-r2-1-3"])
+def test_prevariety_matches_reference_in_dimension_4(mode, shifts, m, n):
+    spec = mode_spec(mode, shifts, m, n)
+    assert prevariety(spec, theorem_mode=False) == \
+        prevariety_reference.prevariety(spec, theorem_mode=False)
+
+
+def test_asymmetric_support_is_an_internal_error():
+    # swapping the coordinates sends x to y, which is not in the support
+    s = support([((1, 0), 0), ((0, 0), 0)])
+    with pytest.raises(RuntimeError):
+        _pair_images(s, [(0, 1)], [(0, 1), (1, 0)])
 
 
 class TestSizeCap:
