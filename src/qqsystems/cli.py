@@ -3,8 +3,10 @@
 Exit codes: 0 success; 2 spec validation failure (or an --out path that
 is no file in an existing directory, the tropical size cap exceeded, or
 a solve with |q| = 1); 3 ramification bound exceeded or branch explosion
-on some base; 4 residual certificate failure.  Reports are deterministic
-JSON ("format": 3) with exact rational scalars throughout.
+on some base; 4 a residual certificate failure or a Bethe residual
+valuation below its bound (solve), or a prevariety that is not exactly
+the origin (tropical).  Reports are deterministic JSON ("format": 3)
+with exact rational scalars throughout.
 """
 
 from __future__ import annotations

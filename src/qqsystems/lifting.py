@@ -277,7 +277,9 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
             vals.append(base[i] + sp.Add(*[coeff_table[i][j] * s ** j
                                            for j in range(1, k_s + 1)]))
         return residual_components(vals[:spec.m], vals[spec.m:], spec,
-                                   sp.Integer(1), lambda e: e * t,
+                                   sp.Integer(1),
+                                   lambda build: {k: e * t for k, e
+                                                  in build().items()},
                                    _scalar_to_sympy)
 
     def defect_at(coeff_table, order):

@@ -279,39 +279,53 @@ def residual_components(xs: Sequence, ys: Sequence, spec: ProblemSpec, one,
     """Components f_1..f_{m+n}: the z^{m+n-k} coefficients of the residual.
 
     xs and ys are elements of a commutative ring with +, -, * and integer
-    scaling; one is its one, times_t multiplies an element by t, and
-    const embeds a Scalar as something the ring's operations accept.
+    scaling; one is its one, and const embeds a Scalar as something the
+    ring's operations accept.  The part of the residual that carries t is
+    handed over unbuilt: times_t(build) returns t times build(), a dict
+    from z-exponent to ring element, as a dict with the same keys, so a
+    ring at t = 0 can return {} without building it.
     """
     deg = spec.lam.degree
     lam = spec.lam.coeffs
     out = []
     if spec.is_difference:
         qinv = const(ONE / spec.q)
-        a = _monic_from_shifts([x * qinv for x in xs] + list(ys), one)
-        b = _monic_from_shifts(list(xs) + [y * qinv for y in ys], one)
         qm, qn = const(spec.q ** spec.m), const(spec.q ** spec.n)
+
+        def t_part():
+            b = _monic_from_shifts(list(xs) + [y * qinv for y in ys], one)
+            return {e: (b[e] - const(lam[e])) * qn for e in range(deg)}
+
+        a = _monic_from_shifts([x * qinv for x in xs] + list(ys), one)
+        tb = times_t(t_part)
         for e in range(deg - 1, -1, -1):
-            d = const(lam[e])
-            out.append((a[e] - d) * qm - times_t((b[e] - d) * qn))
+            comp = (a[e] - const(lam[e])) * qm
+            out.append(comp - tb[e] if e in tb else comp)
         return out
     qp = _monic_from_shifts(xs, one)
     qm = _monic_from_shifts(ys, one)
+    ab = [[a * b for b in qm] for a in qp]
     # a_i z^i times b_j z^j adds a_i b_j to z^{i+j} of q+ q- and
     # (j - i) a_i b_j to z^{i+j-1} of W(q+, q-) = q+ q-' - q- q+'
     prod: List = [None] * (deg + 1)
-    wr: List = [None] * deg
-    for i, a in enumerate(qp):
-        for j, b in enumerate(qm):
-            ab = a * b
-            prod[i + j] = ab if prod[i + j] is None else prod[i + j] + ab
-            if i != j:
-                w = ab * (j - i)
-                wr[i + j - 1] = w if wr[i + j - 1] is None else wr[i + j - 1] + w
+    for i, row in enumerate(ab):
+        for j, v in enumerate(row):
+            prod[i + j] = v if prod[i + j] is None else prod[i + j] + v
+
+    def t_part():
+        wr = {}
+        for i, row in enumerate(ab):
+            for j, v in enumerate(row):
+                if i != j:
+                    w = v * (j - i)
+                    e = i + j - 1
+                    wr[e] = wr[e] + w if e in wr else w
+        return wr
+
+    tw = times_t(t_part)
     for e in range(deg - 1, -1, -1):
         comp = prod[e] - const(lam[e])
-        if wr[e] is not None:
-            comp = comp + times_t(wr[e])
-        out.append(comp)
+        out.append(comp + tw[e] if e in tw else comp)
     return out
 
 
@@ -320,8 +334,11 @@ def evaluate_residual(p: CandidatePoint, spec: ProblemSpec) -> List[Series]:
 
     Series arithmetic embeds Scalars as exact constants on its own.
     """
+    def times_t(build):
+        return {e: s.shift(p.n_ram) for e, s in build().items()}
+
     return residual_components(p.x, p.y, spec, Series.one(p.top, p.n_ram),
-                               lambda s: s.shift(p.n_ram), lambda c: c)
+                               times_t, lambda c: c)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +362,7 @@ def jacobian_at_zero(sol, spec: ProblemSpec) -> List[List[Scalar]]:
 
     def f(u: List[Scalar]) -> List[Scalar]:
         return residual_components(u[:spec.m], u[spec.m:], spec, ONE,
-                                   lambda c: ZERO, lambda c: c)
+                                   lambda build: {}, lambda c: c)
 
     if not all(c.is_zero for c in f(base)):
         raise ValueError("point is not a solution of the infinite system")
@@ -376,7 +393,8 @@ def symbolic_support(spec: ProblemSpec):
     t = gens[dim]
     comps = residual_components(
         gens[:spec.m], gens[spec.m:dim], spec, SparsePoly.constant(ONE, dim + 1),
-        lambda p: p * t, lambda c: SparsePoly.constant(c, dim + 1))
+        lambda build: {e: p * t for e, p in build().items()},
+        lambda c: SparsePoly.constant(c, dim + 1))
     supports = []
     for comp in comps:
         lowest = {}  # x/y exponents -> (least t-degree, its coefficient)

@@ -278,7 +278,8 @@ def test_jacobian_is_linear_part_of_residual(spec):
              for i, v in enumerate(sol.x0 + sol.y0)]
         comps = residual_components(
             u[:spec.m], u[spec.m:], spec, SparsePoly.constant(ONE, dim),
-            lambda p: p * 0, lambda c: SparsePoly.constant(c, dim))
+            lambda build: {e: p * 0 for e, p in build().items()},
+            lambda c: SparsePoly.constant(c, dim))
         matrix = jacobian_at_zero(sol, spec)
         for row, comp in zip(matrix, comps):
             assert (0,) * dim not in comp.terms  # the base solves t = 0

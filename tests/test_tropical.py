@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import prevariety_reference
+from qqsystems import lp
 from qqsystems.scalar import Scalar, ONE
 from qqsystems.systems import MasterData, ProblemSpec, SpecValidationError
 from qqsystems.tropical import (TropicalSupport, TropicalPoint,
                                 hypersurface_contains, prevariety,
                                 exclusion_witness, check_theorem_hypothesis,
+                                lp_solve_obj, _Cell, _is_origin_cell,
                                 _pair_images)
 
 F = Fraction
@@ -218,6 +220,86 @@ def test_asymmetric_support_is_an_internal_error():
     s = support([((1, 0), 0), ((0, 0), 0)])
     with pytest.raises(RuntimeError):
         _pair_images(s, [(0, 1)], [(0, 1), (1, 0)])
+
+
+def _cell(eqs, ineqs):
+    """A _Cell from rows (c_1..c_dim, h): c.w = h and c.w <= h."""
+    cell = _Cell({}, {})
+    assert all(cell.add_equality(row) for row in eqs)
+    assert all(cell.add_inequality(row) for row in ineqs)
+    return cell
+
+
+def _decided_at_a_point(cell, dim):
+    """_is_origin_cell at the point prevariety's search would pass down."""
+    free, a_ub, b_ub = cell.on_free(dim)
+    p0 = (0,) * len(free)
+    if any(h < 0 for h in b_ub):
+        p0 = lp.feasible(a_ub, b_ub, dim=len(free))
+    return _is_origin_cell(cell, free, p0)
+
+
+def _per_coordinate(cell, dim):
+    """{0} iff every coordinate's min and max over the cell are 0."""
+    free, a_ub, b_ub = cell.on_free(dim)
+    for i in range(dim):
+        d, a, h = cell.coordinate(i, free)
+        if not any(a):
+            if h:
+                return False
+            continue
+        lo = lp_solve_obj([-v for v in a], a_ub, b_ub)
+        hi = lp_solve_obj(a, a_ub, b_ub)
+        if lo is None or hi is None or h + lo or h - hi:
+            return False
+    return True
+
+
+class TestLeafDecision:
+    """The leaf's one-LP decision against per-coordinate min/max."""
+
+    @pytest.mark.parametrize("dim, eqs, ineqs, origin_only", [
+        # w1, w2 >= 0, w1 + w2 <= 0, w1 <= w2: four rows tight at the
+        # origin against two free columns (a degenerate vertex)
+        (2, [], [(-1, 0, 0), (0, -1, 0), (1, 1, 0), (1, -1, 0), (1, 0, 5)],
+         True),
+        # the point (1, 1), fixed by inequalities on one free column
+        (2, [(1, -1, 0)], [(0, 1, 1), (0, -1, -1)], False),
+        # the point (2,), fixed by an equality: no free column
+        (1, [(1, 2)], [], False),
+        # the origin, fixed by equalities alone
+        (2, [(1, 1, 0), (1, -1, 0)], [], True),
+        # the segment w1 = w2 in [0, 1]: the origin is an endpoint
+        (2, [(1, -1, 0)], [(0, -1, 0), (0, 1, 1)], False),
+        # the segment w in [-1, 1]: no row is tight at the origin
+        (1, [], [(1, 1), (-1, 1)], False),
+        # the ray w1 >= 0, w2 = 0 cut by three rows of rank 2
+        (2, [], [(-1, 0, 0), (0, -1, 0), (0, 1, 0)], False),
+        # the line w1 = w2: its two rows have A_act d = 0 on d = (1, 1)
+        (2, [], [(1, -1, 0), (-1, 1, 0)], False),
+    ], ids=["degenerate-vertex", "nonzero-point", "fixed-nonzero-point",
+            "fixed-origin", "segment-from-origin", "segment-through-origin",
+            "ray", "line"])
+    def test_against_per_coordinate(self, dim, eqs, ineqs, origin_only):
+        cell = _cell(eqs, ineqs)
+        assert _per_coordinate(cell, dim) is origin_only
+        assert _decided_at_a_point(cell, dim) is origin_only
+
+    def test_one_lp_per_leaf(self, monkeypatch):
+        # qq (2,2) on shifts 1..4 makes 676 lp_solve calls: 487
+        # feasibility checks in the search and one cone LP at each of the
+        # 189 leaves.  Two LPs per coordinate at every leaf took 1,860.
+        calls = []
+        solve = lp.lp_solve
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(lp, "lp_solve", counted)
+        res = prevariety(qq_spec([(k, 1) for k in range(1, 5)], 2, 2))
+        assert res.cell_count == 2100 and res.is_origin_only
+        assert len(calls) < 1860
 
 
 class TestSizeCap:
