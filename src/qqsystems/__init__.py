@@ -11,7 +11,8 @@ from .systems import (MasterData, ProblemSpec, CandidatePoint,
 from .infinite import InfiniteSolution, enumerate_infinite_solutions
 from .lifting import (LiftedSolution, SingularJacobianError,
                       RamificationBoundExceededError, BranchExplosionError,
-                      lift_newton, lift_ramified, certify_residual_point)
+                      UndecidedConstraintsError, lift_newton, lift_ramified,
+                      certify_residual_point)
 from .lp import LPResult, lp_solve
 from .tropical import (TropicalSupport, TropicalPoint, PrevarietyResult,
                        hypersurface_contains, prevariety, exclusion_witness)
@@ -32,6 +33,7 @@ __all__ = [
     "InfiniteSolution", "enumerate_infinite_solutions",
     "LiftedSolution", "SingularJacobianError",
     "RamificationBoundExceededError", "BranchExplosionError",
+    "UndecidedConstraintsError",
     "lift_newton", "lift_ramified", "certify_residual_point",
     "LPResult", "lp_solve",
     "TropicalSupport", "TropicalPoint", "PrevarietyResult",

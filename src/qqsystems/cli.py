@@ -2,10 +2,11 @@
 
 Exit codes: 0 success; 2 spec validation failure (or an --out path that
 is no file in an existing directory, the tropical size cap exceeded, or
-a solve with |q| = 1); 3 ramification bound exceeded or branch explosion
-on some base; 4 a residual certificate failure or a Bethe residual
-valuation below its bound (solve), or a prevariety that is not exactly
-the origin (tropical).  Reports are deterministic JSON ("format": 3)
+a solve with |q| = 1); 3 ramification bound exceeded, branch explosion
+or constraints sympy cannot solve (undecided_constraints) on some base;
+4 a residual certificate failure or a Bethe residual valuation below its
+bound (solve), or a prevariety that is not exactly the origin
+(tropical).  Reports are deterministic JSON ("format": 3)
 with exact rational scalars throughout.
 """
 
@@ -23,7 +24,7 @@ from . import __version__
 from .bethe import bethe_report
 from .infinite import enumerate_infinite_solutions
 from .lifting import (BranchExplosionError, RamificationBoundExceededError,
-                      lift_newton, lift_ramified)
+                      UndecidedConstraintsError, lift_newton, lift_ramified)
 from .systems import ProblemSpec, SizeCapExceededError, SpecValidationError
 from .tropical import prevariety
 
@@ -93,7 +94,8 @@ def cmd_solve(args) -> int:
                 lifts = [lift_newton(base, spec)]
             else:
                 lifts = lift_ramified(base, spec)
-        except (RamificationBoundExceededError, BranchExplosionError) as exc:
+        except (RamificationBoundExceededError, BranchExplosionError,
+                UndecidedConstraintsError) as exc:
             report["failures"].append(
                 {"reason": exc.reason, "message": str(exc)})
             exit_code = max(exit_code, EXIT_RAMIFICATION)

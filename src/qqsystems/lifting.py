@@ -2,18 +2,21 @@
 
 Generic bases (invertible t=0 Jacobian) lift by exact Newton/Hensel
 iteration: each order solves J0 * c_k = -defect_k over Q(i).  Degenerate
-bases go through a ramification search: substitute t = s^N, carry the
-kernel directions of the singular Jacobian as symbolic parameters, and
-branch on the finitely many parameter values that keep the next orders
-consistent.  Every returned branch carries an exact residual-valuation
-certificate, which makes correctness independent of how the series was
-found.
+bases go through a ramification search: substitute t = s^N, carry each
+branch as one sympy correction jet per unknown whose coefficients hold
+the kernel directions of the singular Jacobian as symbolic parameters,
+and branch on the finitely many parameter values that keep the next
+orders consistent.  A finished branch is read out once, with its
+ramification normalised.  Every returned branch carries an exact
+residual-valuation certificate, which makes correctness independent of
+how the series was found.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .infinite import InfiniteSolution
@@ -34,6 +37,12 @@ class BranchExplosionError(RuntimeError):
     """The ramified search holds more than _MAX_BRANCHES open branches."""
 
     reason = "branch_explosion"
+
+
+class UndecidedConstraintsError(RuntimeError):
+    """sympy cannot solve a consistency constraint system of the search."""
+
+    reason = "undecided_constraints"
 
 
 # extra window (in s-exponents, per unit of N) used when certifying: the
@@ -158,17 +167,18 @@ def lift_ramified(sol: InfiniteSolution, spec: ProblemSpec
                   ) -> List[LiftedSolution]:
     """All certified branches over ramification indices 1..N_max.
 
-    N_max is spec.ramification_bound.  Branches found at a higher index
-    that only use exponents divisible by some factor are normalized down
-    and deduplicated, so each series solution appears once with its
-    minimal ramification.
+    N_max is spec.ramification_bound.  Each branch comes out of the search
+    with its minimal ramification, and a series found again at a higher
+    index is dropped, so each series solution appears once.
     """
     if sol.tier == "generic":
         return [lift_newton(sol, spec)]
     n_max = spec.ramification_bound
-    # [J0 | I] reduces to [R | L] with L * J0 = R, once for every N
-    reduced = rref([row + id_row for row, id_row in
-                    zip(jacobian_at_zero(sol, spec), _identity(spec.m + spec.n))])
+    # [J0 | I] reduces to [R | L] with L * J0 = R, in sympy once per base
+    red, pivots = rref([row + id_row for row, id_row in
+                        zip(jacobian_at_zero(sol, spec),
+                            _identity(spec.m + spec.n))])
+    reduced = ([[_scalar_to_sympy(e) for e in row] for row in red], pivots)
     found: List[LiftedSolution] = []
     seen_keys = set()
     dropped_outside_field = 0
@@ -176,7 +186,6 @@ def lift_ramified(sol: InfiniteSolution, spec: ProblemSpec
         points, dropped = _branch_search(sol, spec, reduced, n_ram)
         dropped_outside_field += dropped
         for point in points:
-            point = _reduce_ramification(point)
             key = _branch_key(point)
             if key in seen_keys:
                 continue
@@ -197,121 +206,76 @@ def lift_ramified(sol: InfiniteSolution, spec: ProblemSpec
         raise RamificationBoundExceededError(
             f"no branch certified for any ramification index <= {n_max}"
             + extra)
-    found.sort(key=_sort_key_lifted)
+    found.sort(key=lambda ls: (ls.n_ram, _coeff_keys(ls.point.x),
+                               _coeff_keys(ls.point.y)))
     return found
 
 
-def _sort_key_lifted(ls: LiftedSolution):
-    return (ls.n_ram,
-            tuple(tuple(c.sort_key() for c in s.coeffs) for s in ls.point.x),
-            tuple(tuple(c.sort_key() for c in s.coeffs) for s in ls.point.y))
+def _coeff_keys(series: Sequence[Series]):
+    return tuple(tuple(c.sort_key() for c in s.coeffs) for s in series)
 
 
 def _branch_key(point: CandidatePoint):
-    xkey = tuple(sorted((s.offset,) + tuple(c.sort_key() for c in s.coeffs)
-                        for s in point.x))
-    ykey = tuple(sorted((s.offset,) + tuple(c.sort_key() for c in s.coeffs)
-                        for s in point.y))
-    return (point.n_ram, xkey, ykey)
-
-
-def _reduce_ramification(point: CandidatePoint) -> CandidatePoint:
-    from math import gcd
-    n_ram = point.n_ram
-    g = n_ram
-    for s in point.x + point.y:
-        for i, c in enumerate(s.coeffs):
-            if not c.is_zero:
-                g = gcd(g, s.offset + i)
-    if g <= 1:
-        return point
-    new_n = n_ram // g
-    new_top = point.top // g
-
-    def reduce_series(s: Series) -> Series:
-        coeffs = [ZERO] * (new_top + 1)
-        for i, c in enumerate(s.coeffs):
-            e = s.offset + i
-            if not c.is_zero:
-                coeffs[e // g] = c
-        return Series(new_n, coeffs, 0)
-
-    return CandidatePoint(tuple(reduce_series(s) for s in point.x),
-                          tuple(reduce_series(s) for s in point.y))
+    """The same for branches that differ by an order of the x's or y's."""
+    return (point.n_ram, tuple(sorted(_coeff_keys(point.x))),
+            tuple(sorted(_coeff_keys(point.y))))
 
 
 def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
-                   reduced: Tuple[List[List[Scalar]], List[int]], n_ram: int
+                   reduced: Tuple[list, List[int]], n_ram: int
                    ) -> Tuple[List[CandidatePoint], int]:
     """Symbolic order-by-order search in s (t = s^N) with kernel branching.
 
-    `reduced` is rref of [J0 | I] for the singular t=0 Jacobian J0, with
-    its pivot columns; at every s-order the zero rows of the reduced
-    system give polynomial consistency constraints on the still-free
-    kernel parameters, whose finitely many exact solutions are branched
-    on.  Parameters that stay unconstrained through the final order are
-    pinned to zero.
+    A branch is one sympy correction jet per unknown, sum_{k>=1} c_k s^k,
+    whose coefficients may hold kernel parameters brk_{order}_{c}.
+    `reduced` is rref of [J0 | I] for the singular t=0 Jacobian J0, in
+    sympy, with its pivot columns.  At every s-order the rows whose pivot
+    lies in the L block give polynomial consistency constraints on the
+    parameters, whose finitely many exact solutions are branched on.
+    After the last order the parameters still free are pinned to zero
+    and each branch is read out with its ramification normalised: when
+    g = gcd(N, exponents of its nonzero coefficients) > 1 it is a series
+    in s^g with index N/g.  Branches with a coefficient outside Q(i) are
+    counted as dropped.
     """
     import sympy as sp
 
     dim = spec.m + spec.n
     k_s = spec.K * n_ram
     s = sp.Symbol("s")
-    base = [_scalar_to_sympy(v) for v in list(sol.x0) + list(sol.y0)]
-
+    t = s ** n_ram
+    base_scalars = list(sol.x0) + list(sol.y0)
+    base = [_scalar_to_sympy(v) for v in base_scalars]
+    red, pivots = reduced
     # a row whose pivot lies in the L block is a zero row of R and yields
     # consistency constraints
-    red, pivots = reduced
-    red = [[_scalar_to_sympy(e) for e in row] for row in red]
-    r_mat = [row[:dim] for row in red]
-    l_mat = [row[dim:] for row in red]
-    pivot_cols = [(i, c) for i, c in enumerate(pivots) if c < dim]
+    pivot_rows = [(i, c) for i, c in enumerate(pivots) if c < dim]
     zero_rows = [i for i, c in enumerate(pivots) if c >= dim]
     free_cols = [c for c in range(dim) if c not in pivots]
-    t = s ** n_ram
 
-    def residual_rows(coeff_table):
-        """Residual components in s and the kernel parameters."""
-        vals = []
-        for i in range(dim):
-            vals.append(base[i] + sp.Add(*[coeff_table[i][j] * s ** j
-                                           for j in range(1, k_s + 1)]))
-        return residual_components(vals[:spec.m], vals[spec.m:], spec,
-                                   sp.Integer(1),
-                                   lambda build: {k: e * t for k, e
-                                                  in build().items()},
-                                   _scalar_to_sympy)
-
-    def defect_at(coeff_table, order):
-        return [sp.expand(r).coeff(s, order) for r in residual_rows(coeff_table)]
-
-    # a branch: (coeff_table, free_params)
-    initial = ([[sp.Integer(0)] * (k_s + 1) for _ in range(dim)], [])
-    branches = [initial]
+    branches = [[sp.Integer(0)] * dim]
     for order in range(1, k_s + 1):
         next_branches = []
-        for coeff_table, params in branches:
-            defect = defect_at(coeff_table, order)
-            rhs = [sp.Add(*[-l * d for l, d in zip(row, defect)])
-                   for row in l_mat]
+        for jets in branches:
+            vals = [b + j for b, j in zip(base, jets)]
+            res = residual_components(vals[:spec.m], vals[spec.m:], spec,
+                                      sp.Integer(1),
+                                      lambda build: {k: e * t for k, e
+                                                     in build().items()},
+                                      _scalar_to_sympy)
+            defect = [sp.expand(r).coeff(s, order) for r in res]
+            rhs = [sp.Add(*[-l * d for l, d in zip(row[dim:], defect)])
+                   for row in red]
             for subs in _constraint_solutions([rhs[i] for i in zero_rows]):
-                table = [[sp.expand(e.subs(subs)) if subs else e
-                          for e in row] for row in coeff_table]
-                live = [p for p in params if p not in subs]
-                rhs_sub = [sp.expand(e.subs(subs)) if subs else e
-                           for e in rhs]
-                new_params = [sp.Symbol(f"brk_{order}_{c}") for c in free_cols]
-                corr = [sp.Integer(0)] * dim
-                for idx, c in enumerate(free_cols):
-                    corr[c] = new_params[idx]
-                for i, pc in pivot_cols:
-                    val = rhs_sub[i]
-                    for idx, c in enumerate(free_cols):
-                        val = val - r_mat[i][c] * new_params[idx]
+                params = [sp.Symbol(f"brk_{order}_{c}") for c in free_cols]
+                corr = dict(zip(free_cols, params))
+                for i, pc in pivot_rows:
+                    val = rhs[i].subs(subs)
+                    for p, c in zip(params, free_cols):
+                        val = val - red[i][c] * p
                     corr[pc] = sp.expand(val)
-                for i in range(dim):
-                    table[i][order] = corr[i]
-                next_branches.append((table, live + new_params))
+                next_branches.append([jet.subs(subs) + corr[i] * s ** order
+                                      for i, jet in enumerate(jets)])
         if len(next_branches) > _MAX_BRANCHES:
             raise BranchExplosionError(
                 f"{len(next_branches)} open branches at s-order {order} "
@@ -320,30 +284,22 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
         if not branches:
             break
 
-    base_scalars = list(sol.x0) + list(sol.y0)
     points = []
     dropped = 0
-    for coeff_table, params in branches:
-        pin = {p: sp.Integer(0) for p in params}
-        series_list = []
-        ok = True
-        for i in range(dim):
-            vals = [base_scalars[i]]
-            for j in range(1, k_s + 1):
-                e = sp.expand(coeff_table[i][j].subs(pin))
-                sc = _try_scalar(e)
-                if sc is None:
-                    ok = False
-                    break
-                vals.append(sc)
-            if not ok:
-                break
-            series_list.append(Series(n_ram, vals, 0))
-        if not ok:
+    for jets in branches:
+        pin = {p: 0 for jet in jets for p in jet.free_symbols if p != s}
+        jets = [sp.expand(jet.subs(pin)) for jet in jets]
+        rows = [[b] + [_try_scalar(jet.coeff(s, k))
+                       for k in range(1, k_s + 1)]
+                for b, jet in zip(base_scalars, jets)]
+        if any(c is None for row in rows for c in row):
             dropped += 1
             continue
-        points.append(CandidatePoint(tuple(series_list[:spec.m]),
-                                     tuple(series_list[spec.m:])))
+        g = gcd(n_ram, *(k for row in rows for k, c in enumerate(row)
+                         if not c.is_zero))
+        series = [Series(n_ram // g, row[::g]) for row in rows]
+        points.append(CandidatePoint(tuple(series[:spec.m]),
+                                     tuple(series[spec.m:])))
     return points, dropped
 
 
@@ -372,7 +328,8 @@ def _try_scalar(expr) -> Optional[Scalar]:
 def _constraint_solutions(constraints) -> List[dict]:
     """Exact solutions of the pending consistency constraints, as
     substitution dicts (one empty dict when nothing is constrained; none
-    when the constraints are inconsistent)."""
+    when the constraints are inconsistent).  UndecidedConstraintsError
+    when sympy cannot solve them."""
     import sympy as sp
     live = [sp.expand(c) for c in constraints]
     live = [c for c in live if c != 0]
@@ -384,7 +341,9 @@ def _constraint_solutions(constraints) -> List[dict]:
         return []  # nonzero constant constraint
     try:
         sols = sp.solve(live, involved, dict=True)
-    except NotImplementedError:
-        return []
+    except NotImplementedError as exc:
+        raise UndecidedConstraintsError(
+            f"sympy cannot solve {len(live)} consistency constraint(s) on "
+            + ", ".join(p.name for p in involved)) from exc
     return [{key: sp.expand(val) for key, val in sol_map.items()}
             for sol_map in sols]

@@ -6,14 +6,15 @@ hypersurface when the minimum is attained at least twice.  The
 prevariety of the system is enumerated as a finite union of polyhedral
 cells, one per choice of minimizing pair for every polynomial.  A cell
 is kept as primitive integer rows: its equalities in reduced echelon
-form, its inequalities on the free columns.  The search carries a point
-of each cell: the point with every free column 0 when the rows admit it,
-else a vertex from simplex feasibility.  A leaf whose point is the origin
-is {0} when the rows tight there have full rank and one LP finds their
-cone of feasible directions to be {0}.  On theorem instances every
-feasible cell is expected to collapse to the origin, and that one LP
-settles each of them; any other leaf is decided by per-coordinate
-min/max over the free columns.
+form, its inequalities on the free columns.  The search runs simplex
+feasibility on a cell only when the point with every free column 0
+fails one of its inequalities.  A leaf holds the origin exactly when
+every equality has h = 0 and every inequality h >= 0, and is {0} when
+the rows tight there have full rank and one LP finds their cone of
+feasible directions to be {0}.  On theorem instances every feasible cell
+is expected to collapse to the origin, and that one LP settles each of
+them; any other leaf is decided by per-coordinate min/max over the free
+columns.
 
 Every residual component is invariant under S_m x S_n, which permutes
 the x's among themselves and the y's among themselves, so the group maps
@@ -199,17 +200,19 @@ class _Cell:
         return e[i], [e[j] for j in free], e[-1]
 
 
-def _is_origin_cell(cell: _Cell, free, p0) -> bool:
-    """True iff the cell is exactly {0}; p0 is one of its points.
+def _is_origin_cell(cell: _Cell, free) -> bool:
+    """True iff the nonempty cell is exactly {0}.
 
-    p0 is given on the free columns.  Unless it is the origin, the cell
-    holds a nonzero point.  Otherwise the cell is {0} exactly when its
-    cone of feasible directions at 0, A_act d <= 0 over the rows A_act
-    tight there, is {0}: when those rows have rank len(free), so that
-    A_act d = 0 forces d = 0, and min sum(A_act d) subject to
-    A_act d <= 0 and -A_act d <= 1 is 0.
+    Unless every equality has h = 0 and every inequality h >= 0, the
+    origin is not in the cell, which then holds a nonzero point.
+    Otherwise the cell is {0} exactly when its cone of feasible
+    directions at 0, A_act d <= 0 over the rows A_act tight there, is
+    {0}: when those rows have rank len(free), so that A_act d = 0 forces
+    d = 0, and min sum(A_act d) subject to A_act d <= 0 and
+    -A_act d <= 1 is 0.
     """
-    if any(p0) or any(e[-1] for e in cell.eqs.values()):
+    if (any(e[-1] for e in cell.eqs.values())
+            or any(g[-1] < 0 for g in cell.ineqs)):
         return False
     tight = [g for g in cell.ineqs if not g[-1]]
     span = _Cell({}, {})  # the rank, by echelon form on the integer rows
@@ -280,11 +283,11 @@ def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult
     bounded = True
     witness: Optional[TropicalPoint] = None
 
-    def leaf(cell: _Cell, orbit_size: int, p0):
+    def leaf(cell: _Cell, orbit_size: int):
         nonlocal cell_count, origin_only, bounded, witness
         cell_count += orbit_size
         free, a_ub, b_ub = cell.on_free(dim)
-        if _is_origin_cell(cell, free, p0):
+        if _is_origin_cell(cell, free):
             return
         coords = [cell.coordinate(i, free) for i in range(dim)]
         # rows that hold a coordinate at a nonzero end of its range
@@ -322,11 +325,10 @@ def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult
                 if any(w):
                     witness = TropicalPoint(w)
 
-    def dfs(level, cell: _Cell, stab, p0):
-        # stab: the group elements that fix the chosen pairs so far;
-        # p0: a point of the cell, on its free columns
+    def dfs(level, cell: _Cell, stab):
+        # stab: the group elements that fix the chosen pairs so far
         if level == len(levels):
-            leaf(cell, len(group) // len(stab), p0)
+            leaf(cell, len(group) // len(stab))
             return
         for j, (eq, pair_ubs) in enumerate(levels[level]):
             # only the lexicographically least cell of each orbit: a
@@ -340,18 +342,15 @@ def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult
                 continue
             if not all(c.add_inequality(row) for row in pair_ubs):
                 continue
-            # the point with every free column 0 (the origin when every
-            # equality has h = 0) lies in the cell when every inequality
-            # has h >= 0; only otherwise does the simplex run
-            p = (0,) * (dim - len(c.eqs))
+            # the point with every free column 0 lies in the cell when
+            # every inequality has h >= 0; only otherwise runs the simplex
             if any(g[-1] < 0 for g in c.ineqs):
                 free, a_ub, b_ub = c.on_free(dim)
-                p = feasible(a_ub, b_ub, dim=len(free))
-                if p is None:
+                if feasible(a_ub, b_ub, dim=len(free)) is None:
                     continue
-            dfs(level + 1, c, [g for g in stab if img[g] == j], p)
+            dfs(level + 1, c, [g for g in stab if img[g] == j])
 
-    dfs(0, _Cell({}, {}), range(len(group)), (0,) * dim)
+    dfs(0, _Cell({}, {}), range(len(group)))
     if not cell_count:
         origin_only = False  # empty prevariety: the theorems expect {0}
     return PrevarietyResult(cell_count=cell_count, is_origin_only=origin_only,

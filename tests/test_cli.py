@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qqsystems import cli, lifting
 from qqsystems.cli import (main, EXIT_OK, EXIT_VALIDATION, EXIT_RAMIFICATION,
@@ -216,6 +218,83 @@ def test_branch_explosion_reported_per_base(tmp_path, capsys, monkeypatch):
     assert [f["reason"] for f in report["failures"]] == ["branch_explosion"] * 2
     assert [e["base"]["x0"] for e in report["bases"]] == [["1"], ["2"]]
     assert report["tropical"]["is_origin_only"]
+
+
+def test_undecided_constraints_reported(tmp_path, capsys, monkeypatch):
+    # a constraint system sympy cannot solve fails its base with its own
+    # reason instead of passing for "no branch"
+    import sympy
+
+    def undecided(*args, **kwargs):
+        raise NotImplementedError("no algorithm")
+
+    monkeypatch.setattr(sympy, "solve", undecided)
+    spec = write_spec(tmp_path, {"mode": "qq", "m": 1, "n": 1, "K": 4,
+                                 "lambda": _shifts(["1", 2])})
+    assert main(["solve", spec]) == EXIT_RAMIFICATION
+    report = json.loads(capsys.readouterr().out)
+    assert [f["reason"] for f in report["failures"]] == [
+        "undecided_constraints"]
+    assert [e["base"]["x0"] for e in report["bases"]] == [["1"]]
+    assert report["bases"][0]["lifts"] == []
+
+
+def _solve_report(spec_obj):
+    """Exit code and report of one `solve` run, without elapsed_seconds."""
+    with tempfile.TemporaryDirectory() as d:
+        spec, out = os.path.join(d, "spec.json"), os.path.join(d, "out.json")
+        Path(spec).write_text(json.dumps(spec_obj))
+        code = main(["solve", spec, "--out", out])
+        report = json.loads(Path(out).read_text())
+    report.pop("elapsed_seconds", None)
+    return code, report
+
+
+# nonzero small integers and Gaussian integers off the real line
+_SHIFTS = st.one_of(
+    st.integers(-4, 4).filter(bool).map(str),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2).filter(bool)).map(
+        lambda p: {"re": str(p[0]), "im": str(p[1])}))
+
+
+def _mode_and_q(draw):
+    if draw(st.sampled_from(["qq", "QQ"])) == "qq":
+        return {"mode": "qq"}
+    return {"mode": "QQ", "q": draw(st.sampled_from(["2", "3", "1/2"]))}
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_solve_report_ignores_shift_order(data):
+    """Distinct shifts, deg <= 4, K <= 3: the report depends on Lambda
+    alone, not on the order its shifts are listed in."""
+    shifts = data.draw(st.lists(_SHIFTS, min_size=1, max_size=4,
+                                unique_by=json.dumps))
+    m = data.draw(st.integers(0, len(shifts)))
+    spec = dict(_mode_and_q(data.draw), m=m, n=len(shifts) - m,
+                K=data.draw(st.integers(1, 3)))
+    listed = [[a, 1] for a in shifts]
+    permuted = data.draw(st.permutations(listed))
+    assert (_solve_report(dict(spec, **{"lambda": {"shifts": listed}}))
+            == _solve_report(dict(spec, **{"lambda": {"shifts": permuted}})))
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.data())
+def test_repeated_shift_solve_is_deterministic(data):
+    """One double shift, deg <= 3, K = 1: two runs of the ramified search
+    give the same report, and every lift it lists is certified."""
+    a, b = data.draw(st.lists(st.integers(-3, 3).filter(bool), min_size=2,
+                              max_size=2, unique=True))
+    shifts = [[str(a), 2]] + data.draw(st.sampled_from([[], [[str(b), 1]]]))
+    deg = sum(mult for _, mult in shifts)
+    m = data.draw(st.integers(0, deg))
+    spec = dict(_mode_and_q(data.draw), m=m, n=deg - m, K=1,
+                **{"lambda": {"shifts": shifts}})
+    first = _solve_report(spec)
+    assert _solve_report(spec) == first
+    assert all(lift["certified"] for entry in first[1]["bases"]
+               for lift in entry["lifts"])
 
 
 # Lambda = z + 1 with m = 1, n = 0: a single generic base and a single root

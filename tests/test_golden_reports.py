@@ -2,9 +2,10 @@
 
 Each case runs ``cli.main`` on a fixed spec and compares the sha256 of the
 exit code plus the report (without ``elapsed_seconds``, re-serialised in
-the CLI's own key order) with a digest recorded from the implementation
-over Fraction-pair scalars.  A change of arithmetic, lifting or reporting
-that moves any byte of these reports fails here.
+the CLI's own key order) with a digest recorded from an earlier
+implementation (over Fraction-pair scalars for all but the (z+1)^3
+case).  A change of arithmetic, lifting or reporting that moves any
+byte of these reports fails here.
 """
 
 import hashlib
@@ -44,6 +45,11 @@ CASES = {
         "solve", {"mode": "QQ", "q": "3", "lambda": _shifts(("1", 2)),
                   "m": 1, "n": 1, "K": 2},
         "44c4f0533d9aab68f54fae23225079b137544033af3d24b0788b4bf57a097450"),
+    # a ladder op with kernel dimension 2 and N up to 3: one branch
+    "qq (z+1)^3 m=2 n=1 K=1": (
+        "solve", {"mode": "qq", "lambda": _shifts(("1", 3)),
+                  "m": 2, "n": 1, "K": 1},
+        "1d67f3e152d6a0e95a4e6aaae4e9c81850634d8fd2f9bb2479cbd2bbd5cbb2f5"),
     "tropical qq (2,1)": (
         "tropical", {"mode": "qq",
                      "lambda": _shifts(("1", 1), ("2", 1), ("3", 1)),

@@ -231,12 +231,9 @@ def _cell(eqs, ineqs):
 
 
 def _decided_at_a_point(cell, dim):
-    """_is_origin_cell at the point prevariety's search would pass down."""
-    free, a_ub, b_ub = cell.on_free(dim)
-    p0 = (0,) * len(free)
-    if any(h < 0 for h in b_ub):
-        p0 = lp.feasible(a_ub, b_ub, dim=len(free))
-    return _is_origin_cell(cell, free, p0)
+    """_is_origin_cell on the cell's rows, as prevariety's leaf calls it."""
+    free, _, _ = cell.on_free(dim)
+    return _is_origin_cell(cell, free)
 
 
 def _per_coordinate(cell, dim):
