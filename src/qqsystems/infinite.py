@@ -10,7 +10,8 @@ downstream is genericity, which decides the lifting tier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from itertools import product
+from typing import List, Sequence, Tuple
 
 from .scalar import Scalar
 from .systems import ProblemSpec
@@ -46,21 +47,6 @@ def _canon(values: Sequence[Scalar]) -> Tuple[Scalar, ...]:
     return tuple(sorted(values, key=lambda v: v.sort_key()))
 
 
-def _sub_multisets(counts: List[Tuple[Scalar, int]], size: int
-                   ) -> Iterator[List[Scalar]]:
-    """All sub-multisets of the given size, by per-value count vectors."""
-    def rec(i: int, remaining: int, acc: List[Scalar]):
-        if remaining == 0:
-            yield list(acc)
-            return
-        if i == len(counts):
-            return
-        value, avail = counts[i]
-        for take in range(min(avail, remaining), -1, -1):
-            yield from rec(i + 1, remaining - take, acc + [value] * take)
-    yield from rec(0, size, [])
-
-
 def _make_solution(sub: Sequence[Scalar], rest: Sequence[Scalar],
                    spec: ProblemSpec, l: int, tier: str) -> InfiniteSolution:
     x0 = _canon([spec.q * a for a in sub] if spec.is_difference else sub)
@@ -78,14 +64,17 @@ def enumerate_infinite_solutions(spec: ProblemSpec) -> List[InfiniteSolution]:
     """
     if spec.m + spec.n != spec.lam.degree:
         raise ValueError("m + n must equal deg Lambda")
-    total = spec.lam.root_shift_multiset()
-    l = len(spec.lam.shifts)
+    shifts = spec.lam.shifts
+    l = len(shifts)
     tier = "generic" if l == spec.lam.degree else "degenerate"
     out = []
-    for sub in _sub_multisets(list(spec.lam.shifts), spec.m):
-        rest = list(total)
-        for v in sub:
-            rest.remove(v)
+    # takes[i]: how many copies of the i-th distinct shift go to the plus part
+    for takes in product(*(range(mult + 1) for _, mult in shifts)):
+        if sum(takes) != spec.m:
+            continue
+        sub = [v for (v, _), k in zip(shifts, takes) for _ in range(k)]
+        rest = [v for (v, mult), k in zip(shifts, takes)
+                for _ in range(mult - k)]
         out.append(_make_solution(sub, rest, spec, l, tier))
     out.sort(key=lambda s: tuple(v.sort_key() for v in s.x0))
     return out

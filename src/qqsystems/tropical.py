@@ -6,7 +6,10 @@ hypersurface when the minimum is attained at least twice.  The
 prevariety of the system is enumerated as a finite union of polyhedral
 cells, one per choice of minimizing pair for every polynomial.  A cell
 is kept as primitive integer rows: its equalities in reduced echelon
-form, its inequalities on the free columns.  The search runs simplex
+form, its inequalities on the free columns.  Pair (a, b) of a support
+asks R_a - R_b = 0 and R_a - R_c <= 0 for the other items c, where
+R = (u, -v); each DFS node reduces the next level's item rows once, and
+a pair's rows are their differences.  The search runs simplex
 feasibility on a cell only when the point with every free column 0
 fails one of its inequalities.  A leaf holds the origin exactly when
 every equality has h = 0 and every inequality h >= 0, and is {0} when
@@ -139,9 +142,10 @@ class _Cell:
     are in reduced echelon form, keyed by their pivot column: the pivot
     entry is positive and every other row is zero there.  The inequalities
     are zero in the pivot columns, so they live on the free columns, which
-    in increasing order are the LP variables.  Inequalities that reduce to
-    constants are checked on the spot, so LP is only ever needed for
-    genuinely underdetermined cells.
+    in increasing order are the LP variables.  An inequality must arrive
+    zero there (see reduced); add_equality clears its new pivot column
+    from those kept.  Inequalities that reduce to constants are checked
+    on the spot, so LP is only ever needed for underdetermined cells.
     """
 
     __slots__ = ("eqs", "ineqs")
@@ -153,14 +157,18 @@ class _Cell:
     def copy(self) -> "_Cell":
         return _Cell(dict(self.eqs), dict(self.ineqs))
 
-    def _reduced(self, row):
+    def reduced(self, rows):
+        """The rows zero in every pivot column: row -> p row - row[col] e
+        for each equality e with pivot entry p > 0, so all rows share one
+        positive factor and differences of rows reduce alike; no gcd."""
         for col, e in self.eqs.items():
-            row = _eliminate(row, e, col)
-        return row
+            p = e[col]
+            rows = [[p * a - r[col] * b for a, b in zip(r, e)] for r in rows]
+        return rows
 
     def add_equality(self, row) -> bool:
         """False on inconsistency (with the equalities or a constant ineq)."""
-        row = self._reduced(row)
+        row = self.reduced([row])[0]
         col = next((j for j, v in enumerate(row[:-1]) if v), None)
         if col is None:
             return row[-1] == 0
@@ -179,8 +187,7 @@ class _Cell:
         return True
 
     def add_inequality(self, row) -> bool:
-        """False when the inequality is constant-infeasible."""
-        row = self._reduced(row)
+        """False if constant-infeasible; row must be reduced already."""
         if not any(row[:-1]):
             return row[-1] >= 0
         self.ineqs[_primitive(row)] = None
@@ -228,16 +235,6 @@ def _is_origin_cell(cell: _Cell, free) -> bool:
                         [0] * len(a_act) + [1] * len(a_act)) == 0
 
 
-def _pair_constraints(s: TropicalSupport, a: int, b: int):
-    """val_a(w) = val_b(w) <= val_c(w) for the other items c, as int rows."""
-    ua, va, _ = s.items[a]
-    ub, vb, _ = s.items[b]
-    eq = tuple(i - j for i, j in zip(ua, ub)) + (vb - va,)
-    ubs = [tuple(i - j for i, j in zip(ua, uc)) + (vc - va,)
-           for c, (uc, vc, _) in enumerate(s.items) if c not in (a, b)]
-    return eq, ubs
-
-
 def _pair_images(s: TropicalSupport, pairs, group):
     """images[j][g]: the index of the pair that group[g] maps pairs[j] to.
 
@@ -263,13 +260,12 @@ def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult
     if theorem_mode:
         check_theorem_hypothesis(spec)
     dim = spec.m + spec.n
-    # smallest supports first for maximal pruning; each level's pair
-    # constraints are built once, in the order the cells are visited
+    # smallest supports first for maximal pruning; each level keeps its
+    # items as rows R = (u, -v), and its pairs in the order visited
     supports = sorted(symbolic_support(spec), key=lambda s: len(s.items))
+    items = [[u + (-v,) for u, v, _ in s.items] for s in supports]
     pairs = [[(a, b) for a in range(len(s.items))
               for b in range(a + 1, len(s.items))] for s in supports]
-    levels = [[_pair_constraints(s, a, b) for a, b in ps]
-              for s, ps in zip(supports, pairs)]
     # S_m x S_n permutes the x's among themselves and the y's among
     # themselves; every support is invariant under it, so it permutes each
     # level's pairs and maps cells onto cells
@@ -289,13 +285,13 @@ def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult
         free, a_ub, b_ub = cell.on_free(dim)
         if _is_origin_cell(cell, free):
             return
+        origin_only = False  # exact on a nonempty cell: it holds w != 0
         coords = [cell.coordinate(i, free) for i in range(dim)]
         # rows that hold a coordinate at a nonzero end of its range
         pins_a, pins_b = [], []
         for d, a, h in coords:
             if not any(a):
                 if h:  # w_i = h/d on the whole cell: its pin is 0 <= 0
-                    origin_only = False
                     pins_a.append(a)
                     pins_b.append(0)
                 continue
@@ -305,16 +301,13 @@ def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult
             hi = lp_solve_obj(a, a_ub, b_ub)
             if lo is None or hi is None:
                 bounded = False
-                origin_only = False
                 # w_i >= 1 when unbounded above, else w_i <= -1
                 pins_a.append(a if hi is None else neg)
                 pins_b.append(h - d if hi is None else -d - h)
             elif lo < -h:
-                origin_only = False
                 pins_a.append(neg)
                 pins_b.append(lo)
             elif hi < h:
-                origin_only = False
                 pins_a.append(a)
                 pins_b.append(hi)
         if witness is None and pins_a:
@@ -327,20 +320,25 @@ def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult
 
     def dfs(level, cell: _Cell, stab):
         # stab: the group elements that fix the chosen pairs so far
-        if level == len(levels):
+        if level == len(supports):
             leaf(cell, len(group) // len(stab))
             return
-        for j, (eq, pair_ubs) in enumerate(levels[level]):
+        item = items[level]
+        rows = cell.reduced(item)
+        for j, (a, b) in enumerate(pairs[level]):
             # only the lexicographically least cell of each orbit: a
             # symmetry of the prefix that maps pair j lower leads to a
             # smaller cell of the same orbit
             img = images[level][j]
             if any(img[g] < j for g in stab):
                 continue
+            # R_a - R_c <= 0 for the other items c, each already reduced,
+            # before R_a - R_b = 0, which clears its pivot from all of them
             c = cell.copy()
-            if not c.add_equality(eq):
+            if not all(c.add_inequality([x - y for x, y in zip(rows[a], r)])
+                       for k, r in enumerate(rows) if k != a and k != b):
                 continue
-            if not all(c.add_inequality(row) for row in pair_ubs):
+            if not c.add_equality([x - y for x, y in zip(item[a], item[b])]):
                 continue
             # the point with every free column 0 lies in the cell when
             # every inequality has h >= 0; only otherwise runs the simplex

@@ -12,7 +12,7 @@ from qqsystems.tropical import (TropicalSupport, TropicalPoint,
                                 hypersurface_contains, prevariety,
                                 exclusion_witness, check_theorem_hypothesis,
                                 lp_solve_obj, _Cell, _is_origin_cell,
-                                _pair_images)
+                                _pair_images, _primitive)
 
 F = Fraction
 
@@ -226,8 +226,45 @@ def _cell(eqs, ineqs):
     """A _Cell from rows (c_1..c_dim, h): c.w = h and c.w <= h."""
     cell = _Cell({}, {})
     assert all(cell.add_equality(row) for row in eqs)
-    assert all(cell.add_inequality(row) for row in ineqs)
+    assert all(cell.add_inequality(row) for row in cell.reduced(ineqs))
     return cell
+
+
+def _int_rows(dim, min_size, max_size):
+    return st.lists(st.lists(st.integers(-3, 3), min_size=dim + 1,
+                             max_size=dim + 1),
+                    min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def _cells_and_items(draw):
+    """A cell of random equalities, the ones it took, item rows, weights."""
+    dim = draw(st.integers(1, 4))
+    cell = _Cell({}, {})
+    # an inconsistent equality is refused and leaves the cell unchanged
+    taken = [e for e in draw(_int_rows(dim, 0, dim)) if cell.add_equality(e)]
+    items = draw(_int_rows(dim, 2, 5))
+    weights = draw(st.lists(st.integers(-4, 4), min_size=len(taken),
+                            max_size=len(taken)))
+    return cell, taken, items, weights
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cells_and_items())
+def test_item_reduction(case):
+    # prevariety reduces each item row once per cell and builds every
+    # pair's rows from differences of the results
+    cell, taken, items, weights = case
+    red = cell.reduced(items)
+    assert all(r[col] == 0 for r in red for col in cell.eqs)
+    for i, ri in enumerate(items):
+        for j, rj in enumerate(items):
+            diff = [a - b for a, b in zip(ri, rj)]
+            assert _primitive([a - b for a, b in zip(red[i], red[j])]) == \
+                _primitive(cell.reduced([diff])[0])
+    span = [sum(w * e[k] for w, e in zip(weights, taken))
+            for k in range(len(items[0]))]
+    assert not any(cell.reduced([span])[0])
 
 
 def _decided_at_a_point(cell, dim):
