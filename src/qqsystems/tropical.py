@@ -9,15 +9,24 @@ is kept as primitive integer rows: its equalities in reduced echelon
 form, its inequalities on the free columns.  Pair (a, b) of a support
 asks R_a - R_b = 0 and R_a - R_c <= 0 for the other items c, where
 R = (u, -v); each DFS node reduces the next level's item rows once, and
-a pair's rows are their differences.  The search runs simplex
-feasibility on a cell only when the point with every free column 0
-fails one of its inequalities.  A leaf holds the origin exactly when
-every equality has h = 0 and every inequality h >= 0, and is {0} when
-the rows tight there have full rank and one LP finds their cone of
-feasible directions to be {0}.  On theorem instances every feasible cell
-is expected to collapse to the origin, and that one LP settles each of
-them; any other leaf is decided by per-coordinate min/max over the free
-columns.
+builds for each item a its least cell, the node's cell with
+R_a - R_c <= 0 for every c != a.  Pair (a, b)'s cell is a's least cell
+with R_a = R_b added, which turns R_a - R_b <= 0 into 0 <= 0, so it has
+the pair's own rows in the pair's own order.  It lies in the least cells
+of both a and b, so a pair is tried only when both are nonempty; an item
+whose least cell is empty is refuted once, not once per pair.  The
+search runs simplex feasibility on a cell only when the point with every
+free column 0 fails one of its inequalities.  A cell holds the origin
+exactly when every equality has h = 0 and every inequality h >= 0, and
+is {0} when the rows tight there have full rank and one LP finds their
+cone of feasible directions to be {0}.  Every node below the first level
+takes this test.  Below a {0} cell every cell is {0} or empty, and a
+pair's cell is {0} exactly when both of its items have the least
+valuation of their support, so the subtree's leaves number the product
+of C(k_s, 2) over the remaining supports s, k_s counting those items:
+they are counted without a visit.  On theorem instances every feasible
+cell is expected to collapse to the origin; any other leaf is decided by
+per-coordinate min/max over the free columns.
 
 Every residual component is invariant under S_m x S_n, which permutes
 the x's among themselves and the y's among themselves, so the group maps
@@ -26,7 +35,12 @@ whether they hold nonzero points.  The enumeration visits only the
 lexicographically least cell of each orbit and adds its orbit size to
 cell_count, which still counts every cell.  The first cell in visiting
 order that yields a witness is the least of its orbit, so the witness is
-the one a visit of every cell would find.
+the one a visit of every cell would find.  A {0} subtree under the
+canonical prefix P adds |G| / |Stab(P)| times its number of leaves: its
+leaves fall into Stab(P)-orbits, and a visit would reach the least leaf L
+of each with weight |G| / |Stab(L)|, where the orbit has
+|Stab(P)| / |Stab(L)| leaves.  Such a subtree yields no witness and
+keeps every cell bounded, so closing it changes no field of the result.
 """
 
 from __future__ import annotations
@@ -34,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import comb, gcd
 from typing import List, Optional, Tuple
 
 from . import lp
@@ -235,6 +249,22 @@ def _is_origin_cell(cell: _Cell, free) -> bool:
                         [0] * len(a_act) + [1] * len(a_act)) == 0
 
 
+def _least_cell(cell: _Cell, rows, a: int) -> Optional[_Cell]:
+    """The cell with R_a - R_c <= 0 for every other item c: item a least.
+
+    rows are a level's item rows reduced against cell.  None when one of
+    the new rows is a constant that fails; the cell may still be empty.
+    Pair (a, b)'s cell is this one with the equality R_a = R_b, which
+    reduces R_a - R_b <= 0 to 0 <= 0 and drops it, so its rows, and their
+    order, are those of the pair's own R_a - R_c <= 0, then R_a = R_b.
+    """
+    c = cell.copy()
+    if all(c.add_inequality([x - y for x, y in zip(rows[a], r)])
+           for k, r in enumerate(rows) if k != a):
+        return c
+    return None
+
+
 def _pair_images(s: TropicalSupport, pairs, group):
     """images[j][g]: the index of the pair that group[g] maps pairs[j] to.
 
@@ -255,7 +285,15 @@ def _pair_images(s: TropicalSupport, pairs, group):
 
 
 def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult:
-    """Enumerate the prevariety cells and decide whether their union is {0}."""
+    """Enumerate the prevariety cells and decide whether their union is {0}.
+
+    A depth-first search picks one pair per support, smallest supports
+    first, and visits one cell per S_m x S_n orbit.  At each node, each
+    item's least cell is built and decided once, and a pair is tried only
+    when both of its items' least cells are nonempty.  A node whose cell
+    is {0} adds |G| / |Stab(P)| * tail[level] to cell_count and stops,
+    tail[level] being its number of leaves (see the module docstring).
+    """
     from .systems import symbolic_support
     if theorem_mode:
         check_theorem_hypothesis(spec)
@@ -274,18 +312,31 @@ def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult
              for ys in permutations(range(spec.n))]
     images = [_pair_images(s, ps, group) for s, ps in zip(supports, pairs)]
 
+    # below a {0} cell a pair's cell is {0} when both of its items have
+    # the least valuation of their support, and empty otherwise: tail[l]
+    # counts the leaves under a {0} cell at level l
+    tail = [1]
+    for s in reversed(supports):
+        vals = [v for _, v, _ in s.items]
+        tail.insert(0, tail[0] * comb(vals.count(min(vals)), 2))
+
     cell_count = 0
     origin_only = True
     bounded = True
     witness: Optional[TropicalPoint] = None
 
-    def leaf(cell: _Cell, orbit_size: int):
-        nonlocal cell_count, origin_only, bounded, witness
-        cell_count += orbit_size
+    def nonempty(cell: _Cell) -> bool:
+        # the point with every free column 0 lies in the cell when every
+        # inequality has h >= 0; only otherwise runs the simplex
+        if all(g[-1] >= 0 for g in cell.ineqs):
+            return True
         free, a_ub, b_ub = cell.on_free(dim)
-        if _is_origin_cell(cell, free):
-            return
-        origin_only = False  # exact on a nonempty cell: it holds w != 0
+        return feasible(a_ub, b_ub, dim=len(free)) is not None
+
+    def leaf(cell: _Cell):
+        nonlocal origin_only, bounded, witness
+        origin_only = False  # exact on a nonempty cell that is not {0}
+        free, a_ub, b_ub = cell.on_free(dim)
         coords = [cell.coordinate(i, free) for i in range(dim)]
         # rows that hold a coordinate at a nonzero end of its range
         pins_a, pins_b = [], []
@@ -320,33 +371,37 @@ def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult
 
     def dfs(level, cell: _Cell, stab):
         # stab: the group elements that fix the chosen pairs so far
+        nonlocal cell_count
+        orbit_size = len(group) // len(stab)
+        if level and _is_origin_cell(cell, cell.on_free(dim)[0]):
+            cell_count += orbit_size * tail[level]
+            return
         if level == len(supports):
-            leaf(cell, len(group) // len(stab))
+            cell_count += orbit_size
+            leaf(cell)
             return
         item = items[level]
+        # only the lexicographically least cell of each orbit: a symmetry
+        # of the prefix that maps pair j lower leads to a smaller cell of
+        # the same orbit
+        live = [j for j, img in enumerate(images[level])
+                if not any(img[g] < j for g in stab)]
+        # least[a]: the cell on which item a is least, or None when it is
+        # empty; every pair's cell lies in both of its items' least cells
         rows = cell.reduced(item)
-        for j, (a, b) in enumerate(pairs[level]):
-            # only the lexicographically least cell of each orbit: a
-            # symmetry of the prefix that maps pair j lower leads to a
-            # smaller cell of the same orbit
-            img = images[level][j]
-            if any(img[g] < j for g in stab):
+        least = {}
+        for a in sorted({x for j in live for x in pairs[level][j]}):
+            c = _least_cell(cell, rows, a)
+            least[a] = c if c is not None and nonempty(c) else None
+        for j in live:
+            a, b = pairs[level][j]
+            if least[a] is None or least[b] is None:
                 continue
-            # R_a - R_c <= 0 for the other items c, each already reduced,
-            # before R_a - R_b = 0, which clears its pivot from all of them
-            c = cell.copy()
-            if not all(c.add_inequality([x - y for x, y in zip(rows[a], r)])
-                       for k, r in enumerate(rows) if k != a and k != b):
-                continue
-            if not c.add_equality([x - y for x, y in zip(item[a], item[b])]):
-                continue
-            # the point with every free column 0 lies in the cell when
-            # every inequality has h >= 0; only otherwise runs the simplex
-            if any(g[-1] < 0 for g in c.ineqs):
-                free, a_ub, b_ub = c.on_free(dim)
-                if feasible(a_ub, b_ub, dim=len(free)) is None:
-                    continue
-            dfs(level + 1, c, [g for g in stab if img[g] == j])
+            c = least[a].copy()
+            if (c.add_equality([x - y for x, y in zip(item[a], item[b])])
+                    and nonempty(c)):
+                img = images[level][j]
+                dfs(level + 1, c, [g for g in stab if img[g] == j])
 
     dfs(0, _Cell({}, {}), range(len(group)))
     if not cell_count:

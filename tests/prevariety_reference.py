@@ -7,9 +7,10 @@ stores a point w0 and a basis of Fraction columns, and rewrites every
 inequality in the free parameters; the free parameters are the same
 coordinates, in the same order, as the integer cell's free columns.  This
 one decides every cell by per-coordinate min/max LPs; ``qqsystems.tropical``
-skips those on cells it proves to be {0}, which yield no witness.  Both walk
-the cells in the same order and hand the same witness LPs (up to positive
-row multiples) to ``qqsystems.lp`` on the cells they share, so they must
+skips those on cells it proves to be {0}, which yield no witness, and counts
+the cells below a {0} cell without visiting them.  Both walk the cells in
+the same order and hand the same witness LPs (up to positive row
+multiples) to ``qqsystems.lp`` on the cells they share, so they must
 return equal ``PrevarietyResult``s: the first cell that yields a witness is
 the least of its orbit, so both find the same one.  The tests in
 ``test_tropical.py`` hold the orbit enumeration to this one.

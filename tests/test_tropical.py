@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 import prevariety_reference
 from qqsystems import lp
 from qqsystems.scalar import Scalar, ONE
-from qqsystems.systems import MasterData, ProblemSpec, SpecValidationError
+from qqsystems.systems import (MasterData, ProblemSpec, SpecValidationError,
+                               symbolic_support)
 from qqsystems.tropical import (TropicalSupport, TropicalPoint,
                                 hypersurface_contains, prevariety,
                                 exclusion_witness, check_theorem_hypothesis,
                                 lp_solve_obj, _Cell, _is_origin_cell,
-                                _pair_images, _primitive)
+                                _least_cell, _pair_images, _primitive)
 
 F = Fraction
 
@@ -116,6 +118,25 @@ class TestPrevariety:
         assert res.cell_count == 2100
         assert res.is_origin_only
         assert res.witness is None
+
+    @pytest.mark.parametrize("mode, m, n, cells", [
+        ("qq", 2, 2, 2100), ("QQ", 2, 2, 2100), ("qq", 3, 1, 2100),
+        ("QQ", 3, 1, 2100), ("qq", 1, 3, 2100), ("QQ", 1, 3, 2100),
+        ("QQ", 3, 2, 680625)])
+    def test_origin_only_count_from_the_supports(self, mode, m, n, cells):
+        # every cell of a {0} prevariety is {0}, and at w = 0 a pair is
+        # minimising exactly when both of its items have the least
+        # valuation of their support: so the cells number prod C(k_s, 2)
+        # over the supports s, k_s counting those items
+        spec = mode_spec(mode, [(k, 1) for k in range(1, m + n + 1)], m, n)
+        count = 1
+        for s in symbolic_support(spec):
+            vals = [v for _, v, _ in s.items]
+            count *= comb(vals.count(min(vals)), 2)
+        assert count == cells
+        res = prevariety(spec)
+        assert res.is_origin_only
+        assert res.cell_count == count
 
     def test_permutation_invariance(self):
         # same shifts, m and n swapped: same verdict and cell count
@@ -267,8 +288,34 @@ def test_item_reduction(case):
     assert not any(cell.reduced([span])[0])
 
 
+@settings(max_examples=200, deadline=None)
+@given(_cells_and_items())
+def test_pair_cell_from_least_cell(case):
+    # prevariety builds pair (a, b)'s cell as item a's least cell plus
+    # R_a = R_b; it must equal the pair's R_a - R_c <= 0 for c not in
+    # {a, b}, then R_a = R_b, row for row and in the same order
+    cell, _, items, _ = case
+    rows = cell.reduced(items)
+    for a in range(len(items)):
+        for b in range(a + 1, len(items)):
+            eq = [x - y for x, y in zip(items[a], items[b])]
+            new = _least_cell(cell, rows, a)
+            if new is not None and not new.add_equality(eq):
+                new = None
+            old = cell.copy()
+            if not (all(old.add_inequality([x - y for x, y in zip(rows[a], r)])
+                        for k, r in enumerate(rows) if k not in (a, b))
+                    and old.add_equality(eq)):
+                old = None
+            if old is None or new is None:
+                assert old is new
+            else:
+                assert list(new.eqs.items()) == list(old.eqs.items())
+                assert list(new.ineqs) == list(old.ineqs)
+
+
 def _decided_at_a_point(cell, dim):
-    """_is_origin_cell on the cell's rows, as prevariety's leaf calls it."""
+    """_is_origin_cell on the cell's rows, as prevariety's search calls it."""
     free, _, _ = cell.on_free(dim)
     return _is_origin_cell(cell, free)
 
@@ -290,7 +337,7 @@ def _per_coordinate(cell, dim):
 
 
 class TestLeafDecision:
-    """The leaf's one-LP decision against per-coordinate min/max."""
+    """The one-LP {0} decision against per-coordinate min/max."""
 
     @pytest.mark.parametrize("dim, eqs, ineqs, origin_only", [
         # w1, w2 >= 0, w1 + w2 <= 0, w1 <= w2: four rows tight at the
@@ -320,9 +367,11 @@ class TestLeafDecision:
         assert _decided_at_a_point(cell, dim) is origin_only
 
     def test_one_lp_per_leaf(self, monkeypatch):
-        # qq (2,2) on shifts 1..4 makes 676 lp_solve calls: 487
-        # feasibility checks in the search and one cone LP at each of the
-        # 189 leaves.  Two LPs per coordinate at every leaf took 1,860.
+        # qq (2,2) on shifts 1..4 makes 400 lp_solve calls: 352
+        # feasibility checks of least and pair cells in the search, and 48
+        # cone LPs among the 103 nodes tested for {0}, 58 of which close
+        # their subtree.  A cone LP at each of 189 leaves took 676, and two
+        # LPs per coordinate at every leaf took 1,860.
         calls = []
         solve = lp.lp_solve
 
@@ -333,7 +382,7 @@ class TestLeafDecision:
         monkeypatch.setattr(lp, "lp_solve", counted)
         res = prevariety(qq_spec([(k, 1) for k in range(1, 5)], 2, 2))
         assert res.cell_count == 2100 and res.is_origin_only
-        assert len(calls) < 1860
+        assert len(calls) < 450
 
 
 class TestSizeCap:
