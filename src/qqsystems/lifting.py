@@ -6,10 +6,11 @@ bases go through a ramification search: substitute t = s^N, carry each
 branch as one sympy correction jet per unknown whose coefficients hold
 the kernel directions of the singular Jacobian as symbolic parameters,
 and branch on the finitely many parameter values that keep the next
-orders consistent.  A finished branch is read out once, with its
-ramification normalised.  Every returned branch carries an exact
-residual-valuation certificate, which makes correctness independent of
-how the series was found.
+orders consistent.  Each distinct constraint system is solved once per
+base, and one whose Groebner basis is [1] is closed without sympy.solve.
+A finished branch is read out once, with its ramification normalised.
+Every returned branch carries an exact residual-valuation certificate,
+which makes correctness independent of how the series was found.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .infinite import InfiniteSolution
 from .linalg import SingularJacobianError, rref, solve_unique
@@ -40,7 +41,8 @@ class BranchExplosionError(RuntimeError):
 
 
 class UndecidedConstraintsError(RuntimeError):
-    """sympy cannot solve a consistency constraint system of the search."""
+    """sympy can neither solve a consistency constraint system of the
+    search nor prove it empty."""
 
     reason = "undecided_constraints"
 
@@ -182,8 +184,9 @@ def lift_ramified(sol: InfiniteSolution, spec: ProblemSpec
     found: List[LiftedSolution] = []
     seen_keys = set()
     dropped_outside_field = 0
+    solved: Dict[tuple, List[dict]] = {}
     for n_ram in range(1, n_max + 1):
-        points, dropped = _branch_search(sol, spec, reduced, n_ram)
+        points, dropped = _branch_search(sol, spec, reduced, n_ram, solved)
         dropped_outside_field += dropped
         for point in points:
             key = _branch_key(point)
@@ -222,7 +225,8 @@ def _branch_key(point: CandidatePoint):
 
 
 def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
-                   reduced: Tuple[list, List[int]], n_ram: int
+                   reduced: Tuple[list, List[int]], n_ram: int,
+                   solved: Dict[tuple, List[dict]]
                    ) -> Tuple[List[CandidatePoint], int]:
     """Symbolic order-by-order search in s (t = s^N) with kernel branching.
 
@@ -232,6 +236,10 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
     sympy, with its pivot columns.  At every s-order the rows whose pivot
     lies in the L block give polynomial consistency constraints on the
     parameters, whose finitely many exact solutions are branched on.
+    `solved` is the base's table of constraint systems already solved:
+    sibling branches, and the same order at another N, often meet the
+    same system again.  A system whose Groebner basis is [1] has no
+    solution and closes its branch without sympy.solve.
     After the last order the parameters still free are pinned to zero
     and each branch is read out with its ramification normalised: when
     g = gcd(N, exponents of its nonzero coefficients) > 1 it is a series
@@ -266,7 +274,8 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
             defect = [sp.expand(r).coeff(s, order) for r in res]
             rhs = [sp.Add(*[-l * d for l, d in zip(row[dim:], defect)])
                    for row in red]
-            for subs in _constraint_solutions([rhs[i] for i in zero_rows]):
+            for subs in _constraint_solutions([rhs[i] for i in zero_rows],
+                                              solved):
                 params = [sp.Symbol(f"brk_{order}_{c}") for c in free_cols]
                 corr = dict(zip(free_cols, params))
                 for i, pc in pivot_rows:
@@ -325,14 +334,20 @@ def _try_scalar(expr) -> Optional[Scalar]:
     return Scalar(Fraction(re_q.p, re_q.q), Fraction(im_q.p, im_q.q))
 
 
-def _constraint_solutions(constraints) -> List[dict]:
+def _constraint_solutions(constraints, solved: Dict[tuple, List[dict]]
+                          ) -> List[dict]:
     """Exact solutions of the pending consistency constraints, as
     substitution dicts (one empty dict when nothing is constrained; none
-    when the constraints are inconsistent).  UndecidedConstraintsError
-    when sympy cannot solve them."""
+    when the constraints are inconsistent).  A system found in `solved`
+    is not solved again.  A Groebner basis [1] proves the system empty
+    over C (Nullstellensatz) before sympy.solve is tried.
+    UndecidedConstraintsError when sympy can neither solve the system nor
+    prove it empty."""
     import sympy as sp
-    live = [sp.expand(c) for c in constraints]
-    live = [c for c in live if c != 0]
+    from sympy.polys.polyerrors import BasePolynomialError
+    live = tuple(c for c in map(sp.expand, constraints) if c != 0)
+    if live in solved:
+        return solved[live]
     if not live:
         return [{}]
     involved = sorted({p for c in live for p in c.free_symbols},
@@ -340,10 +355,16 @@ def _constraint_solutions(constraints) -> List[dict]:
     if not involved:
         return []  # nonzero constant constraint
     try:
-        sols = sp.solve(live, involved, dict=True)
+        empty = sp.groebner(live, *involved, order="grevlex",
+                            extension=True).exprs == [1]
+    except (BasePolynomialError, NotImplementedError):
+        empty = False
+    try:
+        sols = [] if empty else sp.solve(list(live), involved, dict=True)
     except NotImplementedError as exc:
         raise UndecidedConstraintsError(
             f"sympy cannot solve {len(live)} consistency constraint(s) on "
             + ", ".join(p.name for p in involved)) from exc
-    return [{key: sp.expand(val) for key, val in sol_map.items()}
-            for sol_map in sols]
+    solved[live] = [{key: sp.expand(val) for key, val in sol_map.items()}
+                    for sol_map in sols]
+    return solved[live]

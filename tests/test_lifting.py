@@ -8,9 +8,11 @@ from qqsystems.scalar import Scalar, ZERO, ONE
 from qqsystems.series import Series
 from qqsystems.systems import MasterData, ProblemSpec, CandidatePoint
 from qqsystems.infinite import enumerate_infinite_solutions
+from qqsystems import lifting
 from qqsystems.lifting import (lift_newton, lift_ramified,
                                certify_residual_point, SingularJacobianError,
-                               LiftedSolution)
+                               LiftedSolution, UndecidedConstraintsError,
+                               _constraint_solutions)
 
 
 def master(*shifts):
@@ -188,6 +190,71 @@ class TestRamified:
         with pytest.raises(RamificationBoundExceededError) as e:
             lift_ramified(base, spec)
         assert "outside the Gaussian rationals" in str(e.value)
+
+
+class TestConstraintSolutions:
+    @pytest.mark.parametrize("exc", [AssertionError, NotImplementedError])
+    def test_empty_system_closed_without_solve(self, monkeypatch, exc):
+        # p*q = 1 and p = 0 have no common zero: the basis is [1], so
+        # sympy.solve is never asked, and a solve that would give up
+        # does not make the empty system undecided
+        import sympy
+        p, q = sympy.symbols("p q")
+
+        def refuse(*args, **kwargs):
+            raise exc("sympy.solve reached")
+
+        monkeypatch.setattr(sympy, "solve", refuse)
+        assert _constraint_solutions([p * q - 1, p], {}) == []
+        if exc is NotImplementedError:
+            with pytest.raises(UndecidedConstraintsError):
+                _constraint_solutions([p * q - 1], {})
+
+    def test_each_system_solved_once_per_base(self, monkeypatch):
+        import sympy
+        spec = qq_spec([(1, 3)], 2, 1, K=1)
+        base = enumerate_infinite_solutions(spec)[0]
+        plain = [b.to_json() for b in lift_ramified(base, spec)]
+        inputs = []
+        solve = sympy.solve
+
+        def recording(*args, **kwargs):
+            inputs.append(sympy.srepr(args) + repr(sorted(kwargs.items())))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(sympy, "solve", recording)
+        assert [b.to_json() for b in lift_ramified(base, spec)] == plain
+        assert inputs
+        assert len(set(inputs)) == len(inputs)
+
+    @pytest.mark.parametrize("shifts,K", [([(1, 3)], 1),
+                                          ([(1, 2), (7, 1)], 3)])
+    def test_unit_basis_exactly_when_solve_finds_nothing(self, monkeypatch,
+                                                         shifts, K):
+        # an independent check of the emptiness shortcut on every system
+        # the search meets: sympy.solve on the system itself agrees
+        import sympy
+        spec = qq_spec(shifts, 2, 1, K=K)
+        systems = set()
+        inner = lifting._constraint_solutions
+
+        def recording(constraints, solved):
+            live = tuple(c for c in map(sympy.expand, constraints) if c != 0)
+            if any(c.free_symbols for c in live):
+                systems.add(live)
+            return inner(constraints, solved)
+
+        monkeypatch.setattr(lifting, "_constraint_solutions", recording)
+        for base in enumerate_infinite_solutions(spec):
+            lift_ramified(base, spec)
+        assert systems
+        for live in systems:
+            involved = sorted(set().union(*(c.free_symbols for c in live)),
+                              key=lambda p: p.name)
+            basis = sympy.groebner(live, *involved, order="grevlex",
+                                   extension=True)
+            sols = sympy.solve(list(live), involved, dict=True)
+            assert (basis.exprs == [1]) == (sols == []), live
 
 
 class TestNumericOracle:
