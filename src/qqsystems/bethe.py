@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .lifting import LiftedSolution
-from .scalar import Scalar, ZERO, ONE
+from .scalar import Scalar, ONE
 from .series import Series
 from .systems import ProblemSpec
 
@@ -187,24 +187,19 @@ def xxz_residual(ls: LiftedSolution, spec: ProblemSpec) -> List[Series]:
     work_top = ls.order + WORK_GUARD * n_ram
     xs = [s.widen(work_top) for s in ls.point.x]
     roots = [-s for s in xs]
-    lam = spec.lam.coeffs
+    lam = spec.lam.root_shift_multiset()
 
-    def eval_poly_at(coeffs, val: Series) -> Series:
-        acc = Series.const(coeffs[-1], val.top, val.n_ram)
-        for c in reversed(coeffs[:-1]):
-            acc = acc * val + c
-        return acc
-
-    def qplus_at(val: Series) -> Series:
-        acc = Series.one(val.top, val.n_ram)
-        for x in xs:
-            acc = acc * (val + x)
+    def product_at(val: Series, shifts) -> Series:
+        """prod (val + a) over the shifts: Q+ over the xs, Lambda over lam."""
+        acc = val + shifts[0]
+        for a in shifts[1:]:
+            acc = acc * (val + a)
         return acc
 
     out = []
     for w in roots:
-        term1 = qplus_at(w * q) * eval_poly_at(lam, w * qinv)
-        term2 = qplus_at(w * qinv) * eval_poly_at(lam, w)
+        term1 = product_at(w * q, xs) * product_at(w * qinv, lam)
+        term2 = product_at(w * qinv, xs) * product_at(w, lam)
         out.append(term1 + term2.shift(n_ram))
     return out
 

@@ -2,8 +2,9 @@
 
 Generic bases (invertible t=0 Jacobian) lift by exact Newton/Hensel
 iteration: each order solves J0 * c_k = -defect_k over Q(i).  Degenerate
-bases go through a ramification search: substitute t = s^N, carry each
-branch as one sympy correction jet per unknown whose coefficients hold
+bases go through a ramification search: expand the residual once in
+(delta, t) at the base, substitute t = s^N, carry each branch as one
+sympy correction jet per unknown (the delta) whose coefficients hold
 the kernel directions of the singular Jacobian as symbolic parameters,
 and branch on the finitely many parameter values that keep the next
 orders consistent.  Each distinct constraint system is solved once per
@@ -25,7 +26,7 @@ from .linalg import SingularJacobianError, rref, solve_unique
 from .scalar import Scalar, ZERO, ONE
 from .series import Series
 from .systems import (CandidatePoint, ProblemSpec, evaluate_residual,
-                      jacobian_at_zero, residual_components)
+                      expanded_residual, jacobian_at_zero)
 
 
 class RamificationBoundExceededError(RuntimeError):
@@ -73,11 +74,20 @@ class LiftedSolution:
     def certified(self) -> bool:
         return self.residual_valuation >= Fraction(self.order + 1, self.n_ram)
 
+    @staticmethod
+    def of(point: CandidatePoint, base: InfiniteSolution, spec: ProblemSpec
+           ) -> "LiftedSolution":
+        """The point with its residual certificate and, in difference mode,
+        alpha = 1/(q^m - t q^n) through the point's window."""
+        top, n_ram = point.top, point.n_ram
+        alpha = (Series.const(spec.q ** spec.m, top, n_ram)
+                 - Series.const(spec.q ** spec.n, top, n_ram).shift(n_ram)
+                 ).reciprocal() if spec.is_difference else None
+        return LiftedSolution(point, base, alpha,
+                              certify_residual_point(point, spec))
+
     def truncate(self, new_top: int, spec: ProblemSpec) -> "LiftedSolution":
-        pt = self.point.truncate(new_top)
-        alpha = _alpha_series(spec, new_top, self.n_ram)
-        return LiftedSolution(point=pt, base=self.base, alpha=alpha,
-                              residual_valuation=certify_residual_point(pt, spec))
+        return LiftedSolution.of(self.point.truncate(new_top), self.base, spec)
 
     def to_json(self):
         return {"N": self.n_ram, "order": self.order,
@@ -86,15 +96,6 @@ class LiftedSolution:
                 "alpha": self.alpha.to_json() if self.alpha else None,
                 "residual_valuation": str(self.residual_valuation),
                 "base": self.base.to_json()}
-
-
-def _alpha_series(spec: ProblemSpec, top: int, n_ram: int) -> Optional[Series]:
-    if not spec.is_difference:
-        return None
-    qm = spec.q ** spec.m
-    qn = spec.q ** spec.n
-    denom = Series.const(qm, top, n_ram) - Series.const(qn, top, n_ram).shift(n_ram)
-    return denom.reciprocal()
 
 
 def certify_residual_point(point: CandidatePoint, spec: ProblemSpec) -> Fraction:
@@ -107,15 +108,10 @@ def certify_residual_point(point: CandidatePoint, spec: ProblemSpec) -> Fraction
     """
     n_ram = point.n_ram
     eval_top = point.top + CERTIFY_GUARD * n_ram
-    res = evaluate_residual(point.widen(eval_top), spec)
-    best: Optional[Fraction] = None
-    for comp in res:
-        v = comp.valuation()
-        if v is not None and (best is None or v < best):
-            best = v
-    if best is None:
-        return Fraction(eval_top + 1, n_ram)
-    return best
+    vals = [comp.valuation()
+            for comp in evaluate_residual(point.widen(eval_top), spec)]
+    return min((v for v in vals if v is not None),
+               default=Fraction(eval_top + 1, n_ram))
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +144,7 @@ def lift_newton(sol: InfiniteSolution, spec: ProblemSpec) -> LiftedSolution:
             continue
         for i, row in enumerate(inverse):
             coeffs[i][k] = -sum((a * d for a, d in zip(row, defect)), ZERO)
-    point = point_through(K)
-    return LiftedSolution(point=point, base=sol,
-                          alpha=_alpha_series(spec, K, 1),
-                          residual_valuation=certify_residual_point(point, spec))
+    return LiftedSolution.of(point_through(K), sol, spec)
 
 
 def _identity(dim: int) -> List[List[Scalar]]:
@@ -181,21 +174,21 @@ def lift_ramified(sol: InfiniteSolution, spec: ProblemSpec
                         zip(jacobian_at_zero(sol, spec),
                             _identity(spec.m + spec.n))])
     reduced = ([[_scalar_to_sympy(e) for e in row] for row in red], pivots)
+    residual = [[(mono, _scalar_to_sympy(c)) for mono, c in comp.terms.items()]
+                for comp in expanded_residual(spec, sol.x0 + sol.y0)]
     found: List[LiftedSolution] = []
     seen_keys = set()
     dropped_outside_field = 0
     solved: Dict[tuple, List[dict]] = {}
     for n_ram in range(1, n_max + 1):
-        points, dropped = _branch_search(sol, spec, reduced, n_ram, solved)
+        points, dropped = _branch_search(sol, spec, reduced, residual, n_ram,
+                                         solved)
         dropped_outside_field += dropped
         for point in points:
             key = _branch_key(point)
             if key in seen_keys:
                 continue
-            lifted = LiftedSolution(
-                point=point, base=sol,
-                alpha=_alpha_series(spec, point.top, point.n_ram),
-                residual_valuation=certify_residual_point(point, spec))
+            lifted = LiftedSolution.of(point, sol, spec)
             if not lifted.certified():
                 continue
             seen_keys.add(key)
@@ -225,17 +218,20 @@ def _branch_key(point: CandidatePoint):
 
 
 def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
-                   reduced: Tuple[list, List[int]], n_ram: int,
-                   solved: Dict[tuple, List[dict]]
+                   reduced: Tuple[list, List[int]], residual: List[list],
+                   n_ram: int, solved: Dict[tuple, List[dict]]
                    ) -> Tuple[List[CandidatePoint], int]:
     """Symbolic order-by-order search in s (t = s^N) with kernel branching.
 
-    A branch is one sympy correction jet per unknown, sum_{k>=1} c_k s^k,
-    whose coefficients may hold kernel parameters brk_{order}_{c}.
-    `reduced` is rref of [J0 | I] for the singular t=0 Jacobian J0, in
-    sympy, with its pivot columns.  At every s-order the rows whose pivot
-    lies in the L block give polynomial consistency constraints on the
-    parameters, whose finitely many exact solutions are branched on.
+    A branch is one correction jet per unknown, the list [0, c_1, c_2, ...]
+    of its s-coefficients in sympy, which may hold kernel parameters
+    brk_{order}_{c}.  `reduced` is rref of [J0 | I] for the singular t=0
+    Jacobian J0, in sympy, with its pivot columns, and `residual` the
+    sympy terms of expanded_residual at the base.  At every s-order the
+    residual at delta = the jets, t = s^N gives the defect, multiplied
+    out only through that order, and the rows whose pivot lies in the L
+    block give polynomial consistency constraints on the parameters,
+    whose finitely many exact solutions are branched on.
     `solved` is the base's table of constraint systems already solved:
     sibling branches, and the same order at another N, often meet the
     same system again.  A system whose Groebner basis is [1] has no
@@ -250,10 +246,7 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
 
     dim = spec.m + spec.n
     k_s = spec.K * n_ram
-    s = sp.Symbol("s")
-    t = s ** n_ram
     base_scalars = list(sol.x0) + list(sol.y0)
-    base = [_scalar_to_sympy(v) for v in base_scalars]
     red, pivots = reduced
     # a row whose pivot lies in the L block is a zero row of R and yields
     # consistency constraints
@@ -261,17 +254,24 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
     zero_rows = [i for i, c in enumerate(pivots) if c >= dim]
     free_cols = [c for c in range(dim) if c not in pivots]
 
-    branches = [[sp.Integer(0)] * dim]
+    def coeff_of_product(jets, powers, deg):
+        """The s^deg coefficient of prod jets[i]^powers[i]; zip stops at
+        the jets, so a residual term's exponents serve as the powers."""
+        acc = [sp.Integer(1)] + [sp.Integer(0)] * deg
+        for jet in [j for j, a in zip(jets, powers) for _ in range(a)]:
+            acc = [sp.Add(*[acc[k - e] * c for e, c in enumerate(jet[:k + 1])])
+                   for k in range(deg + 1)]
+        return acc[deg]
+
+    branches = [[[sp.Integer(0)]] * dim]
     for order in range(1, k_s + 1):
         next_branches = []
         for jets in branches:
-            vals = [b + j for b, j in zip(base, jets)]
-            res = residual_components(vals[:spec.m], vals[spec.m:], spec,
-                                      sp.Integer(1),
-                                      lambda build: {k: e * t for k, e
-                                                     in build().items()},
-                                      _scalar_to_sympy)
-            defect = [sp.expand(r).coeff(s, order) for r in res]
+            # a term c delta^a t^j reads s^(order - N j) of delta^a
+            defect = [sp.expand(sp.Add(*[
+                c * coeff_of_product(jets, u, order - n_ram * u[dim])
+                for u, c in comp if n_ram * u[dim] <= order]))
+                for comp in residual]
             rhs = [sp.Add(*[-l * d for l, d in zip(row[dim:], defect)])
                    for row in red]
             for subs in _constraint_solutions([rhs[i] for i in zero_rows],
@@ -283,7 +283,7 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
                     for p, c in zip(params, free_cols):
                         val = val - red[i][c] * p
                     corr[pc] = sp.expand(val)
-                next_branches.append([jet.subs(subs) + corr[i] * s ** order
+                next_branches.append([[v.subs(subs) for v in jet] + [corr[i]]
                                       for i, jet in enumerate(jets)])
         if len(next_branches) > _MAX_BRANCHES:
             raise BranchExplosionError(
@@ -296,10 +296,8 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
     points = []
     dropped = 0
     for jets in branches:
-        pin = {p: 0 for jet in jets for p in jet.free_symbols if p != s}
-        jets = [sp.expand(jet.subs(pin)) for jet in jets]
-        rows = [[b] + [_try_scalar(jet.coeff(s, k))
-                       for k in range(1, k_s + 1)]
+        pin = {p: 0 for jet in jets for c in jet for p in c.free_symbols}
+        rows = [[b] + [_try_scalar(sp.expand(c.subs(pin))) for c in jet[1:]]
                 for b, jet in zip(base_scalars, jets)]
         if any(c is None for row in rows for c in row):
             dropped += 1
@@ -314,10 +312,7 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
 
 def _scalar_to_sympy(c: Scalar):
     import sympy as sp
-    v = sp.Rational(c.re.numerator, c.re.denominator)
-    if c.im != 0:
-        v = v + sp.I * sp.Rational(c.im.numerator, c.im.denominator)
-    return v
+    return sp.Rational(c.re) + sp.I * sp.Rational(c.im)
 
 
 def _try_scalar(expr) -> Optional[Scalar]:

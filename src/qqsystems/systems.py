@@ -14,14 +14,14 @@ The clearing factor q^m - t q^n is a unit at t = 0, so vanishing orders
 are unchanged.
 
 residual_components writes these components out once, over any
-commutative ring, and every exact consumer evaluates it in its own ring:
+commutative ring that takes Scalars and ints as constants; three are used:
 
 * Series jets in s with t = s^N (evaluate_residual): lifting and the
   residual certificate;
-* SparsePoly in (x, y, t) (symbolic_support): the supports read by the
-  tropical engine;
-* symbolic expressions in lifting's ramified branch search, whose
-  kernel parameters are free symbols;
+* SparsePoly in (delta, t) with the unknowns at a point plus delta
+  (expanded_residual): read at the origin for the tropical supports
+  (symbolic_support), and at a degenerate base, once, for lifting's
+  ramified branch search, which substitutes its sympy jets into it;
 * Scalars at t = 0 (jacobian_at_zero): the base check and the t = 0
   Jacobian J0 that lifting inverts or row-reduces.
 
@@ -56,12 +56,12 @@ def _integer(value, name: str) -> int:
 # problem data
 
 
-def _monic_from_shifts(shifts: Sequence, one) -> List:
-    """z-coefficients (lowest first) of prod (z + s) over the shifts."""
-    p = [one]
+def _monic_from_shifts(shifts: Sequence) -> List:
+    """z-coefficients (lowest first) of prod (z + s), below its leading 1."""
+    p: List = []
     for sh in shifts:
-        p = [p[0] * sh] + [p[k - 1] + p[k] * sh for k in range(1, len(p))] \
-            + [one]
+        p = ([p[0] * sh] + [p[k - 1] + p[k] * sh for k in range(1, len(p))]
+             + [p[-1] + sh]) if p else [sh]
     return p
 
 
@@ -102,7 +102,7 @@ class MasterData:
     @cached_property
     def coeffs(self) -> Tuple[Scalar, ...]:
         """z-coefficients of Lambda, lowest degree first."""
-        return tuple(_monic_from_shifts(self.root_shift_multiset(), ONE))
+        return tuple(_monic_from_shifts(self.root_shift_multiset())) + (ONE,)
 
     def d(self, k: int) -> Scalar:
         """Coefficient of z^{deg-k} in Lambda; d(0) = 1."""
@@ -275,36 +275,37 @@ class CandidatePoint:
 
 
 def residual_components(xs: Sequence, ys: Sequence, spec: ProblemSpec, one,
-                        times_t: Callable, const: Callable) -> List:
+                        times_t: Callable) -> List:
     """Components f_1..f_{m+n}: the z^{m+n-k} coefficients of the residual.
 
-    xs and ys are elements of a commutative ring with +, -, * and integer
-    scaling; one is its one, and const embeds a Scalar as something the
-    ring's operations accept.  The part of the residual that carries t is
-    handed over unbuilt: times_t(build) returns t times build(), a dict
-    from z-exponent to ring element, as a dict with the same keys, so a
-    ring at t = 0 can return {} without building it.
+    xs and ys are elements of a commutative ring with +, -, * that takes
+    Scalars and ints as constants; one is its one.  The part of the
+    residual that carries t is handed over unbuilt: times_t(build)
+    returns t times build(), a dict from z-exponent to ring element, as a
+    dict with the same keys, so a ring at t = 0 can return {} without
+    building it.
     """
     deg = spec.lam.degree
     lam = spec.lam.coeffs
     out = []
     if spec.is_difference:
-        qinv = const(ONE / spec.q)
-        qm, qn = const(spec.q ** spec.m), const(spec.q ** spec.n)
+        qinv = ONE / spec.q
+        qm, qn = spec.q ** spec.m, spec.q ** spec.n
 
         def t_part():
-            b = _monic_from_shifts(list(xs) + [y * qinv for y in ys], one)
-            return {e: (b[e] - const(lam[e])) * qn for e in range(deg)}
+            b = _monic_from_shifts(list(xs) + [y * qinv for y in ys])
+            return {e: (b[e] - lam[e]) * qn for e in range(deg)}
 
-        a = _monic_from_shifts([x * qinv for x in xs] + list(ys), one)
+        a = _monic_from_shifts([x * qinv for x in xs] + list(ys))
         tb = times_t(t_part)
         for e in range(deg - 1, -1, -1):
-            comp = (a[e] - const(lam[e])) * qm
+            comp = (a[e] - lam[e]) * qm
             out.append(comp - tb[e] if e in tb else comp)
         return out
-    qp = _monic_from_shifts(xs, one)
-    qm = _monic_from_shifts(ys, one)
-    ab = [[a * b for b in qm] for a in qp]
+    qp = _monic_from_shifts(xs)
+    qm = _monic_from_shifts(ys)
+    # the leading 1s of q+ and q- enter the table without a product
+    ab = [[a * b for b in qm] + [a] for a in qp] + [qm + [one]]
     # a_i z^i times b_j z^j adds a_i b_j to z^{i+j} of q+ q- and
     # (j - i) a_i b_j to z^{i+j-1} of W(q+, q-) = q+ q-' - q- q+'
     prod: List = [None] * (deg + 1)
@@ -324,21 +325,28 @@ def residual_components(xs: Sequence, ys: Sequence, spec: ProblemSpec, one,
 
     tw = times_t(t_part)
     for e in range(deg - 1, -1, -1):
-        comp = prod[e] - const(lam[e])
+        comp = prod[e] - lam[e]
         out.append(comp + tw[e] if e in tw else comp)
     return out
 
 
 def evaluate_residual(p: CandidatePoint, spec: ProblemSpec) -> List[Series]:
-    """Residual components at a jet point; t = s^N is a shift by N.
+    """Residual components at a jet point; t = s^N is a shift by N."""
+    return residual_components(
+        p.x, p.y, spec, Series.one(p.top, p.n_ram),
+        lambda build: {e: s.shift(p.n_ram) for e, s in build().items()})
 
-    Series arithmetic embeds Scalars as exact constants on its own.
-    """
-    def times_t(build):
-        return {e: s.shift(p.n_ram) for e, s in build().items()}
 
-    return residual_components(p.x, p.y, spec, Series.one(p.top, p.n_ram),
-                               times_t, lambda c: c)
+def expanded_residual(spec: ProblemSpec, at: Sequence[Scalar]
+                      ) -> List[SparsePoly]:
+    """Residual components expanded exactly as SparsePoly in
+    (delta_1..delta_{m+n}, t), with the unknowns set to at + delta."""
+    dim = spec.m + spec.n
+    gens = [SparsePoly.variable(i, dim + 1) for i in range(dim + 1)]
+    u = [g + a for g, a in zip(gens, at)]
+    return residual_components(
+        u[:spec.m], u[spec.m:], spec, SparsePoly.constant(ONE, dim + 1),
+        lambda build: {e: p * gens[dim] for e, p in build().items()})
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +370,7 @@ def jacobian_at_zero(sol, spec: ProblemSpec) -> List[List[Scalar]]:
 
     def f(u: List[Scalar]) -> List[Scalar]:
         return residual_components(u[:spec.m], u[spec.m:], spec, ONE,
-                                   lambda build: {}, lambda c: c)
+                                   lambda build: {})
 
     if not all(c.is_zero for c in f(base)):
         raise ValueError("point is not a solution of the infinite system")
@@ -380,8 +388,8 @@ def symbolic_support(spec: ProblemSpec):
 
     Returns one TropicalSupport per component k = 1..m+n: the exponent
     vectors in (x_1..x_m, y_1..y_n) with the t-valuation and exact value
-    of each monomial's coefficient.  The components are expanded exactly
-    as SparsePoly in (x, y, t), so cancelling monomials drop out.
+    of each monomial's coefficient, read from expanded_residual at the
+    origin, where cancelling monomials have dropped out.
     """
     from .tropical import TropicalSupport
 
@@ -389,14 +397,8 @@ def symbolic_support(spec: ProblemSpec):
     if dim > spec.size_cap:
         raise SizeCapExceededError(
             f"m + n = {dim} exceeds the symbolic size cap {spec.size_cap}")
-    gens = [SparsePoly.variable(i, dim + 1) for i in range(dim + 1)]
-    t = gens[dim]
-    comps = residual_components(
-        gens[:spec.m], gens[spec.m:dim], spec, SparsePoly.constant(ONE, dim + 1),
-        lambda build: {e: p * t for e, p in build().items()},
-        lambda c: SparsePoly.constant(c, dim + 1))
     supports = []
-    for comp in comps:
+    for comp in expanded_residual(spec, [ZERO] * dim):
         lowest = {}  # x/y exponents -> (least t-degree, its coefficient)
         for mono, c in comp.terms.items():
             u, tdeg = mono[:dim], mono[dim]

@@ -172,6 +172,33 @@ class TestRamified:
         leads = sorted(str(b.point.x[0].coeff(1)) for b in branches)
         assert any("i" in lead for lead in leads)
 
+    def test_residual_expanded_once_per_base(self, monkeypatch):
+        # the search reads one expansion at the base for every N and order;
+        # the residual builder only ever sees Series, SparsePoly or Scalars
+        import sympy
+        from qqsystems import systems
+        residual_components = systems.residual_components
+        expansions, rings = [], set()
+
+        def expand(spec, at):
+            expansions.append(at)
+            return systems.expanded_residual(spec, at)
+
+        def components(xs, ys, *args):
+            values = list(xs) + list(ys)
+            assert not any(isinstance(v, sympy.Basic) for v in values)
+            rings.update(type(v).__name__ for v in values)
+            return residual_components(xs, ys, *args)
+
+        monkeypatch.setattr(lifting, "expanded_residual", expand)
+        monkeypatch.setattr(systems, "residual_components", components)
+        spec = qq_spec([(1, 2), (2, 1)], 2, 1, K=2)
+        base = [s for s in enumerate_infinite_solutions(spec)
+                if [str(v) for v in s.x0] == ["1", "1"]][0]
+        assert lift_ramified(base, spec)
+        assert expansions == [base.x0 + base.y0]
+        assert rings == {"Series", "SparsePoly", "Scalar"}
+
     def test_generic_base_delegates_to_newton(self):
         spec = qq_spec([(1, 1), (2, 1)], 1, 1, K=4)
         base = enumerate_infinite_solutions(spec)[0]

@@ -11,8 +11,8 @@ from qqsystems.scalar import Scalar, ZERO, ONE
 from qqsystems.series import Series
 from qqsystems.systems import (MasterData, ProblemSpec, CandidatePoint,
                                SpecValidationError, evaluate_residual,
-                               jacobian_at_zero, residual_components,
-                               symbolic_support)
+                               expanded_residual, jacobian_at_zero,
+                               residual_components, symbolic_support)
 from qqsystems.infinite import enumerate_infinite_solutions
 
 
@@ -278,10 +278,32 @@ def test_jacobian_is_linear_part_of_residual(spec):
              for i, v in enumerate(sol.x0 + sol.y0)]
         comps = residual_components(
             u[:spec.m], u[spec.m:], spec, SparsePoly.constant(ONE, dim),
-            lambda build: {e: p * 0 for e, p in build().items()},
-            lambda c: SparsePoly.constant(c, dim))
+            lambda build: {e: p * 0 for e, p in build().items()})
         matrix = jacobian_at_zero(sol, spec)
         for row, comp in zip(matrix, comps):
             assert (0,) * dim not in comp.terms  # the base solves t = 0
             assert [comp.terms.get(_unit(j, dim), ZERO) for j in range(dim)] \
                 == row
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_specs(), st.data())
+def test_expanded_residual_evaluates_to_residual(spec, data):
+    """expanded_residual at a point `at`, evaluated at (delta, t0), is
+    residual_components over Scalars at at + delta with t = t0."""
+    dim = spec.m + spec.n
+    at = data.draw(st.lists(SHIFTS, min_size=dim, max_size=dim))
+    delta = data.draw(st.lists(SHIFTS, min_size=dim, max_size=dim))
+    t0 = data.draw(SHIFTS)
+    point = list(delta) + [t0]
+    u = [a + d for a, d in zip(at, delta)]
+    expected = residual_components(
+        u[:spec.m], u[spec.m:], spec, ONE,
+        lambda build: {e: v * t0 for e, v in build().items()})
+    for comp, want in zip(expanded_residual(spec, at), expected, strict=True):
+        value = ZERO
+        for mono, c in comp.terms.items():
+            for v, k in zip(point, mono):
+                c = c * v ** k
+            value = value + c
+        assert value == want
