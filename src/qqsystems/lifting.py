@@ -1,7 +1,9 @@
 """Order-by-order lifting of infinite-system solutions.
 
 Generic bases (invertible t=0 Jacobian) lift by exact Newton/Hensel
-iteration: each order solves J0 * c_k = -defect_k over Q(i).  Degenerate
+iteration: each order solves J0 * c_k = -defect_k over Q(i), and reads
+defect_k from the online residual, built once per base, which computes
+one new coefficient per intermediate series at each order.  Degenerate
 bases go through a ramification search: expand the residual once in
 (delta, t) at the base, substitute t = s^N, carry each branch as one
 sympy correction jet per unknown (the delta) whose coefficients hold
@@ -24,9 +26,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .infinite import InfiniteSolution
 from .linalg import SingularJacobianError, rref, solve_unique
 from .scalar import Scalar, ZERO, ONE
-from .series import Series
+from .series import OnlineSeries, Series
 from .systems import (CandidatePoint, ProblemSpec, evaluate_residual,
-                      expanded_residual, jacobian_at_zero)
+                      expanded_residual, jacobian_at_zero, online_residual)
 
 
 class RamificationBoundExceededError(RuntimeError):
@@ -122,29 +124,28 @@ def lift_newton(sol: InfiniteSolution, spec: ProblemSpec) -> LiftedSolution:
     """Unique order-K lift of a generic base (N = 1).
 
     J0 is inverted once (SingularJacobianError at a degenerate base), and
-    order k sets c_k = -J0^-1 defect_k.  The order-k residual coefficient
-    reads only coefficients of order <= k, so step k evaluates the
-    residual of the jet truncated at k.
+    order k sets c_k = -J0^-1 defect_k.  The residual is built once over
+    online series whose leaves read the coefficient table.  The order-k
+    residual coefficient reads only coefficients of order <= k, so read
+    with c_k = 0 it is defect_k; once c_k is set, what was computed from
+    c_k = 0 is dropped and computed again at the next order.
     """
     dim = spec.m + spec.n
     inverse = solve_unique(jacobian_at_zero(sol, spec), _identity(dim))
     K = spec.K
     coeffs = [[v] + [ZERO] * K for v in list(sol.x0) + list(sol.y0)]
-
-    def point_through(top: int) -> CandidatePoint:
-        xs = tuple(Series(1, coeffs[i][:top + 1]) for i in range(spec.m))
-        ys = tuple(Series(1, coeffs[spec.m + j][:top + 1])
-                   for j in range(spec.n))
-        return CandidatePoint(xs, ys)
-
+    unknowns = OnlineSeries.leaves(coeffs)
+    residual = online_residual(unknowns, spec)
     for k in range(1, K + 1):
-        res = evaluate_residual(point_through(k), spec)
-        defect = [comp.coeff(k) for comp in res]
+        defect = [comp.coeff(k) for comp in residual]
         if all(d.is_zero for d in defect):
             continue
         for i, row in enumerate(inverse):
             coeffs[i][k] = -sum((a * d for a, d in zip(row, defect)), ZERO)
-    return LiftedSolution.of(point_through(K), sol, spec)
+        unknowns[0].forget_from(k)  # the leaves share one family
+    jets = [Series(1, row) for row in coeffs]
+    point = CandidatePoint(tuple(jets[:spec.m]), tuple(jets[spec.m:]))
+    return LiftedSolution.of(point, sol, spec)
 
 
 def _identity(dim: int) -> List[List[Scalar]]:

@@ -122,7 +122,8 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return Scalar.reduced(self._a * o._d - o._a * self._d,
+                              self._b * o._d - o._b * self._d, self._d * o._d)
 
     def __rsub__(self, other):
         o = self._coerce(other)

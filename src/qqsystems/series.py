@@ -13,6 +13,10 @@ a sum scales to a common denominator, and each reduces by one final gcd.
 Operations track the knowledge window: mixing two series keeps only the
 exponents both windows support.  Mixing different ramification indices
 raises.
+
+An OnlineSeries (N = 1) has no window: it computes each coefficient on
+demand, once, from its operands' coefficients, which the Newton lift
+needs while the coefficients of its unknowns are still being found.
 """
 
 from __future__ import annotations
@@ -308,3 +312,109 @@ class Series:
     def __repr__(self):
         return (f"Series(N={self.n_ram}, offset={self.offset}, "
                 f"coeffs={[str(c) for c in self.coeffs]})")
+
+
+class OnlineSeries:
+    """A power series in s (N = 1) computed one coefficient at a time.
+
+    Each series keeps the coefficients it has computed and a rule for the
+    next one, so reading coefficient k of a sum or product computes only
+    what its operands have not computed yet (relaxed evaluation, van der
+    Hoeven 2002).  A leaf reads one row of a coefficient table that the
+    caller fills in; when the caller changes coefficient k of a row,
+    forget_from(k) drops coefficient k and above from every series built
+    on the same leaves, and they are computed again on demand.
+    Scalars and ints are constants: c at order 0 and 0 after it.
+    """
+
+    __slots__ = ("_known", "_next", "_family")
+
+    def __init__(self, next_coeff, family: Optional[list]):
+        self._known = []
+        self._next = next_coeff
+        # the coefficient lists of the series built on the same leaves
+        # (lists, not series, so that no reference cycle keeps them alive);
+        # None for a constant
+        self._family = family
+        if family is not None:
+            family.append(self._known)
+
+    @staticmethod
+    def leaves(rows: Sequence[Sequence[Scalar]]) -> list:
+        """One series per row: coefficient k of series i is rows[i][k]."""
+        family: list = []
+        return [OnlineSeries(row.__getitem__, family) for row in rows]
+
+    @staticmethod
+    def constant(c: Scalar) -> "OnlineSeries":
+        """The exact constant c, in no family: it never changes."""
+        return OnlineSeries(lambda k: c if k == 0 else ZERO, None)
+
+    def coeff(self, k: int) -> Scalar:
+        """Coefficient of s^k, computed on its first read."""
+        known = self._known
+        if k >= len(known):
+            for j in range(len(known), k + 1):
+                known.append(self._next(j))
+        return known[k]
+
+    def forget_from(self, k: int) -> None:
+        """Drop coefficients k and above from every series built on this
+        one's leaves: coefficient k of a row has changed."""
+        for known in self._family:
+            del known[k:]
+
+    def _derived(self, other, next_coeff) -> "OnlineSeries":
+        family = self._family
+        if family is None and isinstance(other, OnlineSeries):
+            family = other._family
+        return OnlineSeries(next_coeff, family)
+
+    def __add__(self, other):
+        if isinstance(other, OnlineSeries):
+            return self._derived(
+                other, lambda k: self.coeff(k) + other.coeff(k))
+        if isinstance(other, (int, Scalar)):
+            return self._derived(
+                None, lambda k: self.coeff(k) + other if k == 0
+                else self.coeff(k))
+        return NotImplemented
+
+    def __neg__(self):
+        return self._derived(None, lambda k: -self.coeff(k))
+
+    def __sub__(self, other):
+        if isinstance(other, OnlineSeries):
+            return self._derived(
+                other, lambda k: self.coeff(k) - other.coeff(k))
+        if isinstance(other, (int, Scalar)):
+            return self + (-other)
+        return NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, OnlineSeries):
+            return self._derived(other, lambda k: _convolution(self, other, k))
+        if isinstance(other, (int, Scalar)):
+            return self._derived(None, lambda k: self.coeff(k) * other)
+        return NotImplemented
+
+    def shift(self, e: int) -> "OnlineSeries":
+        """Exact multiplication by s^e, e >= 0."""
+        return self._derived(
+            None, lambda k: self.coeff(k - e) if k >= e else ZERO)
+
+
+def _convolution(a: OnlineSeries, b: OnlineSeries, k: int) -> Scalar:
+    """Coefficient k of a * b: sum of a_i b_(k-i), as integer numerators
+    over one common denominator, reduced once."""
+    a.coeff(k)
+    b.coeff(k)
+    xs, ys = a._known[:k + 1], b._known[k::-1]
+    dens = [x._d * y._d for x, y in zip(xs, ys)]
+    den = lcm(*dens)
+    re = im = 0
+    for x, y, d in zip(xs, ys, dens):
+        f = den // d
+        re += (x._a * y._a - x._b * y._b) * f
+        im += (x._a * y._b + x._b * y._a) * f
+    return Scalar.reduced(re, im, den)

@@ -14,10 +14,14 @@ The clearing factor q^m - t q^n is a unit at t = 0, so vanishing orders
 are unchanged.
 
 residual_components writes these components out once, over any
-commutative ring that takes Scalars and ints as constants; three are used:
+commutative ring that takes Scalars and ints as constants; four are used:
 
-* Series jets in s with t = s^N (evaluate_residual): lifting and the
-  residual certificate;
+* Series jets in s with t = s^N (evaluate_residual): the residual
+  certificate, which judges every lift;
+* OnlineSeries in s with t = s (online_residual): built once per
+  generic base, over leaves that read the Newton coefficient table, so
+  that each order of the lift computes one new coefficient per
+  intermediate series and reads the defect from it;
 * SparsePoly in (delta, t) with the unknowns at a point plus delta
   (expanded_residual): read at the origin for the tropical supports
   (symbolic_support), and at a degenerate base, once, for lifting's
@@ -37,7 +41,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .poly import SparsePoly
 from .scalar import Scalar, SpecValidationError, ZERO, ONE
-from .series import Series
+from .series import OnlineSeries, Series
 
 
 class SizeCapExceededError(ValueError):
@@ -335,6 +339,15 @@ def evaluate_residual(p: CandidatePoint, spec: ProblemSpec) -> List[Series]:
     return residual_components(
         p.x, p.y, spec, Series.one(p.top, p.n_ram),
         lambda build: {e: s.shift(p.n_ram) for e, s in build().items()})
+
+
+def online_residual(unknowns: Sequence[OnlineSeries], spec: ProblemSpec
+                    ) -> List[OnlineSeries]:
+    """Residual components over online series (N = 1): t = s is a shift
+    by one."""
+    return residual_components(
+        unknowns[:spec.m], unknowns[spec.m:], spec, OnlineSeries.constant(ONE),
+        lambda build: {e: s.shift(1) for e, s in build().items()})
 
 
 def expanded_residual(spec: ProblemSpec, at: Sequence[Scalar]

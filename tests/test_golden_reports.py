@@ -50,6 +50,29 @@ CASES = {
         "solve", {"mode": "qq", "lambda": _shifts(("1", 3)),
                   "m": 2, "n": 1, "K": 1},
         "1d67f3e152d6a0e95a4e6aaae4e9c81850634d8fd2f9bb2479cbd2bbd5cbb2f5"),
+    # the three generic-lift benchmark specs at seed 7, recorded from the
+    # lift that evaluated the whole Series residual at every order
+    "qq (3,3) K=8": (
+        "solve", {"mode": "qq",
+                  "lambda": _shifts(("1", 1), ("4", 1), ("8", 1), ("10", 1),
+                                    ("14", 1), ("17", 1)),
+                  "m": 3, "n": 3, "K": 8},
+        "d2b96a16106fb236ac5c9c64d18ad8f7d91e14df20d9d010c7e73a220595c95a"),
+    "QQ (3,3) q=3 K=6": (
+        "solve", {"mode": "QQ", "q": "3",
+                  "lambda": _shifts(("1", 1), ("4", 1), ("7", 1), ("10", 1),
+                                    ("13", 1), ("16", 1)),
+                  "m": 3, "n": 3, "K": 6},
+        "f2bbabda0f9974bfec53d1f4b6bfcc79e29979ccded0d9bbd4a3515c422f608c"),
+    "qq gaussian (3,2) K=8": (
+        "solve", {"mode": "qq",
+                  "lambda": _shifts(({"re": "1", "im": "1"}, 1),
+                                    ({"re": "2", "im": "1"}, 1),
+                                    ({"re": "1", "im": "-2"}, 1),
+                                    ({"re": "-1", "im": "-1"}, 1),
+                                    ({"re": "3", "im": "1"}, 1)),
+                  "m": 3, "n": 2, "K": 8},
+        "5e27ba7e50afd89d4b98f463d98c26d1b46d9cf5d1b3f40d0ee47b5e27d5f2b7"),
     "tropical qq (2,1)": (
         "tropical", {"mode": "qq",
                      "lambda": _shifts(("1", 1), ("2", 1), ("3", 1)),

@@ -1,9 +1,11 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lift_reference
 from qqsystems.scalar import Scalar, ZERO, ONE
 from qqsystems.series import Series
 from qqsystems.systems import MasterData, ProblemSpec, CandidatePoint
@@ -83,14 +85,15 @@ QS = [Scalar(2), Scalar(3), Scalar(Fraction(1, 2)), Scalar(1, 1),
 
 
 @st.composite
-def generic_specs(draw):
-    """Both modes, 1 <= m + n <= 3, distinct simple shifts, 1 <= K <= 3."""
+def generic_specs(draw, max_dim=3, max_k=3):
+    """Both modes, 1 <= m + n <= max_dim, distinct simple shifts,
+    1 <= K <= max_k."""
     mode = draw(st.sampled_from(["qq", "QQ"]))
-    shifts = draw(st.lists(SHIFTS, min_size=1, max_size=3, unique=True))
+    shifts = draw(st.lists(SHIFTS, min_size=1, max_size=max_dim, unique=True))
     m = draw(st.integers(0, len(shifts)))
     return ProblemSpec(
         mode=mode, lam=MasterData(tuple((a, 1) for a in shifts)), m=m,
-        n=len(shifts) - m, K=draw(st.integers(1, 3)),
+        n=len(shifts) - m, K=draw(st.integers(1, max_k)),
         q=draw(st.sampled_from(QS)) if mode == "QQ" else None)
 
 
@@ -116,6 +119,39 @@ def test_generic_lifts_certify_and_keep_invariants(spec):
             lhs = sum(xy, Series.zero(K))
             rhs = spec.lam.d(1) + t * (spec.m - spec.n)
         assert lhs.same_through(rhs, K)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generic_specs(max_dim=4, max_k=6))
+def test_newton_matches_whole_residual_reference(spec):
+    """The online lift equals the loop that evaluates the whole Series
+    residual at every order."""
+    for base in enumerate_infinite_solutions(spec):
+        assert lift_newton(base, spec).to_json() == \
+            lift_reference.lift_newton(base, spec).to_json()
+
+
+def test_certificate_is_independent_of_online_residual(tmp_path, capsys,
+                                                       monkeypatch):
+    # one wrong coefficient in every online product: the lift follows it,
+    # and the certificate, read from Series residuals, rejects every lift
+    from qqsystems import cli, series
+    convolution = series._convolution
+    monkeypatch.setattr(series, "_convolution", lambda a, b, k: (
+        convolution(a, b, k) + (ONE if k == 2 else ZERO)))
+    spec_obj = {"mode": "qq", "lambda": {"shifts": [["1", 1], ["2", 1]]},
+                "m": 1, "n": 1, "K": 4}
+    spec = ProblemSpec.from_json(spec_obj)
+    for base in enumerate_infinite_solutions(spec):
+        ls = lift_newton(base, spec)
+        assert ls.residual_valuation == 2
+        assert not ls.certified()
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec_obj))
+    assert cli.main(["solve", str(path)]) == cli.EXIT_CERTIFICATE
+    report = json.loads(capsys.readouterr().out)
+    assert not any(lift["certified"] for entry in report["bases"]
+                   for lift in entry["lifts"])
 
 
 class TestCertificate:

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from qqsystems.scalar import Scalar, ZERO, ONE
-from qqsystems.series import (Series, RamificationMismatchError,
+from qqsystems.series import (OnlineSeries, Series,
+                              RamificationMismatchError,
                               NonInvertibleSeriesError)
 
 
@@ -146,3 +147,22 @@ def test_unreduced_coefficients_same_json():
 def test_reciprocal_of_zero_laurent_jet_raises():
     with pytest.raises(NonInvertibleSeriesError):
         Series(3, [ZERO, ZERO], -2).reciprocal()
+
+
+def test_online_series_ring_and_forget():
+    # a constant on the left of a leaf still joins the leaves' family, so
+    # forget_from drops what it computed from the old coefficient
+    rows = [[Scalar(1), Scalar(2), Scalar(Fraction(1, 3))],
+            [Scalar(0, 1), Scalar(-1), Scalar(4)]]
+    x, y = OnlineSeries.leaves(rows)
+    one = OnlineSeries.constant(ONE)
+    expr = (one * 3 + x) * y - x.shift(1) + 2 - -y * Scalar(1, 1)
+
+    def expected():
+        sx, sy = (Series(1, row) for row in rows)
+        return (3 + sx) * sy - sx.shift(1) + 2 + Scalar(1, 1) * sy
+
+    assert [expr.coeff(k) for k in range(3)] == list(expected().coeffs)
+    rows[0][1] = Scalar(Fraction(-5, 2))
+    x.forget_from(1)
+    assert [expr.coeff(k) for k in range(3)] == list(expected().coeffs)

@@ -8,11 +8,12 @@ import support_reference
 from qqsystems.linalg import rref
 from qqsystems.poly import SparsePoly
 from qqsystems.scalar import Scalar, ZERO, ONE
-from qqsystems.series import Series
+from qqsystems.series import OnlineSeries, Series
 from qqsystems.systems import (MasterData, ProblemSpec, CandidatePoint,
                                SpecValidationError, evaluate_residual,
                                expanded_residual, jacobian_at_zero,
-                               residual_components, symbolic_support)
+                               online_residual, residual_components,
+                               symbolic_support)
 from qqsystems.infinite import enumerate_infinite_solutions
 
 
@@ -307,3 +308,32 @@ def test_expanded_residual_evaluates_to_residual(spec, data):
                 c = c * v ** k
             value = value + c
         assert value == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_specs(), st.data())
+def test_online_residual_matches_series_residual(spec, data):
+    """Every coefficient of online_residual equals evaluate_residual's on
+    the same jet, also after a leaf coefficient changes and what was
+    computed from it is dropped."""
+    dim = spec.m + spec.n
+    top = data.draw(st.integers(0, 4))
+    rows = [data.draw(st.lists(SHIFTS, min_size=top + 1, max_size=top + 1))
+            for _ in range(dim)]
+
+    def check(online):
+        jets = [Series(1, row) for row in rows]
+        fresh = evaluate_residual(
+            CandidatePoint(tuple(jets[:spec.m]), tuple(jets[spec.m:])), spec)
+        for comp, want in zip(online, fresh, strict=True):
+            assert [comp.coeff(k) for k in range(top + 1)] == \
+                [want.coeff(k) for k in range(top + 1)]
+
+    leaves = OnlineSeries.leaves(rows)
+    online = online_residual(leaves, spec)
+    check(online)
+    i = data.draw(st.integers(0, dim - 1))
+    k = data.draw(st.integers(0, top))
+    rows[i][k] = data.draw(SHIFTS)
+    leaves[i].forget_from(k)
+    check(online)
