@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .lifting import LiftedSolution
-from .scalar import Scalar, ONE
+from .scalar import Scalar, ZERO, ONE
 from .series import Series
 from .systems import ProblemSpec
 
@@ -156,7 +156,7 @@ def gaudin_residual(ls: LiftedSolution, spec: ProblemSpec) -> List[Series]:
     zeros = _lambda_zeros(spec)
     out = []
     for l, w in enumerate(roots):
-        acc = Series.zero(work_top, n_ram)
+        acc = Series.const(ZERO, work_top, n_ram)
         for zv, mult in zeros:
             diff = w - zv
             if diff.is_zero:
@@ -173,7 +173,7 @@ def gaudin_residual(ls: LiftedSolution, spec: ProblemSpec) -> List[Series]:
             acc = acc - diff.reciprocal() * Scalar(2)
         # the jet is exact as a polynomial, so the full work window is
         # meaningful: valuations beyond the lift order stay visible
-        out.append(Series.one(work_top, n_ram) + acc.shift(n_ram))
+        out.append(Series.const(ONE, work_top, n_ram) + acc.shift(n_ram))
     return out
 
 

@@ -1,8 +1,8 @@
 """Command-line front end: enumerate, lift, verify, report.
 
-Exit codes: 0 success; 2 spec validation failure (or an --out path that
-is no file in an existing directory, the tropical size cap exceeded, or
-a solve with |q| = 1); 3 ramification bound exceeded, branch explosion
+Exit codes: 0 success; 2 spec validation failure (or an --out file that
+cannot be opened or written, the tropical size cap exceeded, or a solve
+with |q| = 1); 3 ramification bound exceeded, branch explosion
 or constraints sympy cannot solve (undecided_constraints) on some base;
 4 a residual certificate failure or a Bethe residual valuation below its
 bound (solve), or a prevariety that is not exactly the origin
@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, TextIO
 
 from . import __version__
 from .bethe import bethe_report
@@ -36,13 +35,22 @@ EXIT_CERTIFICATE = 4
 FORMAT_VERSION = 3
 
 
-def _emit(report: dict, out: Optional[str]) -> None:
+class _ReportWriteError(Exception):
+    """Writing the report to the --out file failed; the OSError is its
+    cause."""
+
+
+def _emit(report: dict, out: Optional[TextIO]) -> None:
+    """Print the report, or write it to the open --out file and close it."""
     text = json.dumps(report, indent=2, sort_keys=False)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
+    if out is None:
         print(text)
+        return
+    try:
+        with out:
+            out.write(text + "\n")
+    except OSError as exc:
+        raise _ReportWriteError from exc
 
 
 def _fail(args, reason: str, message: str) -> int:
@@ -191,17 +199,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bad_out_path(args, path: str, exc: OSError) -> int:
+    """The report file cannot be opened or written: report on stdout."""
+    args.out = None
+    return _fail(args, "bad_out_path",
+                 f"cannot write the report to {path}: {exc.strerror or exc}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = getattr(args, "out", None)
-    if out and (os.path.isdir(out) or
-                not os.path.isdir(os.path.dirname(os.path.abspath(out)))):
-        args.out = None  # nothing can be written there: report on stdout
-        return _fail(args, "bad_out_path",
-                     f"cannot write the report to {out}: not a file in an "
-                     "existing directory")
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    path = getattr(args, "out", None)
+    if path:
+        try:  # before any work, so that a path no file can take fails first
+            args.out = open(path, "w", encoding="utf-8")
+        except OSError as exc:
+            return _bad_out_path(args, path, exc)
+    try:
+        return args.func(args)
+    except _ReportWriteError as exc:
+        return _bad_out_path(args, path, exc.__cause__)
 
 
 if __name__ == "__main__":

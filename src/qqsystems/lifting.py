@@ -58,7 +58,11 @@ CERTIFY_GUARD = 2
 
 @dataclass(frozen=True)
 class LiftedSolution:
-    """A truncated series solution with its residual certificate."""
+    """A truncated series solution with its residual certificate.
+
+    lift_newton's coefficients do not depend on K, so the lift of a base
+    at a lower K is the same jets cut short.
+    """
 
     point: CandidatePoint
     base: InfiniteSolution
@@ -87,9 +91,6 @@ class LiftedSolution:
                  ).reciprocal() if spec.is_difference else None
         return LiftedSolution(point, base, alpha,
                               certify_residual_point(point, spec))
-
-    def truncate(self, new_top: int, spec: ProblemSpec) -> "LiftedSolution":
-        return LiftedSolution.of(self.point.truncate(new_top), self.base, spec)
 
     def to_json(self):
         return {"N": self.n_ram, "order": self.order,
@@ -138,8 +139,6 @@ def lift_newton(sol: InfiniteSolution, spec: ProblemSpec) -> LiftedSolution:
     residual = online_residual(unknowns, spec)
     for k in range(1, K + 1):
         defect = [comp.coeff(k) for comp in residual]
-        if all(d.is_zero for d in defect):
-            continue
         for i, row in enumerate(inverse):
             coeffs[i][k] = -sum((a * d for a, d in zip(row, defect)), ZERO)
         unknowns[0].forget_from(k)  # the leaves share one family
@@ -165,10 +164,10 @@ def lift_ramified(sol: InfiniteSolution, spec: ProblemSpec
 
     N_max is spec.ramification_bound.  Each branch comes out of the search
     with its minimal ramification, and a series found again at a higher
-    index is dropped, so each series solution appears once.
+    index is dropped, so each series solution appears once.  At a generic
+    base the one branch, found at N = 1, is the Newton lift; the CLI sends
+    such bases to lift_newton instead.
     """
-    if sol.tier == "generic":
-        return [lift_newton(sol, spec)]
     n_max = spec.ramification_bound
     # [J0 | I] reduces to [R | L] with L * J0 = R, in sympy once per base
     red, pivots = rref([row + id_row for row, id_row in
@@ -291,8 +290,6 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
                 f"{len(next_branches)} open branches at s-order {order} "
                 f"for N = {n_ram} exceed the limit {_MAX_BRANCHES}")
         branches = next_branches
-        if not branches:
-            break
 
     points = []
     dropped = 0
@@ -319,8 +316,6 @@ def _scalar_to_sympy(c: Scalar):
 def _try_scalar(expr) -> Optional[Scalar]:
     """Convert an exact sympy number to a Scalar; None outside Q(i)."""
     import sympy as sp
-    if expr.free_symbols:
-        return None
     re, im = sp.simplify(expr).as_real_imag()
     try:
         re_q = sp.Rational(sp.simplify(re))

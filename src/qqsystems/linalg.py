@@ -19,11 +19,8 @@ def rref(rows: List[List[Scalar]]) -> Tuple[List[List[Scalar]], List[int]]:
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if not m[i][c].is_zero:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, nrows) if not m[i][c].is_zero),
+                     None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
@@ -35,8 +32,6 @@ def rref(rows: List[List[Scalar]]) -> Tuple[List[List[Scalar]], List[int]]:
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
     return m, pivots
 
 

@@ -32,7 +32,6 @@ from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 F0 = Fraction(0)
-F1 = Fraction(1)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -54,10 +53,6 @@ def lp_solve(c: Sequence[Fraction],
     n = len(c)
     nrows = len(a_ub)
     ncols = 2 * n + nrows
-    if nrows == 0:
-        if any(c):
-            return LPResult(UNBOUNDED, None, None)
-        return LPResult(OPTIMAL, tuple([F0] * n), F0)
     total = ncols + nrows
 
     # columns: x+ (n), x- (n), slacks (nrows), artificials (nrows), rhs

@@ -1,8 +1,9 @@
 """Truncated (Laurent) series in the deformation parameter.
 
 A Series is a finite jet in s, where t = s^N and N is the ramification
-index.  Coefficients live at s-exponents offset .. top; exponents below
-offset are exactly zero, exponents above top are unknown (truncated
+index, built as Series(N, coeffs, offset) or as an exact constant with
+Series.const.  Coefficients live at s-exponents offset .. top; exponents
+below offset are exactly zero, exponents above top are unknown (truncated
 tail).  A negative offset gives a truncated Laurent object with bounded
 pole order, which reciprocals of positive-valuation series require.
 
@@ -26,7 +27,7 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .scalar import Scalar, ZERO, ONE
+from .scalar import Scalar, ZERO
 
 
 class RamificationMismatchError(ValueError):
@@ -73,28 +74,6 @@ class Series:
         """The exact constant c, known through s^top."""
         return Series(n_ram, (c,) + (ZERO,) * top, 0)
 
-    @staticmethod
-    def zero(top: int, n_ram: int = 1) -> "Series":
-        return Series.const(ZERO, top, n_ram)
-
-    @staticmethod
-    def one(top: int, n_ram: int = 1) -> "Series":
-        return Series.const(ONE, top, n_ram)
-
-    @staticmethod
-    def deformation_parameter(top: int, n_ram: int = 1) -> "Series":
-        """t = s^N as a series known through s^top."""
-        if top < n_ram:
-            raise ValueError("window too small to hold t = s^N")
-        coeffs = [ZERO] * (top + 1)
-        coeffs[n_ram] = ONE
-        return Series(n_ram, coeffs, 0)
-
-    @staticmethod
-    def from_t_coeffs(coeffs: Sequence[Scalar]) -> "Series":
-        """Unramified series from t-coefficients c0 + c1 t + ..."""
-        return Series(1, coeffs, 0)
-
     # -- window bookkeeping ----------------------------------------------
 
     @property
@@ -133,15 +112,6 @@ class Series:
     def is_zero(self) -> bool:
         """Zero through the knowledge window."""
         return not any(self._re) and not any(self._im)
-
-    def truncate(self, new_top: int) -> "Series":
-        if new_top >= self.top:
-            return self
-        n = new_top - self.offset + 1
-        if n <= 0:
-            raise ValueError("truncation below the window offset")
-        return Series._reduced(self.n_ram, self.offset, self._den,
-                               self._re[:n], self._im[:n])
 
     def widen(self, new_top: int) -> "Series":
         """Extend the window with exact zeros: treats the jet as an exact polynomial."""
@@ -284,14 +254,13 @@ class Series:
         return (self._numerators(lo, n, other._den)
                 == other._numerators(lo, n, self._den))
 
+    # equality is window-relative, so Series stays unhashable (defining
+    # __eq__ sets __hash__ to None)
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
         top = min(self.top, other.top)
         return self.n_ram == other.n_ram and self.same_through(other, top)
-
-    def __hash__(self):
-        raise TypeError("Series equality is window-relative; not hashable")
 
     # -- numeric evaluation ------------------------------------------------------
 
@@ -379,9 +348,6 @@ class OnlineSeries:
                 None, lambda k: self.coeff(k) + other if k == 0
                 else self.coeff(k))
         return NotImplemented
-
-    def __neg__(self):
-        return self._derived(None, lambda k: -self.coeff(k))
 
     def __sub__(self, other):
         if isinstance(other, OnlineSeries):

@@ -74,7 +74,8 @@ class MasterData:
     """The monic master polynomial, stored as shift/multiplicity pairs.
 
     Lambda(z) = prod_k (z + a_k)^{m_k}.  Its z-coefficients are expanded
-    once from the shifts into coeffs; d_k is the coefficient of z^{deg - k}.
+    once from the shifts into coeffs, so d_k, the coefficient of
+    z^{deg - k}, is coeffs[deg - k].
     """
 
     shifts: Tuple[Tuple[Scalar, int], ...]
@@ -107,10 +108,6 @@ class MasterData:
     def coeffs(self) -> Tuple[Scalar, ...]:
         """z-coefficients of Lambda, lowest degree first."""
         return tuple(_monic_from_shifts(self.root_shift_multiset())) + (ONE,)
-
-    def d(self, k: int) -> Scalar:
-        """Coefficient of z^{deg-k} in Lambda; d(0) = 1."""
-        return self.coeffs[self.degree - k] if 0 <= k <= self.degree else ZERO
 
     def nonzero_at_origin(self) -> bool:
         return all(not a.is_zero for a, _ in self.shifts)
@@ -190,7 +187,7 @@ class ProblemSpec:
             obj["q"] = self.q.to_json()
         if self.n_max is not None:
             obj["N_max"] = self.n_max
-        if self.size_cap != 6:
+        if self.size_cap != ProblemSpec.size_cap:
             obj["tropical"] = {"size_cap": self.size_cap}
         return obj
 
@@ -212,23 +209,22 @@ class ProblemSpec:
             raise SpecValidationError(
                 "bad_lambda", "lambda must be an object with a 'shifts' list")
         lam = MasterData.from_json(lam_obj)
-        size_cap = 6
+        # only the keys present are passed: the dataclass holds the defaults
+        given = {}
         if "tropical" in obj:
             trop = obj["tropical"]
             if not isinstance(trop, dict) or set(trop) - {"size_cap"}:
                 raise SpecValidationError(
                     "bad_tropical", "tropical accepts only 'size_cap'")
             if "size_cap" in trop:
-                size_cap = _integer(trop["size_cap"], "size_cap")
-        spec = ProblemSpec(
-            mode=str(obj["mode"]),
-            lam=lam,
-            m=_integer(obj["m"], "m"),
-            n=_integer(obj["n"], "n"),
-            q=Scalar.from_json(obj["q"]) if "q" in obj else None,
-            K=_integer(obj.get("K", 3), "K"),
-            n_max=_integer(obj["N_max"], "N_max") if "N_max" in obj else None,
-            size_cap=size_cap)
+                given["size_cap"] = _integer(trop["size_cap"], "size_cap")
+        m, n = _integer(obj["m"], "m"), _integer(obj["n"], "n")
+        if "q" in obj:
+            given["q"] = Scalar.from_json(obj["q"])
+        for key, field in (("K", "K"), ("N_max", "n_max")):
+            if key in obj:
+                given[field] = _integer(obj[key], key)
+        spec = ProblemSpec(mode=str(obj["mode"]), lam=lam, m=m, n=n, **given)
         spec.validate()
         return spec
 
@@ -258,20 +254,9 @@ class CandidatePoint:
     def top(self) -> int:
         return (self.x + self.y)[0].top
 
-    @staticmethod
-    def from_scalars(x0: Sequence[Scalar], y0: Sequence[Scalar],
-                     top: int, n_ram: int = 1) -> "CandidatePoint":
-        return CandidatePoint(
-            tuple(Series.const(v, top, n_ram) for v in x0),
-            tuple(Series.const(v, top, n_ram) for v in y0))
-
     def widen(self, new_top: int) -> "CandidatePoint":
         return CandidatePoint(tuple(s.widen(new_top) for s in self.x),
                               tuple(s.widen(new_top) for s in self.y))
-
-    def truncate(self, new_top: int) -> "CandidatePoint":
-        return CandidatePoint(tuple(s.truncate(new_top) for s in self.x),
-                              tuple(s.truncate(new_top) for s in self.y))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +322,7 @@ def residual_components(xs: Sequence, ys: Sequence, spec: ProblemSpec, one,
 def evaluate_residual(p: CandidatePoint, spec: ProblemSpec) -> List[Series]:
     """Residual components at a jet point; t = s^N is a shift by N."""
     return residual_components(
-        p.x, p.y, spec, Series.one(p.top, p.n_ram),
+        p.x, p.y, spec, Series.const(ONE, p.top, p.n_ram),
         lambda build: {e: s.shift(p.n_ram) for e, s in build().items()})
 
 

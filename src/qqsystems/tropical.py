@@ -122,8 +122,9 @@ def exclusion_witness(spec: ProblemSpec, w: TropicalPoint) -> Optional[int]:
 
 def check_theorem_hypothesis(spec: ProblemSpec) -> None:
     """All master coefficients d_k must be nonzero (theorem-verification mode)."""
-    for k in range(1, spec.lam.degree + 1):
-        if spec.lam.d(k).is_zero:
+    lam = spec.lam
+    for k in range(1, lam.degree + 1):
+        if lam.coeffs[lam.degree - k].is_zero:
             raise SpecValidationError(
                 f"zero_coefficient d_{k}",
                 f"master coefficient d_{k} vanishes; theorem hypotheses "

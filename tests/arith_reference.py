@@ -10,7 +10,7 @@ windows, equal JSON, equal hashes and sort keys.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 from qqsystems.scalar import SpecValidationError, _exact_rational
 from qqsystems.series import NonInvertibleSeriesError, RamificationMismatchError
@@ -198,28 +198,6 @@ class Series:
         """The exact constant c, known through s^top."""
         return Series(n_ram, (c,) + (ZERO,) * top, 0)
 
-    @staticmethod
-    def zero(top: int, n_ram: int = 1) -> "Series":
-        return Series.const(ZERO, top, n_ram)
-
-    @staticmethod
-    def one(top: int, n_ram: int = 1) -> "Series":
-        return Series.const(ONE, top, n_ram)
-
-    @staticmethod
-    def deformation_parameter(top: int, n_ram: int = 1) -> "Series":
-        """t = s^N as a series known through s^top."""
-        if top < n_ram:
-            raise ValueError("window too small to hold t = s^N")
-        coeffs = [ZERO] * (top + 1)
-        coeffs[n_ram] = ONE
-        return Series(n_ram, coeffs, 0)
-
-    @staticmethod
-    def from_t_coeffs(coeffs: Sequence[Scalar]) -> "Series":
-        """Unramified series from t-coefficients c0 + c1 t + ..."""
-        return Series(1, coeffs, 0)
-
     # -- window bookkeeping ----------------------------------------------
 
     @property
@@ -250,14 +228,6 @@ class Series:
     def is_zero(self) -> bool:
         """Zero through the knowledge window."""
         return all(c.is_zero for c in self.coeffs)
-
-    def truncate(self, new_top: int) -> "Series":
-        if new_top >= self.top:
-            return self
-        n = new_top - self.offset + 1
-        if n <= 0:
-            raise ValueError("truncation below the window offset")
-        return Series(self.n_ram, self.coeffs[:n], self.offset)
 
     def widen(self, new_top: int) -> "Series":
         """Extend the window with exact zeros: treats the jet as an exact polynomial."""

@@ -12,8 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence
 
-from qqsystems.lp import (F0, F1, INFEASIBLE, OPTIMAL, UNBOUNDED,
-                          LPResult)
+from qqsystems.lp import F0, INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
+
+F1 = Fraction(1)
 
 
 def lp_solve(c: Sequence[Fraction],

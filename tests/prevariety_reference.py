@@ -22,10 +22,12 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from qqsystems import lp
-from qqsystems.lp import F0, F1, feasible
+from qqsystems.lp import F0, feasible
 from qqsystems.systems import ProblemSpec, symbolic_support
 from qqsystems.tropical import (PrevarietyResult, TropicalPoint,
                                 TropicalSupport, check_theorem_hypothesis)
+
+F1 = Fraction(1)
 
 
 class _AffineState:

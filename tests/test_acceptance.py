@@ -110,7 +110,7 @@ def test_criterion_1_closed_form(criterion1_lift):
         for k in range(1, 5):
             assert (x + y).coeff(k) == ZERO
         # oracle: the quadratic x^2 - (3+2t)x + 3t + 2 vanishes on the jet
-        t = Series.deformation_parameter(4)
+        t = Series(1, [ZERO, ONE, ZERO, ZERO, ZERO])
         three_2t = Series.const(Scalar(3), 4) + t * Scalar(2)
         quad = x.widen(8) * x.widen(8) - (three_2t * x).widen(8) \
             + (t * Scalar(3) + Scalar(2)).widen(8)
@@ -210,7 +210,7 @@ def test_criterion_7_exact_invariants(criterion3_lifts, criterion6_lifts):
     with _Verdict(7, "exact invariants: e1 sum rule (qq), product rule (QQ)"):
         # qq: e_1(x, y) = d_1 - (n - m) t coefficientwise
         for spec, _, lifts in criterion3_lifts:
-            d1 = spec.lam.d(1)
+            d1 = spec.lam.coeffs[-2]  # the coefficient of z^(m+n-1)
             p0 = Scalar(spec.n - spec.m)
             for ls in lifts:
                 e1 = ls.point.x[0] - ls.point.x[0]  # zero series, same window
@@ -223,14 +223,14 @@ def test_criterion_7_exact_invariants(criterion3_lifts, criterion6_lifts):
         # QQ: prod x * prod y = d_{m+n} (q^m - t q^n) / (1 - t)
         spec, lifts = criterion6_lifts
         q = spec.q
-        dk = spec.lam.d(spec.m + spec.n)
+        dk = spec.lam.coeffs[0]  # Lambda(0)
         for ls in lifts:
             top, n_ram = ls.order, ls.n_ram
-            prod = Series.one(top, n_ram)
+            prod = Series.const(ONE, top, n_ram)
             for s in ls.point.x + ls.point.y:
                 prod = prod * s
-            lhs = prod * (Series.one(top, n_ram)
-                          - Series.one(top, n_ram).shift(n_ram))
+            one = Series.const(ONE, top, n_ram)
+            lhs = prod * (one - one.shift(n_ram))
             rhs = (Series.const(q ** spec.m, top, n_ram)
                    - Series.const(q ** spec.n, top, n_ram).shift(n_ram)) * dk
             for k in range(lhs.top + 1):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -297,6 +299,37 @@ def test_repeated_shift_solve_is_deterministic(data):
                for lift in entry["lifts"])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_small_specs_never_escape_the_cli(data):
+    """Both modes, deg <= 3 with up to 3 real or Gaussian shifts of
+    multiplicity up to 3, K <= 1, N_max <= 2: solve and tropical each exit
+    0, 2, 3 or 4 with a format-3 JSON report on stdout, and never raise."""
+    roots = data.draw(st.lists(_SHIFTS, min_size=1, max_size=3))
+    shifts = {}
+    for a in roots:  # equal draws make a multiple shift
+        key = json.dumps(a)
+        shifts[key] = [a, shifts[key][1] + 1 if key in shifts else 1]
+    deg = len(roots)
+    m = data.draw(st.integers(0, deg))
+    # N_max is always set: unset, it is m + n, and QQ (z+a)^3 searches at
+    # N = 3 can run for minutes
+    spec = dict(_mode_and_q(data.draw), m=m, n=deg - m,
+                K=data.draw(st.integers(0, 1)),
+                N_max=data.draw(st.integers(1, 2)),
+                **{"lambda": {"shifts": list(shifts.values())}})
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "spec.json")
+        Path(path).write_text(json.dumps(spec))
+        for command in ("solve", "tropical"):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main([command, path])
+            assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_RAMIFICATION,
+                            EXIT_CERTIFICATE), (command, spec)
+            assert json.loads(stdout.getvalue())["format"] == 3
+
+
 # Lambda = z + 1 with m = 1, n = 0: a single generic base and a single root
 ONE_BASE = {"mode": "qq", "lambda": _shifts(["1", 1]), "m": 1, "n": 0, "K": 3}
 
@@ -364,6 +397,27 @@ def test_spec_failure_with_bad_out_path_reports_on_stdout(tmp_path, capsys):
     spec = write_spec(tmp_path, dict(QQ11, extra=1))
     # a directory is no file to write either
     assert main(["solve", spec, "--out", str(tmp_path)]) == EXIT_VALIDATION
+    report = json.loads(capsys.readouterr().out)
+    assert [f["reason"] for f in report["failures"]] == ["bad_out_path"]
+
+
+def test_out_name_too_long_fails_before_work(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the --out check")
+    monkeypatch.setattr(cli, "enumerate_infinite_solutions", no_work)
+    spec = write_spec(tmp_path, QQ11)
+    out = tmp_path / ("r" * 300)
+    assert main(["solve", spec, "--out", str(out)]) == EXIT_VALIDATION
+    report = json.loads(capsys.readouterr().out)
+    assert [f["reason"] for f in report["failures"]] == ["bad_out_path"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full, where every write fails")
+def test_out_write_failure_reports_on_stdout(tmp_path, capsys):
+    # /dev/full opens, and the write fails only after the whole run
+    spec = write_spec(tmp_path, QQ11)
+    assert main(["solve", spec, "--out", "/dev/full"]) == EXIT_VALIDATION
     report = json.loads(capsys.readouterr().out)
     assert [f["reason"] for f in report["failures"]] == ["bad_out_path"]
 

@@ -104,21 +104,38 @@ def test_generic_lifts_certify_and_keep_invariants(spec):
     qq: sum x + sum y = d_1 + (m - n) t;
     QQ: (1 - t) prod x prod y = Lambda(0) (q^m - t q^n)."""
     K = spec.K
-    t = Series.deformation_parameter(K)
+    t = Series(1, [ZERO, ONE] + [ZERO] * (K - 1))
     for base in enumerate_infinite_solutions(spec):
         ls = lift_newton(base, spec)
         assert ls.residual_valuation >= K + 1
         xy = ls.point.x + ls.point.y
         if spec.is_difference:
-            prod = Series.one(K)
+            prod = Series.const(ONE, K)
             for s in xy:
                 prod = prod * s
             lhs = (1 - t) * prod
             rhs = (spec.q ** spec.m - t * spec.q ** spec.n) * spec.lam.coeffs[0]
         else:
-            lhs = sum(xy, Series.zero(K))
-            rhs = spec.lam.d(1) + t * (spec.m - spec.n)
+            lhs = sum(xy, Series.const(ZERO, K))
+            rhs = spec.lam.coeffs[-2] + t * (spec.m - spec.n)  # d_1 + ...
         assert lhs.same_through(rhs, K)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generic_specs(max_dim=4, max_k=4))
+def test_newton_coefficients_do_not_depend_on_K(spec):
+    """The lift at K = k is the first k + 1 coefficients of every jet of
+    the lift at K = k + 2, with the certificate of that prefix: so a lower
+    order lift is the higher order one cut short."""
+    k = spec.K
+    for base in enumerate_infinite_solutions(spec):
+        ls = lift_newton(base, spec)
+        longer = lift_newton(base, replace(spec, K=k + 2)).point
+        prefix = [Series(1, s.coeffs[:k + 1]) for s in longer.x + longer.y]
+        point = CandidatePoint(tuple(prefix[:spec.m]), tuple(prefix[spec.m:]))
+        assert [s.to_json() for s in ls.point.x + ls.point.y] == \
+            [s.to_json() for s in prefix]
+        assert ls.residual_valuation == certify_residual_point(point, spec)
 
 
 @settings(max_examples=40, deadline=None)
@@ -158,14 +175,16 @@ class TestCertificate:
     def test_exact_polynomial_solution_certifies_everywhere(self):
         # (1, 1) solves the (z+1)^2 system identically
         spec = qq_spec([(1, 2)], 1, 1, K=4)
-        p = CandidatePoint.from_scalars([Scalar(1)], [Scalar(1)], top=4)
+        p = CandidatePoint((Series.const(Scalar(1), 4),),
+                           (Series.const(Scalar(1), 4),))
         val = certify_residual_point(p, spec)
         assert val > Fraction(spec.K + 1)
 
     def test_truncation_lowers_but_preserves_certificate(self):
-        spec = qq_spec([(1, 1), (2, 1)], 1, 1, K=4)
-        ls = lift_newton(enumerate_infinite_solutions(spec)[0], spec)
-        ls1 = ls.truncate(1, spec)
+        # the K = 1 lift is the K = 4 lift cut after t^1
+        # (test_newton_coefficients_do_not_depend_on_K)
+        spec = qq_spec([(1, 1), (2, 1)], 1, 1, K=1)
+        ls1 = lift_newton(enumerate_infinite_solutions(spec)[0], spec)
         assert ls1.order == 1
         # truncated jet x = 1 + t: residual picks up at order 2
         assert ls1.residual_valuation == Fraction(2)
@@ -173,9 +192,8 @@ class TestCertificate:
 
     def test_base_only_jet(self):
         # order-0 jet of a generic base: residual valuation exactly 1
-        spec = qq_spec([(1, 1), (2, 1)], 1, 1, K=4)
-        ls = lift_newton(enumerate_infinite_solutions(spec)[0], spec)
-        ls0 = ls.truncate(0, spec)
+        spec = qq_spec([(1, 1), (2, 1)], 1, 1, K=0)
+        ls0 = lift_newton(enumerate_infinite_solutions(spec)[0], spec)
         assert ls0.residual_valuation == Fraction(1)
 
 
@@ -235,12 +253,14 @@ class TestRamified:
         assert expansions == [base.x0 + base.y0]
         assert rings == {"Series", "SparsePoly", "Scalar"}
 
-    def test_generic_base_delegates_to_newton(self):
+    def test_generic_base_gives_the_newton_lift(self):
+        # the search itself finds the one branch at N = 1, Newton's
         spec = qq_spec([(1, 1), (2, 1)], 1, 1, K=4)
         base = enumerate_infinite_solutions(spec)[0]
         branches = lift_ramified(base, spec)
         assert len(branches) == 1
         assert t_coeffs(branches[0].point.x[0]) == ["1", "1", "-1", "0", "1"]
+        assert branches[0].to_json() == lift_newton(base, spec).to_json()
 
     def test_difference_degenerate_outside_field(self):
         # q-collision base x0 = 3, y0 = 1 over (z+1)^2, q = 3: solving
@@ -366,9 +386,8 @@ class TestNumericOracle:
     def test_decay_exponent_of_truncation(self):
         # truncating at order 1 leaves an O(t^2) gap: slope close to 2
         from qqsystems.numeric import numeric_check
-        spec = qq_spec([(1, 1), (2, 1)], 1, 1, K=4)
-        ls = lift_newton(enumerate_infinite_solutions(spec)[0], spec)
-        ls1 = ls.truncate(1, spec)
+        spec = qq_spec([(1, 1), (2, 1)], 1, 1, K=1)
+        ls1 = lift_newton(enumerate_infinite_solutions(spec)[0], spec)
         nc = numeric_check(ls1, spec, samples=(1e-2, 1e-3, 1e-4))
         assert nc.decay_exponent is not None
         assert abs(nc.decay_exponent - 2.0) < 0.25
