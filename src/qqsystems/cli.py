@@ -13,6 +13,7 @@ with exact rational scalars throughout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -173,7 +174,9 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once, on first use: building costs about as much as a parse."""
     parser = argparse.ArgumentParser(
         prog="qqsystems",
         description="Exact solver and verifier for rank-one qq/QQ-systems")

@@ -1,8 +1,14 @@
 """Exact rational linear programming by fraction-free two-phase simplex.
 
+Two entries share the row builder and the pivots.  `optimum` returns the
+status and optimum value, which do not depend on where phase 1 starts: it
+starts at the slack basis, with an artificial only on each row whose rhs
+is negative.  `lp_solve` also returns a vertex, which does depend on it;
+it puts an artificial on every row, as the tests' Fraction simplex does.
+
 Variables are free (unrestricted in sign) at the interface and split
 internally into nonnegative pairs.  The tableau columns are x+ (n), x- (n),
-one slack per inequality row and, during phase 1, one artificial per row.
+one slack per inequality row and, during phase 1, the artificials.
 Pivoting uses Bland's rule (the smallest entering column with negative
 reduced cost; ratio-test ties go to the smallest basic column), which
 guarantees termination without perturbation.
@@ -49,51 +55,78 @@ def lp_solve(c: Sequence[Fraction],
              a_ub: Sequence[Sequence[Fraction]] = (),
              b_ub: Sequence[Fraction] = ()) -> LPResult:
     """Minimize c.x subject to a_ub x <= b_ub, x free."""
-    c = [_rational(v) for v in c]
     n = len(c)
-    nrows = len(a_ub)
-    ncols = 2 * n + nrows
-    total = ncols + nrows
-
-    # columns: x+ (n), x- (n), slacks (nrows), artificials (nrows), rhs
-    rows = []
-    for i in range(nrows):
-        vals = [_rational(v) for v in a_ub[i]]
-        rhs = _rational(b_ub[i])
-        scale = lcm(rhs.denominator, *(v.denominator for v in vals))
-        s = -scale if rhs < 0 else scale  # normalize to rhs >= 0
-        ints = [s * v.numerator // v.denominator for v in vals]
-        line = ints + [-v for v in ints] + [0] * (2 * nrows)
-        line[2 * n + i] = s
-        line[ncols + i] = scale
-        line.append(s * rhs.numerator // rhs.denominator)
-        rows.append(_reduce(line))
-
-    # phase 1: minimize the sum of the artificials
-    basis = list(range(ncols, total))
-    z = _cost_row(rows, basis, [0] * ncols + [1] * nrows + [0, 1])
-    if _simplex(rows, basis, z, total) != OPTIMAL:
-        raise RuntimeError("phase-1 simplex cannot be unbounded")
-    if z[-2] != 0:
-        return LPResult(INFEASIBLE, None, None)
-    _drive_out_artificials(rows, basis, ncols)
-
-    # phase 2 on the original columns only: the artificial columns go
-    rows = [_reduce(row[:ncols] + row[-1:]) for row in rows]
-    cscale = lcm(*(v.denominator for v in c))
-    cost = [cscale * v.numerator // v.denominator for v in c]
-    z = _cost_row(rows, basis,
-                  cost + [-v for v in cost] + [0] * (nrows + 1) + [cscale])
-    if _simplex(rows, basis, z, ncols) == UNBOUNDED:
-        return LPResult(UNBOUNDED, None, None)
+    cost, cscale = _integers(c)
+    scaled = [_integers([*a, b]) for a, b in zip(a_ub, b_ub)]
+    status, objective, rows, basis = _solve(
+        cost, cscale, [(r[:-1], r[-1], d) for r, d in scaled], every_row=True)
+    if status != OPTIMAL:
+        return LPResult(status, None, None)
     value = {b: Fraction(row[-1], row[b])
              for row, b in zip(rows, basis) if b < 2 * n}
     x = tuple(value.get(j, F0) - value.get(n + j, F0) for j in range(n))
-    return LPResult(OPTIMAL, x, Fraction(-z[-2], z[-1]))
+    return LPResult(OPTIMAL, x, objective)
 
 
-def _rational(v) -> Fraction:
-    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+def optimum(c: Sequence[int], a_ub: Sequence[Sequence[int]] = (),
+            b_ub: Sequence[int] = ()) -> Tuple[str, Optional[Fraction]]:
+    """The status and minimum of c.x subject to a_ub x <= b_ub, x free, on
+    integer data; the minimum is None unless the status is OPTIMAL."""
+    return _solve(list(c), 1, [(a, b, 1) for a, b in zip(a_ub, b_ub)],
+                  every_row=False)[:2]
+
+
+def _solve(cost, cscale, constraints, every_row):
+    """(status, objective, rows, basis) for the cost cost / cscale.
+
+    Constraint (a, b, u) is a x <= b in integers, whose slack and
+    artificial enter it as u > 0.  A row starts with an artificial basic
+    when every_row is set or b < 0, else with its slack basic."""
+    n = len(cost)
+    nrows = len(constraints)
+    ncols = 2 * n + nrows
+    art = [i for i, (_, b, _) in enumerate(constraints)
+           if every_row or b < 0]
+    basis = list(range(2 * n, ncols))
+    for k, i in enumerate(art):
+        basis[i] = ncols + k
+    total = ncols + len(art)
+
+    # columns: x+ (n), x- (n), slacks (nrows), artificials (len(art)), rhs
+    rows = []
+    for i, (a, b, u) in enumerate(constraints):
+        s = -1 if b < 0 else 1  # normalize to rhs >= 0
+        line = [s * v for v in a] + [-s * v for v in a] + [0] * (total - 2 * n)
+        line[2 * n + i] = s * u
+        line[basis[i]] = u
+        line.append(s * b)
+        rows.append(_reduce(line))
+
+    # phase 1: minimize the sum of the artificials
+    if art:
+        z = _cost_row(rows, basis, [0] * ncols + [1] * len(art) + [0, 1])
+        if _simplex(rows, basis, z, total) != OPTIMAL:
+            raise RuntimeError("phase-1 simplex cannot be unbounded")
+        if z[-2] != 0:
+            return INFEASIBLE, None, rows, basis
+        _drive_out_artificials(rows, basis, ncols)
+        # phase 2 runs on the original columns only: the artificials go
+        rows = [_reduce(row[:ncols] + row[-1:]) for row in rows]
+    if not any(cost):
+        return OPTIMAL, F0, rows, basis
+
+    z = _cost_row(rows, basis,
+                  cost + [-v for v in cost] + [0] * (nrows + 1) + [cscale])
+    if _simplex(rows, basis, z, ncols) == UNBOUNDED:
+        return UNBOUNDED, None, rows, basis
+    return OPTIMAL, Fraction(-z[-2], z[-1]), rows, basis
+
+
+def _integers(vals) -> Tuple[List[int], int]:
+    """(ints, d): the rationals vals times d, the lcm of their denominators."""
+    vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in vals]
+    d = lcm(*(v.denominator for v in vals))
+    return [d * v.numerator // v.denominator for v in vals], d
 
 
 def _reduce(row: List[int]) -> List[int]:

@@ -15,18 +15,20 @@ with R_a = R_b added, which turns R_a - R_b <= 0 into 0 <= 0, so it has
 the pair's own rows in the pair's own order.  It lies in the least cells
 of both a and b, so a pair is tried only when both are nonempty; an item
 whose least cell is empty is refuted once, not once per pair.  The
-search runs simplex feasibility on a cell only when the point with every
-free column 0 fails one of its inequalities.  A cell holds the origin
-exactly when every equality has h = 0 and every inequality h >= 0, and
-is {0} when the rows tight there have full rank and one LP finds their
-cone of feasible directions to be {0}.  Every node below the first level
-takes this test.  Below a {0} cell every cell is {0} or empty, and a
-pair's cell is {0} exactly when both of its items have the least
-valuation of their support, so the subtree's leaves number the product
-of C(k_s, 2) over the remaining supports s, k_s counting those items:
-they are counted without a visit.  On theorem instances every feasible
-cell is expected to collapse to the origin; any other leaf is decided by
-per-coordinate min/max over the free columns.
+search runs an LP on a cell only when the point with every free column 0
+fails one of its inequalities, and reads only its verdict: lp.optimum's
+phase 1, whose artificials sit on the failed rows alone.  A cell holds
+the origin exactly when every equality has h = 0 and every inequality
+h >= 0, and is {0} when the rows tight there have full rank and one LP
+finds their cone of feasible directions to be {0}.  Every node below the
+first level takes this test.  Below a {0} cell every cell is {0} or
+empty, and a pair's cell is {0} exactly when both of its items have the
+least valuation of their support, so the subtree's leaves number the
+product of C(k_s, 2) over the remaining supports s, k_s counting those
+items: they are counted without a visit.  On theorem instances every
+feasible cell is expected to collapse to the origin; any other leaf is
+decided by per-coordinate min/max over the free columns, and its witness
+is a vertex of lp.lp_solve, which tests pin.
 
 Every residual component is invariant under S_m x S_n, which permutes
 the x's among themselves and the y's among themselves, so the group maps
@@ -332,7 +334,7 @@ def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult
         if all(g[-1] >= 0 for g in cell.ineqs):
             return True
         free, a_ub, b_ub = cell.on_free(dim)
-        return feasible(a_ub, b_ub, dim=len(free)) is not None
+        return lp.optimum([0] * len(free), a_ub, b_ub)[0] == lp.OPTIMAL
 
     def leaf(cell: _Cell):
         nonlocal origin_only, bounded, witness
@@ -414,6 +416,5 @@ def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult
 def lp_solve_obj(obj, a_ub, b_ub) -> Optional[Fraction]:
     """Minimum of obj . p subject to a_ub p <= b_ub; None when unbounded."""
     # looked up on the module at call time, so that a wrapper installed on
-    # qqsystems.lp.lp_solve also sees these calls
-    res = lp.lp_solve(obj, a_ub, b_ub)
-    return res.objective if res.status == lp.OPTIMAL else None
+    # qqsystems.lp.optimum also sees these calls
+    return lp.optimum(obj, a_ub, b_ub)[1]

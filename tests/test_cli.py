@@ -431,6 +431,24 @@ def test_solve_does_not_swallow_tropical_crash(tmp_path, monkeypatch):
         main(["solve", spec])
 
 
+def test_repeated_parses_behave_alike(tmp_path, capsys):
+    # main reuses one parser: --version, a usage error and a run must
+    # behave the same on every call
+    from qqsystems import __version__
+    spec = write_spec(tmp_path, QQ11)
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"qqsystems {__version__}\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve"])
+        assert exc.value.code == 2
+        assert "required: spec" in capsys.readouterr().err
+        assert main(["enumerate", spec]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["solutions"]
+
+
 def _python(script):
     """Stdout of a fresh interpreter running script against this src/."""
     src = str(Path(__file__).resolve().parent.parent / "src")

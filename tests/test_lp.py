@@ -1,9 +1,12 @@
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
 import lp_reference
-from qqsystems.lp import lp_solve, feasible, OPTIMAL, INFEASIBLE, UNBOUNDED
+from qqsystems import lp
+from qqsystems.lp import (lp_solve, feasible, optimum, OPTIMAL, INFEASIBLE,
+                         UNBOUNDED)
 
 F = Fraction
 
@@ -93,3 +96,55 @@ def _problems(draw):
 @given(_problems())
 def test_matches_fraction_reference(problem):
     assert lp_solve(*problem) == lp_reference.lp_solve(*problem)
+
+
+def _integers(row):
+    """The row times the lcm of its denominators: a row of ints."""
+    d = lcm(*(v.denominator for v in row))
+    return [int(v * d) for v in row]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_problems())
+def test_optimum_matches_lp_solve(problem):
+    c, a_ub, b_ub = problem
+    c = _integers(c)
+    rows = [_integers(a + [b]) for a, b in zip(a_ub, b_ub)]
+    a_ub, b_ub = [r[:-1] for r in rows], [r[-1] for r in rows]
+    res = lp_solve(c, a_ub, b_ub)
+    assert optimum(c, a_ub, b_ub) == (res.status, res.objective)
+
+
+def test_optimum_no_rows():
+    assert optimum([0, 0]) == (OPTIMAL, 0)
+    assert optimum([0, -1]) == (UNBOUNDED, None)
+
+
+def test_optimum_runs_no_phase_1_when_every_rhs_is_nonnegative(monkeypatch):
+    # 0 <= x <= 2, y <= 1 and x + y >= -1 hold at the origin, where the
+    # slack basis starts
+    a_ub, b_ub = [[1, 0], [0, 1], [-1, 0], [-1, -1]], [2, 1, 0, 1]
+    calls = []
+    simplex = lp._simplex
+
+    def counted(*args):
+        calls.append(None)
+        return simplex(*args)
+    monkeypatch.setattr(lp, "_simplex", counted)
+    assert optimum([0, 0], a_ub, b_ub) == (OPTIMAL, 0)
+    assert not calls
+    assert optimum([-1, -1], a_ub, b_ub) == (OPTIMAL, -3)
+    assert len(calls) == 1  # phase 2 only
+    assert optimum([0, 1], a_ub, b_ub) == (OPTIMAL, -3)
+
+
+def test_optimum_one_negative_row_infeasible():
+    # x <= 1 and x >= 2: only the second row starts with an artificial
+    for c in ([0], [1]):
+        assert optimum(c, [[1], [-1]], [1, -2]) == (INFEASIBLE, None)
+
+
+def test_optimum_unbounded_after_phase_1():
+    # min -x subject to x >= 1
+    assert optimum([-1], [[-1]], [-1]) == (UNBOUNDED, None)
+    assert optimum([1], [[-1]], [-1]) == (OPTIMAL, 1)

@@ -367,19 +367,22 @@ class TestLeafDecision:
         assert _decided_at_a_point(cell, dim) is origin_only
 
     def test_one_lp_per_leaf(self, monkeypatch):
-        # qq (2,2) on shifts 1..4 makes 400 lp_solve calls: 352
+        # qq (2,2) on shifts 1..4 makes 400 LP calls, all of them to
+        # lp.optimum and none to lp.lp_solve (no leaf needs a witness): 352
         # feasibility checks of least and pair cells in the search, and 48
         # cone LPs among the 103 nodes tested for {0}, 58 of which close
         # their subtree.  A cone LP at each of 189 leaves took 676, and two
         # LPs per coordinate at every leaf took 1,860.
         calls = []
-        solve = lp.lp_solve
 
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return solve(*args, **kwargs)
+        def counted(solve):
+            def call(*args, **kwargs):
+                calls.append(None)
+                return solve(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(lp, "lp_solve", counted)
+        for name in ("lp_solve", "optimum"):
+            monkeypatch.setattr(lp, name, counted(getattr(lp, name)))
         res = prevariety(qq_spec([(k, 1) for k in range(1, 5)], 2, 2))
         assert res.cell_count == 2100 and res.is_origin_only
         assert len(calls) < 450
