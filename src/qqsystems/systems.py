@@ -1,17 +1,27 @@
 """Problem data and the one definition of the residual system.
 
-The rank-one differential system compares z-coefficients of
+With q+ = P(z) = prod(z + x_i) of degree m and q- = M(z) = prod(z + y_j)
+of degree n, the rank-one differential system compares z-coefficients of
 
-    q+(z) q-(z) + t W(q+, q-)(z) - Lambda(z),
+    P(z) M(z) + t W(P, M)(z) - Lambda(z),   W(P, M) = P M' - M P',
 
 and the difference system the cleared form
 
-    q^m A(z) - t q^n B(z) - (q^m - t q^n) Lambda(z),
-    A(z) = prod(z + x_i/q) prod(z + y_j),
-    B(z) = prod(z + x_i) prod(z + y_j/q).
+    q^m P~(z) M(z) - t q^n P(z) M~(z) - (q^m - t q^n) Lambda(z),
+    P~(z) = q^(-m) P(qz) = prod(z + x_i/q),  M~(z) = q^(-n) M(qz).
 
 The clearing factor q^m - t q^n is a unit at t = 0, so vanishing orders
 are unchanged.
+
+Both residuals are bilinear in the z-coefficients p_i of P and m_j of
+M, so both are read from one table of products p_i m_j (p_m = m_n = 1),
+each entry weighted by mode:
+
+* qq: p_i m_j goes to z^{i+j} with weight 1, and to the t-part at
+  z^{i+j-1} with weight j - i; Lambda enters as -lambda_e;
+* QQ: q^m P~(z) = P(qz) = sum q^i p_i z^i, so p_i m_j goes to z^{i+j}
+  with weight q^i, and to the t-part at z^{i+j} with weight -q^j;
+  Lambda enters as -q^m lambda_e, and in the t-part as +q^n lambda_e.
 
 residual_components writes these components out once, over any
 commutative ring that takes Scalars and ints as constants; four are used:
@@ -273,50 +283,44 @@ def residual_components(xs: Sequence, ys: Sequence, spec: ProblemSpec, one,
     returns t times build(), a dict from z-exponent to ring element, as a
     dict with the same keys, so a ring at t = 0 can return {} without
     building it.
+
+    Both modes read one table of products p_i m_j of the z-coefficients
+    of q+ = prod(z + x_i) and q- = prod(z + y_j), expanded once each
+    (module docstring).  Every x_i sits in one factor of p_i and every
+    y_j in one factor of m_j, so each entry, and each component, is
+    affine in each single unknown.
     """
     deg = spec.lam.degree
     lam = spec.lam.coeffs
-    out = []
-    if spec.is_difference:
-        qinv = ONE / spec.q
-        qm, qn = spec.q ** spec.m, spec.q ** spec.n
-
-        def t_part():
-            b = _monic_from_shifts(list(xs) + [y * qinv for y in ys])
-            return {e: (b[e] - lam[e]) * qn for e in range(deg)}
-
-        a = _monic_from_shifts([x * qinv for x in xs] + list(ys))
-        tb = times_t(t_part)
-        for e in range(deg - 1, -1, -1):
-            comp = (a[e] - lam[e]) * qm
-            out.append(comp - tb[e] if e in tb else comp)
-        return out
-    qp = _monic_from_shifts(xs)
-    qm = _monic_from_shifts(ys)
     # the leading 1s of q+ and q- enter the table without a product
-    ab = [[a * b for b in qm] + [a] for a in qp] + [qm + [one]]
-    # a_i z^i times b_j z^j adds a_i b_j to z^{i+j} of q+ q- and
-    # (j - i) a_i b_j to z^{i+j-1} of W(q+, q-) = q+ q-' - q- q+'
-    prod: List = [None] * (deg + 1)
-    for i, row in enumerate(ab):
-        for j, v in enumerate(row):
-            prod[i + j] = v if prod[i + j] is None else prod[i + j] + v
+    qm = _monic_from_shifts(ys)
+    ab = [[a * b for b in qm] + [a] for a in _monic_from_shifts(xs)]
+    ab.append(qm + [one])
 
-    def t_part():
-        wr = {}
+    def read(weight, shift, lam_weight):
+        """Sum weight(i, j) p_i m_j into z^{i+j-shift}, below z^deg, less
+        lam_weight Lambda; at shift 0 every z^e has an entry."""
+        acc = {}
         for i, row in enumerate(ab):
             for j, v in enumerate(row):
-                if i != j:
-                    w = v * (j - i)
-                    e = i + j - 1
-                    wr[e] = wr[e] + w if e in wr else w
-        return wr
+                e, w = i + j - shift, weight(i, j)
+                if 0 <= e < deg and w != 0:
+                    v = v if w == 1 else v * w
+                    acc[e] = acc[e] + v if e in acc else v
+        if lam_weight != 0:
+            for e in acc:
+                acc[e] = acc[e] - lam[e] * lam_weight
+        return acc
 
-    tw = times_t(t_part)
-    for e in range(deg - 1, -1, -1):
-        comp = prod[e] - lam[e]
-        out.append(comp + tw[e] if e in tw else comp)
-    return out
+    if spec.is_difference:
+        qk = [spec.q ** k for k in range(deg + 1)]
+        comps = read(lambda i, j: qk[i], 0, qk[spec.m])
+        tp = times_t(lambda: read(lambda i, j: -qk[j], 0, -qk[spec.n]))
+    else:
+        comps = read(lambda i, j: 1, 0, 1)
+        tp = times_t(lambda: read(lambda i, j: j - i, 1, 0))
+    return [comps[e] + tp[e] if e in tp else comps[e]
+            for e in range(deg - 1, -1, -1)]
 
 
 def evaluate_residual(p: CandidatePoint, spec: ProblemSpec) -> List[Series]:
@@ -355,12 +359,11 @@ def jacobian_at_zero(sol, spec: ProblemSpec) -> List[List[Scalar]]:
     """Exact t = 0 Jacobian of residual_components at a base solution.
 
     f is residual_components over Scalars at t = 0.  Each component is
-    affine in each single unknown: at t = 0 it is, up to a constant
-    factor and term, a coefficient of a product of monic linear factors
-    with one factor per unknown, and such coefficients are elementary
-    symmetric, so multilinear.  Hence
-    f(base + e_j) - f(base) is exactly the j-th partial derivative, and
-    with f(base) = 0 (checked first; ValueError otherwise) column j is
+    affine in each single unknown: it is a weighted sum of the table
+    entries p_i m_j, less a constant, and each root sits in one factor of
+    each entry (x_i in p_i, y_j in m_j), so every entry is multilinear.
+    Hence f(base + e_j) - f(base) is exactly the j-th partial derivative,
+    and with f(base) = 0 (checked first; ValueError otherwise) column j is
     f(base + e_j).  Its rank is the number l of distinct shifts of
     Lambda, which the enumeration already records on the base.
     """
@@ -388,6 +391,13 @@ def symbolic_support(spec: ProblemSpec):
     vectors in (x_1..x_m, y_1..y_n) with the t-valuation and exact value
     of each monomial's coefficient, read from expanded_residual at the
     origin, where cancelling monomials have dropped out.
+
+    As sampled by the tests, the exponents and valuations depend neither
+    on Lambda, while every d_k is nonzero, nor on q.  The coefficient
+    table shows why: each square-free monomial x^S y^T comes from exactly
+    one entry p_i m_j (i = m - |S|, j = n - |T|), with weight 1 or q^i,
+    or j - i on the t-part, and Lambda enters only the constant items.
+    This is the reason the tests sample, not a checked proof.
     """
     from .tropical import TropicalSupport
 

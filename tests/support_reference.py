@@ -3,8 +3,9 @@
 This is the expansion that ``qqsystems.systems.symbolic_support`` replaced
 with the shared residual builder over ``SparsePoly``.  It writes the
 residual out independently, as one sympy expression in (z, x, y, t), and
-reads the supports off ``sp.Poly``; the property test in
-``test_systems.py`` holds the exact sparse path to it.
+reads the supports off ``sp.Poly``; the property tests in
+``test_systems.py`` hold the exact sparse path, and the residual at
+arbitrary points, to it.
 """
 
 from __future__ import annotations
@@ -32,6 +33,35 @@ def _sympy_to_scalar(v) -> Scalar:
     return Scalar(Fraction(re.p, re.q), Fraction(im.p, im.q))
 
 
+def residual_expr(spec: ProblemSpec, z, t, xs, ys):
+    """The residual in root form, one sympy expression in z, t, xs, ys."""
+    m, n = spec.m, spec.n
+    lam_expr = sp.prod(
+        (z + _scalar_to_sympy(a)) ** mult for a, mult in spec.lam.shifts)
+    if spec.is_difference:
+        qs = _scalar_to_sympy(spec.q)
+        a_expr = sp.prod(z + xi / qs for xi in xs) * sp.prod(z + yj for yj in ys)
+        b_expr = sp.prod(z + xi for xi in xs) * sp.prod(z + yj / qs for yj in ys)
+        return qs ** m * a_expr - t * qs ** n * b_expr \
+            - (qs ** m - t * qs ** n) * lam_expr
+    qp = sp.prod(z + xi for xi in xs)
+    qm = sp.prod(z + yj for yj in ys)
+    return qp * qm + t * (qp * sp.diff(qm, z) - qm * sp.diff(qp, z)) - lam_expr
+
+
+def residual_at(spec: ProblemSpec, u, t0):
+    """The z^{m+n-k} coefficients, k = 1..m+n, of the root form at
+    (x, y) = u and t = t0, all Scalars."""
+    z = sp.Symbol("z")
+    vals = [_scalar_to_sympy(v) for v in u]
+    expr = residual_expr(spec, z, _scalar_to_sympy(t0), vals[:spec.m],
+                         vals[spec.m:])
+    poly_z = sp.Poly(sp.expand(expr), z)
+    dim = spec.m + spec.n
+    return [_sympy_to_scalar(poly_z.coeff_monomial(z ** (dim - k)))
+            for k in range(1, dim + 1)]
+
+
 def symbolic_support(spec: ProblemSpec):
     """One TropicalSupport per residual component k = 1..m+n."""
     m, n = spec.m, spec.n
@@ -39,18 +69,7 @@ def symbolic_support(spec: ProblemSpec):
     z, t = sp.symbols("z t")
     xs = sp.symbols(f"x1:{m + 1}") if m else ()
     ys = sp.symbols(f"y1:{n + 1}") if n else ()
-    lam_expr = sp.prod(
-        (z + _scalar_to_sympy(a)) ** mult for a, mult in spec.lam.shifts)
-    if spec.is_difference:
-        qs = _scalar_to_sympy(spec.q)
-        a_expr = sp.prod(z + xi / qs for xi in xs) * sp.prod(z + yj for yj in ys)
-        b_expr = sp.prod(z + xi for xi in xs) * sp.prod(z + yj / qs for yj in ys)
-        expr = qs ** m * a_expr - t * qs ** n * b_expr \
-            - (qs ** m - t * qs ** n) * lam_expr
-    else:
-        qp = sp.prod(z + xi for xi in xs)
-        qm = sp.prod(z + yj for yj in ys)
-        expr = qp * qm + t * (qp * sp.diff(qm, z) - qm * sp.diff(qp, z)) - lam_expr
+    expr = residual_expr(spec, z, t, xs, ys)
     poly_z = sp.Poly(sp.expand(expr), z)
     gens = tuple(xs) + tuple(ys) + (t,)
     supports = []

@@ -78,6 +78,24 @@ CASES = {
                      "lambda": _shifts(("1", 1), ("2", 1), ("3", 1)),
                      "m": 2, "n": 1},
         "bef77bf2fee406cee4babb61167dc08dfa8531d0c0217032c8eae4f24a103adf"),
+    # the edges of the q+ q- coefficient table: no x (only the leading 1
+    # of q+), no y, and a difference-mode tropical report; recorded from
+    # the residual that expanded the two unions of scaled roots
+    "QQ m=0 n=3 q=3 K=2": (
+        "solve", {"mode": "QQ", "q": "3",
+                  "lambda": _shifts(("1", 1), ("3", 1), ("5", 1)),
+                  "m": 0, "n": 3, "K": 2},
+        "5aa166e22055ebefd6c4e98be338d95a47e3b690b5128058498a07aff6bce9b2"),
+    "QQ m=2 n=0 q=1/2 K=3": (
+        "solve", {"mode": "QQ", "q": "1/2",
+                  "lambda": _shifts(("1", 1), ("3", 1)),
+                  "m": 2, "n": 0, "K": 3},
+        "e3898e45c874a277cfda074a1e3d4691113459ba8f91b7762e3d416bdd4500a4"),
+    "tropical QQ (2,1) q=3": (
+        "tropical", {"mode": "QQ", "q": "3",
+                     "lambda": _shifts(("1", 1), ("2", 1), ("3", 1)),
+                     "m": 2, "n": 1},
+        "8dd1ba1979d61fff7a4aeb2f2372d800362df3b546005557af738a3052e668c7"),
 }
 
 

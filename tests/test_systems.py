@@ -244,24 +244,68 @@ QS = [Scalar(2), Scalar(3), Scalar(Fraction(1, 2)), Scalar(1, 1)]
 
 
 @st.composite
-def small_specs(draw):
-    """Both modes, 1 <= m + n <= 4, distinct shifts with multiplicities."""
-    mode = draw(st.sampled_from(["qq", "QQ"]))
-    dim = draw(st.integers(1, 4))
-    m = draw(st.integers(0, dim))
+def masters(draw, dim):
+    """Lambda of degree dim: distinct shifts with multiplicities."""
     shifts = draw(st.lists(SHIFTS, min_size=1, max_size=dim, unique=True))
     mults = [1] * len(shifts)
     for _ in range(dim - len(shifts)):
         mults[draw(st.integers(0, len(shifts) - 1))] += 1
+    return MasterData(tuple(zip(shifts, mults)))
+
+
+@st.composite
+def small_specs(draw):
+    """Both modes, 1 <= m + n <= 4 (m = 0 and n = 0 included)."""
+    mode = draw(st.sampled_from(["qq", "QQ"]))
+    dim = draw(st.integers(1, 4))
+    m = draw(st.integers(0, dim))
+    lam = draw(masters(dim))
     q = draw(st.sampled_from(QS)) if mode == "QQ" else None
-    return ProblemSpec(mode=mode, lam=MasterData(tuple(zip(shifts, mults))),
-                       m=m, n=dim - m, q=q)
+    return ProblemSpec(mode=mode, lam=lam, m=m, n=dim - m, q=q)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_specs())
 def test_symbolic_support_matches_sympy_reference(spec):
     assert symbolic_support(spec) == support_reference.symbolic_support(spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_specs(), st.data())
+def test_residual_matches_root_form(spec, data):
+    """residual_components over Scalars at random x, y and t0 equals the
+    root form expanded by sympy: q+ q- + t W - Lambda, or
+    q^m prod(z + x/q) prod(z + y) - t q^n prod(z + x) prod(z + y/q)
+    - (q^m - t q^n) Lambda."""
+    dim = spec.m + spec.n
+    u = data.draw(st.lists(SHIFTS, min_size=dim, max_size=dim))
+    t0 = data.draw(SHIFTS)
+    got = residual_components(
+        u[:spec.m], u[spec.m:], spec, ONE,
+        lambda build: {e: v * t0 for e, v in build().items()})
+    assert got == support_reference.residual_at(spec, u, t0)
+
+
+def _has_nonzero_d(lam):
+    return all(not c.is_zero for c in lam.coeffs)
+
+
+def _support_pairs(spec):
+    return [[(u, v) for u, v, _ in sup.items]
+            for sup in symbolic_support(spec)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_specs().filter(lambda spec: _has_nonzero_d(spec.lam)),
+       st.data())
+def test_support_pairs_do_not_depend_on_lambda_or_q(spec, data):
+    """The sampled form of the support lemma: with every d_k nonzero,
+    the (exponent, valuation) pairs of symbolic_support are the same for
+    a second Lambda and, in QQ, a second q."""
+    lam = data.draw(masters(spec.m + spec.n).filter(_has_nonzero_d))
+    q = data.draw(st.sampled_from(QS)) if spec.is_difference else None
+    assert _support_pairs(replace(spec, lam=lam, q=q)) == \
+        _support_pairs(spec)
 
 
 def _unit(i, dim):
