@@ -80,52 +80,41 @@ def nondegeneracy_check(ls: LiftedSolution, spec: ProblemSpec
 
     simple_zeros: the roots w_l are pairwise distinct jets.
     disjoint_from_lambda: no w_l coincides with a zero of Lambda as a jet.
-    q_distinct (difference only): no q^k * w_l meets another root or a
-    Lambda zero, for any integer k.
+    q_distinct (difference only): no q^k * w_l meets another root for an
+    integer k != 0, nor a Lambda zero for any integer k.
+
+    Each unordered pair of distinct roots, and each (root, Lambda zero)
+    pair, is compared once, at its one candidate exponent: k = 0 in qq
+    mode, _collision_exponent's k in QQ mode, which does not depend on the
+    pair's order since q^k w = v iff q^-k v = w.
     """
     roots = _roots(ls)
-    flags = {"simple_zeros": True, "disjoint_from_lambda": True}
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if (roots[i] - roots[j]).is_zero:
-                flags["simple_zeros"] = False
-    zeros = _lambda_zeros(spec)
-    for w in roots:
-        for zv, _ in zeros:
-            if (w - zv).is_zero:
-                flags["disjoint_from_lambda"] = False
-    if spec.is_difference:
-        flags["q_distinct"] = _q_distinct(roots, zeros, spec)
-    return flags
-
-
-def _q_distinct(roots, zeros, spec: ProblemSpec) -> bool:
-    """False iff q^k * w_i equals another root (k != 0) or a Lambda zero
-    for some integer k; each pair is compared at its one candidate k."""
-    q = spec.q
-    q2 = q.abs2()
+    diff = spec.is_difference
+    q2 = spec.q.abs2() if diff else None
     if q2 == 1:
         # validate() already rejects the Q(i) roots of unity; for any other
         # unit-modulus q the moduli do not fix k
         raise UndecidableQDistinctnessError(
             "|q| = 1 with q not a root of unity: the moduli of the roots "
             "do not fix the exponent k of a q-collision")
-    if not roots:
-        return True
-    targets = list(roots) + [Series.const(zv, roots[0].top, roots[0].n_ram)
-                             for zv, _ in zeros]
-    # pairs with at least one genuine root; root-vs-root pairs are covered
-    # once from each side
-    for i in range(len(roots)):
-        for j in range(len(targets)):
-            if i == j:
-                continue
-            k = _collision_exponent(targets[i], targets[j], q2)
-            if k is None or (k == 0 and j < len(roots)):
-                continue  # simple_zeros covers unscaled root pairs
-            if (targets[i] * q ** k - targets[j]).is_zero:
-                return False
-    return True
+    flags = {"simple_zeros": True, "disjoint_from_lambda": True}
+    if diff:
+        flags["q_distinct"] = True
+    zeros = [Series.const(zv, w.top, w.n_ram)
+             for w in roots[:1] for zv, _ in _lambda_zeros(spec)]
+    pairs = ([(w, v, "simple_zeros")
+              for i, w in enumerate(roots) for v in roots[i + 1:]]
+             + [(w, v, "disjoint_from_lambda") for w in roots for v in zeros])
+    for w, v, flag in pairs:
+        k = _collision_exponent(w, v, q2) if diff else 0
+        if k is None or not ((w * spec.q ** k if k else w) - v).is_zero:
+            continue
+        if k == 0:
+            flags[flag] = False
+        # two zero jets meet at k = 0 and at every other k
+        if diff and (k != 0 or v.is_zero or flag == "disjoint_from_lambda"):
+            flags["q_distinct"] = False
+    return flags
 
 
 def _collision_exponent(w: Series, v: Series, q2: Fraction) -> Optional[int]:
@@ -133,11 +122,12 @@ def _collision_exponent(w: Series, v: Series, q2: Fraction) -> Optional[int]:
 
     Equal jets have equal lowest terms c s^e, so q2^k = |c_v|^2 / |c_w|^2,
     whose numerator or denominator is then max(p, r)^|k| >= 2^|k| for
-    q2 = p/r in lowest terms.  Two zero jets agree at every k; 1 stands in.
+    q2 = p/r in lowest terms.  A zero jet meets only a zero jet, at every
+    k; 0 stands in.
     """
     lw, lv = w.lowest_term(), v.lowest_term()
     if lw is None or lv is None:
-        return 1
+        return 0 if lw is lv else None
     if lw[0] != lv[0]:
         return None
     ratio = lv[1].abs2() / lw[1].abs2()

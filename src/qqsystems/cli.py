@@ -1,13 +1,18 @@
 """Command-line front end: enumerate, lift, verify, report.
 
-Exit codes: 0 success; 2 spec validation failure (or an --out file that
-cannot be opened or written, the tropical size cap exceeded, or a solve
-with |q| = 1); 3 ramification bound exceeded, branch explosion
-or constraints sympy cannot solve (undecided_constraints) on some base;
-4 a residual certificate failure or a Bethe residual valuation below its
-bound (solve), or a prevariety that is not exactly the origin
-(tropical).  Reports are deterministic JSON ("format": 3)
-with exact rational scalars throughout.
+Every failure is a {reason, message} pair in the report's "failures".
+Exit codes: 0 success; 2 a spec that fails validation (the reason names
+the check), a spec file that cannot be read (bad_spec_file), an --out
+file that cannot be opened or written (bad_out_path), the tropical size
+cap exceeded (size_cap_exceeded), or a solve refused before lifting
+(lambda_root_at_origin, q_unit_modulus); 3 a base that cannot be lifted
+(ramification_bound_exceeded, branch_explosion, undecided_constraints);
+4 a residual certificate failure (certificate_failure) or a Bethe
+residual valuation below its bound (bethe_valuation), or, with no
+failure listed, a tropical prevariety that is not exactly the origin.
+A solve exits with the largest code of its failures, read from
+SOLVE_EXIT_CODES.  Reports are deterministic JSON ("format": 3) with
+exact rational scalars throughout.
 """
 
 from __future__ import annotations
@@ -23,8 +28,7 @@ from typing import List, Optional, TextIO
 from . import __version__
 from .bethe import bethe_report
 from .infinite import enumerate_infinite_solutions
-from .lifting import (BranchExplosionError, RamificationBoundExceededError,
-                      UndecidedConstraintsError, lift_newton, lift_ramified)
+from .lifting import LiftError, lift_newton, lift_ramified
 from .systems import ProblemSpec, SizeCapExceededError, SpecValidationError
 from .tropical import prevariety
 
@@ -33,145 +37,134 @@ EXIT_VALIDATION = 2
 EXIT_RAMIFICATION = 3
 EXIT_CERTIFICATE = 4
 
+# every reason a solve records once its spec has loaded, under its exit code
+SOLVE_EXIT_CODES = {reason: code for code, reasons in (
+    (EXIT_VALIDATION, ("lambda_root_at_origin", "q_unit_modulus")),
+    (EXIT_RAMIFICATION, ("ramification_bound_exceeded", "branch_explosion",
+                         "undecided_constraints")),
+    (EXIT_CERTIFICATE, ("certificate_failure", "bethe_valuation")),
+) for reason in reasons}
+
 FORMAT_VERSION = 3
 
 
-class _ReportWriteError(Exception):
-    """Writing the report to the --out file failed; the OSError is its
-    cause."""
+def _emit(out: Optional[TextIO], **body) -> int:
+    """Print the report, or write it to the open --out file and close it.
 
-
-def _emit(report: dict, out: Optional[TextIO]) -> None:
-    """Print the report, or write it to the open --out file and close it."""
-    text = json.dumps(report, indent=2, sort_keys=False)
+    EXIT_OK, or bad_out_path's exit code once the file cannot be written.
+    """
+    text = json.dumps({"format": FORMAT_VERSION, "version": __version__,
+                       **body}, indent=2, sort_keys=False)
     if out is None:
         print(text)
-        return
+        return EXIT_OK
     try:
         with out:
             out.write(text + "\n")
     except OSError as exc:
-        raise _ReportWriteError from exc
+        return _bad_out_path(out.name, exc)
+    return EXIT_OK
 
 
-def _fail(args, reason: str, message: str) -> int:
+def _failure(reason: str, message: str) -> dict:
+    return {"reason": reason, "message": message}
+
+
+def _fail(out: Optional[TextIO], reason: str, message: str) -> int:
     """Emit a report holding only this failure; validation exit code."""
-    _emit({"format": FORMAT_VERSION, "version": __version__,
-           "failures": [{"reason": reason, "message": message}]},
-          getattr(args, "out", None))
-    return EXIT_VALIDATION
+    return _emit(out, failures=[_failure(reason, message)]) or EXIT_VALIDATION
 
 
-def _load_spec(args) -> Optional[ProblemSpec]:
-    """The validated spec, or None once its failure report is emitted."""
-    try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        return ProblemSpec.from_json(obj)
-    except SpecValidationError as exc:
-        _fail(args, exc.code, str(exc))
-    except (OSError, ValueError) as exc:  # unreadable file or not JSON
-        _fail(args, "bad_spec_file", str(exc))
-    return None
+def _bad_out_path(path: str, exc: OSError) -> int:
+    """The report file cannot be opened or written: report on stdout."""
+    return _fail(None, "bad_out_path",
+                 f"cannot write the report to {path}: {exc.strerror or exc}")
 
 
-def cmd_solve(args) -> int:
-    started = time.time()
-    spec = _load_spec(args)
-    if spec is None:
-        return EXIT_VALIDATION
+def _refusals(spec: ProblemSpec) -> List[dict]:
+    """Why solve refuses a valid spec before any work, if it does."""
     if not spec.lam.nonzero_at_origin():
-        return _fail(args, "lambda_root_at_origin",
-                     "Lambda(0) = 0: lifting theorems need a nonzero "
-                     "shift-free origin")
+        return [_failure("lambda_root_at_origin",
+                         "Lambda(0) = 0: lifting theorems need a nonzero "
+                         "shift-free origin")]
     if spec.is_difference and spec.q.abs2() == 1:
         # validate() rejects the roots of unity; for any other |q| = 1 the
         # moduli of the Bethe roots do not fix the exponent of a q-collision
-        return _fail(args, "q_unit_modulus",
-                     f"|q| = 1 with q = {spec.q} not a root of unity: "
-                     "q-distinctness of the Bethe roots is undecidable")
-    bases = enumerate_infinite_solutions(spec)
-    report = {"format": FORMAT_VERSION, "version": __version__,
-              "spec": spec.to_json(), "bases": [], "failures": []}
-    exit_code = EXIT_OK
-    gaudin_bound = Fraction(spec.K - 1)
-    xxz_bound = Fraction(spec.K)
-    for base in bases:
+        return [_failure("q_unit_modulus",
+                         f"|q| = 1 with q = {spec.q} not a root of unity: "
+                         "q-distinctness of the Bethe roots is undecidable")]
+    return []
+
+
+def _solve(spec: ProblemSpec, failures: List[dict]) -> dict:
+    """The report body: each base with its lifts, certified and
+    Bethe-checked, then the advisory tropical block.  Each failure met on
+    the way is appended to `failures`."""
+    bound = Fraction(spec.K if spec.is_difference else spec.K - 1)
+    entries = []
+    for base in enumerate_infinite_solutions(spec):
         entry = {"base": base.to_json(), "lifts": []}
+        entries.append(entry)
         try:
             if base.tier == "generic":
                 lifts = [lift_newton(base, spec)]
             else:
                 lifts = lift_ramified(base, spec)
-        except (RamificationBoundExceededError, BranchExplosionError,
-                UndecidedConstraintsError) as exc:
-            report["failures"].append(
-                {"reason": exc.reason, "message": str(exc)})
-            exit_code = max(exit_code, EXIT_RAMIFICATION)
-            report["bases"].append(entry)
+        except LiftError as exc:
+            failures.append(_failure(exc.reason, str(exc)))
             continue
         entry["branch_count"] = len(lifts)
         for ls in lifts:
             item = ls.to_json()
             item["certified"] = ls.certified()
             if not ls.certified():
-                report["failures"].append(
-                    {"reason": "certificate_failure",
-                     "message": f"residual valuation {ls.residual_valuation} "
-                                f"< {(ls.order + 1)}/{ls.n_ram}"})
-                exit_code = max(exit_code, EXIT_CERTIFICATE)
+                failures.append(_failure(
+                    "certificate_failure",
+                    f"residual valuation {ls.residual_valuation} "
+                    f"< {(ls.order + 1)}/{ls.n_ram}"))
             rep = bethe_report(ls, spec)
             item["bethe"] = rep.to_json()
-            bound = xxz_bound if spec.is_difference else gaudin_bound
-            if rep.residual_valuations is not None:
-                for v in rep.residual_valuations:
-                    if v is not None and v < bound:
-                        report["failures"].append(
-                            {"reason": "bethe_valuation",
-                             "message": f"Bethe residual valuation {v} < {bound}"})
-                        exit_code = max(exit_code, EXIT_CERTIFICATE)
+            failures += [_failure("bethe_valuation",
+                                  f"Bethe residual valuation {v} < {bound}")
+                         for v in rep.residual_valuations or ()
+                         if v is not None and v < bound]
             entry["lifts"].append(item)
-        report["bases"].append(entry)
-    if spec.m + spec.n <= 4:
-        try:
-            trop = prevariety(spec, theorem_mode=False)
-            report["tropical"] = trop.to_json()
-        except SizeCapExceededError as exc:  # advisory only for solve
-            report["tropical"] = {"skipped": str(exc)}
+    if spec.m + spec.n > 4:
+        tropical = {"skipped": "cell enumeration above m+n=4 is run via the "
+                               "tropical subcommand"}
     else:
-        report["tropical"] = {"skipped": "cell enumeration above m+n=4 is "
-                                         "run via the tropical subcommand"}
-    report["elapsed_seconds"] = round(time.time() - started, 3)
-    _emit(report, args.out)
-    return exit_code
+        try:
+            tropical = prevariety(spec, theorem_mode=False).to_json()
+        except SizeCapExceededError as exc:  # advisory only for solve
+            tropical = {"skipped": str(exc)}
+    return {"spec": spec.to_json(), "bases": entries, "failures": failures,
+            "tropical": tropical}
 
 
-def cmd_tropical(args) -> int:
-    spec = _load_spec(args)
-    if spec is None:
-        return EXIT_VALIDATION
+def cmd_solve(args, spec: ProblemSpec) -> int:
+    started = time.time()
+    failures = _refusals(spec)
+    body = {"failures": failures} if failures else dict(
+        _solve(spec, failures),
+        elapsed_seconds=round(time.time() - started, 3))
+    return _emit(args.out, **body) or max(
+        (SOLVE_EXIT_CODES[f["reason"]] for f in failures), default=EXIT_OK)
+
+
+def cmd_tropical(args, spec: ProblemSpec) -> int:
     try:
         res = prevariety(spec, theorem_mode=not args.no_theorem_mode)
     except SpecValidationError as exc:  # theorem hypothesis: some d_k = 0
-        return _fail(args, exc.code, str(exc))
+        return _fail(args.out, exc.code, str(exc))
     except SizeCapExceededError as exc:
-        return _fail(args, "size_cap_exceeded", str(exc))
-    report = {"format": FORMAT_VERSION, "version": __version__,
-              "spec": spec.to_json(), "tropical": res.to_json()}
-    _emit(report, args.out)
-    return EXIT_OK if res.is_origin_only else EXIT_CERTIFICATE
+        return _fail(args.out, "size_cap_exceeded", str(exc))
+    return _emit(args.out, spec=spec.to_json(), tropical=res.to_json()) or (
+        EXIT_OK if res.is_origin_only else EXIT_CERTIFICATE)
 
 
-def cmd_enumerate(args) -> int:
-    spec = _load_spec(args)
-    if spec is None:
-        return EXIT_VALIDATION
-    bases = enumerate_infinite_solutions(spec)
-    report = {"format": FORMAT_VERSION, "version": __version__,
-              "spec": spec.to_json(),
-              "solutions": [b.to_json() for b in bases]}
-    _emit(report, None)
-    return EXIT_OK
+def cmd_enumerate(args, spec: ProblemSpec) -> int:
+    return _emit(None, spec=spec.to_json(), solutions=[
+        b.to_json() for b in enumerate_infinite_solutions(spec)])
 
 
 @functools.cache
@@ -202,25 +195,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _bad_out_path(args, path: str, exc: OSError) -> int:
-    """The report file cannot be opened or written: report on stdout."""
-    args.out = None
-    return _fail(args, "bad_out_path",
-                 f"cannot write the report to {path}: {exc.strerror or exc}")
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     path = getattr(args, "out", None)
+    args.out = None
     if path:
         try:  # before any work, so that a path no file can take fails first
             args.out = open(path, "w", encoding="utf-8")
         except OSError as exc:
-            return _bad_out_path(args, path, exc)
+            return _bad_out_path(path, exc)
     try:
-        return args.func(args)
-    except _ReportWriteError as exc:
-        return _bad_out_path(args, path, exc.__cause__)
+        with open(args.spec, "r", encoding="utf-8") as fh:
+            spec = ProblemSpec.from_json(json.load(fh))
+    except SpecValidationError as exc:
+        return _fail(args.out, exc.code, str(exc))
+    except (OSError, ValueError) as exc:  # unreadable file or not JSON
+        return _fail(args.out, "bad_spec_file", str(exc))
+    return args.func(args, spec)
 
 
 if __name__ == "__main__":

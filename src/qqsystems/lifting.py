@@ -31,19 +31,23 @@ from .systems import (CandidatePoint, ProblemSpec, evaluate_residual,
                       expanded_residual, jacobian_at_zero, online_residual)
 
 
-class RamificationBoundExceededError(RuntimeError):
+class LiftError(RuntimeError):
+    """A base that cannot be lifted; `reason` names why in the report."""
+
+
+class RamificationBoundExceededError(LiftError):
     """No branch certified at any ramification index up to the bound."""
 
     reason = "ramification_bound_exceeded"
 
 
-class BranchExplosionError(RuntimeError):
+class BranchExplosionError(LiftError):
     """The ramified search holds more than _MAX_BRANCHES open branches."""
 
     reason = "branch_explosion"
 
 
-class UndecidedConstraintsError(RuntimeError):
+class UndecidedConstraintsError(LiftError):
     """sympy can neither solve a consistency constraint system of the
     search nor prove it empty."""
 

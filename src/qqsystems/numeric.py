@@ -22,6 +22,8 @@ from .lifting import LiftedSolution
 from .systems import ProblemSpec
 
 DEFAULT_SAMPLES = (1e-2, 1e-3)
+# relative step below which damped_newton accepts a root it cannot improve
+NEWTON_RESOLUTION = 1e-9
 
 
 def _np_from_shifts(shifts: Sequence[complex]) -> np.ndarray:
@@ -120,7 +122,7 @@ def damped_newton(f: Callable[[np.ndarray], np.ndarray], v0: np.ndarray,
             lam *= 0.5
         if not improved:
             # stalled at the roundoff floor right next to the root
-            return v if step_norm <= 1e-9 * scale else None
+            return v if step_norm <= NEWTON_RESOLUTION * scale else None
     return None
 
 
@@ -137,32 +139,41 @@ def numeric_check(ls: LiftedSolution, spec: ProblemSpec,
                   samples: Sequence[float] = DEFAULT_SAMPLES) -> NumericCheck:
     """Compare the jet against damped-Newton roots at small sample t values.
 
-    Passes when every sample converges within 10 * t0^((K+1)/N) of the
-    series evaluation; the decay exponent is the log-log slope of the
-    mismatch, defined when at least two samples give nonzero mismatch.
+    Each sample t0 allows 10 * t0^((top+1)/N) between the root and the
+    series evaluation, which assumes coefficients of size about 1.  Inside
+    the jet's own disc, rho * s0 < 1/2 with s0 = t0^(1/N) and rho the
+    largest |c_e|^(1/e) over s-exponents e >= 1, the allowance is the
+    largest of that, the tail bound 20 (rho s0)^(top+1) and Newton's
+    resolution NEWTON_RESOLUTION * (1 + |jet(t0)|).  Passes when every
+    sample converges within its allowance, which `tolerances` reports.
+    The decay exponent is the log-log slope of the mismatch, defined when
+    at least two samples give nonzero mismatch.
     """
     order_exp = (ls.order + 1) / ls.n_ram
+    jets = ls.point.x + ls.point.y
+    rho = max((abs(complex(c)) ** (1.0 / e) for s in jets
+               for e, c in enumerate(s.coeffs, s.offset)
+               if e >= 1 and not c.is_zero), default=0.0)
     mismatches: List[float] = []
     tolerances: List[float] = []
-    ok = True
     for t0 in samples:
-        seed = np.array([s.eval_at(t0) for s in ls.point.x + ls.point.y])
+        seed = np.array([s.eval_at(t0) for s in jets])
         f = residual_function(spec, t0)
         root = damped_newton(f, seed)
         tol = 10.0 * t0 ** order_exp
+        ratio = rho * t0 ** (1.0 / ls.n_ram)
+        if ratio < 0.5:
+            tol = max(tol, 20.0 * ratio ** (ls.order + 1),
+                      NEWTON_RESOLUTION * (1.0 + float(np.linalg.norm(seed))))
         tolerances.append(tol)
-        if root is None:
-            mismatches.append(float("nan"))
-            ok = False
-            continue
-        err = float(np.max(np.abs(root - seed)))
-        mismatches.append(err)
-        if err > tol:
-            ok = False
+        mismatches.append(float("nan") if root is None
+                          else float(np.max(np.abs(root - seed))))
     decay = decay_exponent(samples, mismatches)
+    # a nan mismatch (Newton failed) fits no allowance
     return NumericCheck(samples=tuple(samples), mismatches=tuple(mismatches),
                         tolerances=tuple(tolerances), decay_exponent=decay,
-                        passed=ok)
+                        passed=all(err <= tol for err, tol
+                                   in zip(mismatches, tolerances)))
 
 
 def decay_exponent(samples: Sequence[float], errors: Sequence[float]

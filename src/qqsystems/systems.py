@@ -392,12 +392,15 @@ def symbolic_support(spec: ProblemSpec):
     of each monomial's coefficient, read from expanded_residual at the
     origin, where cancelling monomials have dropped out.
 
-    As sampled by the tests, the exponents and valuations depend neither
-    on Lambda, while every d_k is nonzero, nor on q.  The coefficient
-    table shows why: each square-free monomial x^S y^T comes from exactly
-    one entry p_i m_j (i = m - |S|, j = n - |T|), with weight 1 or q^i,
-    or j - i on the t-part, and Lambda enters only the constant items.
-    This is the reason the tests sample, not a checked proof.
+    The exponents and valuations depend neither on Lambda, while every
+    d_k is nonzero, nor on q.  The coefficient table shows why: each
+    square-free monomial x^S y^T comes from exactly one entry p_i m_j
+    (i = m - |S|, j = n - |T|), with weight 1 or q^i, or j - i on the
+    t-part, and Lambda enters only the constant items.  The tests check
+    this symbolically for every m + n <= 6 in both modes, with d_k and q
+    as variables: each item's least-t coefficient is c q^i, or c q^i d_k
+    for the constant item, with c a nonzero integer, so no q != 0 is
+    exceptional.
     """
     from .tropical import TropicalSupport
 

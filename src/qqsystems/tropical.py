@@ -43,6 +43,14 @@ leaves fall into Stab(P)-orbits, and a visit would reach the least leaf L
 of each with weight |G| / |Stab(L)|, where the orbit has
 |Stab(P)| / |Stab(L)| leaves.  Such a subtree yields no witness and
 keeps every cell bounded, so closing it changes no field of the result.
+
+While every d_k is nonzero, the prevariety depends only on (m, n, mode).
+Lambda enters the residual only through its constant items, and q only
+as powers q^i: the least-t coefficient of every item of a support is
+c q^i, or c q^i d_k for the constant item, with c a nonzero integer
+(checked symbolically in the tests for every m + n <= 6 in both modes).
+So each verdict holds for every Lambda with all d_k != 0 and for every
+admissible q; no q is exceptional.
 """
 
 from __future__ import annotations

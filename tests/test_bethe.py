@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import bethe_reference
 from qqsystems.scalar import Scalar, ZERO, ONE
 from qqsystems.series import Series
-from qqsystems.systems import MasterData, ProblemSpec
-from qqsystems.infinite import enumerate_infinite_solutions
+from qqsystems.systems import CandidatePoint, MasterData, ProblemSpec
+from qqsystems.infinite import InfiniteSolution, enumerate_infinite_solutions
 from qqsystems.lifting import lift_newton, lift_ramified, LiftedSolution
 from qqsystems.bethe import (bethe_report, nondegeneracy_check,
                              gaudin_residual, xxz_residual,
@@ -222,3 +224,83 @@ class TestReport:
         assert rep.twist == TWIST_XXZ
         assert rep.flags["q_distinct"]
         assert rep.residual_valuations == (Fraction(4),)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass flags against the three-pass reference
+
+_PARTS = st.integers(-2, 2)
+_COEFF = st.builds(Scalar, _PARTS, _PARTS)
+_QS = [Scalar(2), Scalar(3), Scalar(Fraction(1, 2)), Scalar(-2),
+       Scalar(1, 1), Scalar(Fraction(-1, 3))]
+_UNIT_QS = [Scalar(Fraction(3, 5), Fraction(4, 5)), Scalar(0, 1), Scalar(-1)]
+
+
+def _lift_with_roots(roots, top, n_ram):
+    """A LiftedSolution whose Bethe roots -x_l are the given jets; with no
+    roots, one constant y keeps the point nonempty."""
+    x = tuple(-w for w in roots)
+    y = () if roots else (Series.const(ONE, top, n_ram),)
+    base = InfiniteSolution(x0=tuple(s.coeff(0) for s in x),
+                            y0=tuple(s.coeff(0) for s in y), l=1,
+                            tier="generic")
+    return LiftedSolution(point=CandidatePoint(x, y), base=base, alpha=None,
+                          residual_valuation=Fraction(0))
+
+
+@st.composite
+def _root_case(draw):
+    """(roots, spec): jets in one window, drawn so that equal pairs,
+    q^k-scaled pairs, root-Lambda collisions and zero jets all occur."""
+    mode = draw(st.sampled_from(["qq", "QQ"]))
+    q = draw(st.sampled_from(_QS)) if mode == "QQ" else None
+    top, n_ram = draw(st.integers(0, 3)), draw(st.integers(1, 2))
+    shifts = draw(st.lists(st.builds(Scalar, st.integers(-3, 3),
+                                     st.integers(-1, 1)),
+                           min_size=1, max_size=3, unique_by=str))
+    roots = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(
+            ["random", "zero", "equal", "scaled", "lambda", "scaled_lambda"]))
+        k = draw(st.sampled_from([-2, -1, 1, 2]))
+        if kind == "zero":
+            w = Series.const(ZERO, top, n_ram)
+        elif kind in ("equal", "scaled") and roots:
+            w = draw(st.sampled_from(roots))
+            if kind == "scaled":
+                w = w * (q ** k if q is not None else Scalar(2))
+        elif kind in ("lambda", "scaled_lambda"):
+            w = Series.const(-draw(st.sampled_from(shifts)), top, n_ram)
+            if kind == "scaled_lambda" and q is not None:
+                w = w * q ** k
+        else:
+            w = Series(n_ram, draw(st.lists(_COEFF, min_size=top + 1,
+                                            max_size=top + 1)))
+        roots.append(w)
+    lam = MasterData(tuple((a, 1) for a in shifts))
+    spec = ProblemSpec(mode=mode, lam=lam, m=len(roots),
+                       n=max(len(shifts) - len(roots), 0), q=q)
+    return roots, spec
+
+
+@settings(max_examples=400, deadline=None)
+@given(_root_case())
+def test_one_pass_flags_match_three_pass_reference(case):
+    roots, spec = case
+    top = roots[0].top if roots else 0
+    n_ram = roots[0].n_ram if roots else 1
+    ls = _lift_with_roots(roots, top, n_ram)
+    assert (nondegeneracy_check(ls, spec)
+            == bethe_reference.nondegeneracy_check(roots, spec))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 3), st.sampled_from(_UNIT_QS))
+def test_unit_modulus_q_undecidable_for_any_m(m, q):
+    roots = [Series(1, [Scalar(a + 1), Scalar(a)]) for a in range(m)]
+    spec = ProblemSpec(mode="QQ", lam=master((1, 1), (2, 1)), m=m,
+                       n=2 - min(m, 2), q=q)
+    with pytest.raises(UndecidableQDistinctnessError):
+        nondegeneracy_check(_lift_with_roots(roots, 1, 1), spec)
+    with pytest.raises(UndecidableQDistinctnessError):
+        bethe_reference.nondegeneracy_check(roots, spec)

@@ -345,6 +345,39 @@ def test_solve_reports_certificate_failure(tmp_path, capsys, monkeypatch):
     assert report["bases"][0]["lifts"][0]["certified"] is False
 
 
+def test_every_solve_reason_has_an_exit_code():
+    # a reason missing from the table would end the solve in a KeyError
+    lift_reasons = {cls.reason for cls in lifting.LiftError.__subclasses__()}
+    assert len(lift_reasons) == 3
+    assert {cli.SOLVE_EXIT_CODES[r] for r in lift_reasons} == {
+        EXIT_RAMIFICATION}
+    assert cli.SOLVE_EXIT_CODES["certificate_failure"] == EXIT_CERTIFICATE
+    assert cli.SOLVE_EXIT_CODES["bethe_valuation"] == EXIT_CERTIFICATE
+
+
+@pytest.mark.parametrize("failing_base", [0, 1])
+def test_solve_exits_with_the_largest_code(tmp_path, capsys, monkeypatch,
+                                           failing_base):
+    # one base cannot be lifted (3), the other fails its certificate (4):
+    # the exit code is 4 whichever base comes first
+    real = cli.lift_newton
+    calls = []
+
+    def lift(base, spec):
+        calls.append(base)
+        if len(calls) - 1 == failing_base:
+            raise lifting.RamificationBoundExceededError("no branch")
+        return replace(real(base, spec), residual_valuation=Fraction(0))
+
+    monkeypatch.setattr(cli, "lift_newton", lift)
+    spec = write_spec(tmp_path, QQ11)
+    assert main(["solve", spec]) == EXIT_CERTIFICATE
+    report = json.loads(capsys.readouterr().out)
+    reasons = ["ramification_bound_exceeded", "certificate_failure"]
+    assert [f["reason"] for f in report["failures"]] == \
+        reasons[::1 if failing_base == 0 else -1]
+
+
 def test_solve_reports_low_bethe_valuation(tmp_path, capsys, monkeypatch):
     real = cli.bethe_report
     monkeypatch.setattr(cli, "bethe_report", lambda ls, spec: replace(

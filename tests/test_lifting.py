@@ -376,6 +376,22 @@ class TestNumericOracle:
         wrong = replace(ls, point=CandidatePoint((bumped,), ls.point.y))
         assert not numeric_check(wrong, spec).passed
 
+    def test_difference_lift_large_coefficients(self):
+        # on (z+1)(z+2) the order-4 coefficients (about 200 and 310) put
+        # the mismatch at t = 1e-2 above 10 t^(K+1); inside the jet's disc
+        # the tail bound 20 (rho t)^(K+1) allows it, on both bases
+        from qqsystems.numeric import numeric_check
+        spec = QQ_spec([(1, 1), (2, 1)], 1, 1, 3, K=3)
+        for base in enumerate_infinite_solutions(spec):
+            ls = lift_newton(base, spec)
+            nc = numeric_check(ls, spec)
+            assert nc.passed, (nc.mismatches, nc.tolerances)
+            assert nc.mismatches[0] > 10 * nc.samples[0] ** 4
+            x = ls.point.x[0]
+            bumped = Series(1, (x.coeffs[0], x.coeffs[1] + 1) + x.coeffs[2:])
+            wrong = replace(ls, point=CandidatePoint((bumped,), ls.point.y))
+            assert not numeric_check(wrong, spec).passed
+
     def test_branch_agreement(self):
         from qqsystems.numeric import numeric_check
         spec = qq_spec([(1, 2)], 1, 1, K=4)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 from fractions import Fraction
 
 import pytest
@@ -381,3 +382,59 @@ def test_online_residual_matches_series_residual(spec, data):
     rows[i][k] = data.draw(SHIFTS)
     leaves[i].forget_from(k)
     check(online)
+
+
+class _QPoly(SparsePoly):
+    """SparsePoly with integer powers, so that q can be a variable."""
+
+    def __pow__(self, k: int) -> "_QPoly":
+        out = SparsePoly.constant(ONE, self.nvars)
+        for _ in range(k):
+            out = out * self
+        return _QPoly(out.terms, out.nvars)
+
+
+def _symbolic_residual(m, n, mode):
+    """residual_components over SparsePoly in (x, y, t, d_1..d_{m+n}, q):
+    Lambda = z^deg + d_1 z^(deg-1) + ... + d_deg, and q a variable."""
+    deg = m + n
+    nvars = 2 * deg + 2
+    gens = [SparsePoly.variable(i, nvars) for i in range(nvars)]
+    t, ds, q = gens[deg], gens[deg + 1:2 * deg + 1], gens[-1]
+    spec = SimpleNamespace(
+        m=m, n=n, is_difference=mode == "QQ",
+        q=_QPoly(q.terms, nvars) if mode == "QQ" else None,
+        lam=SimpleNamespace(degree=deg, coeffs=ds[::-1] + [ONE]))
+    return residual_components(
+        gens[:m], gens[m:deg], spec, SparsePoly.constant(ONE, nvars),
+        lambda build: {e: p * t for e, p in build().items()})
+
+
+@pytest.mark.parametrize("mode", ["qq", "QQ"])
+@pytest.mark.parametrize("m, n", [(m, d - m) for d in range(1, 7)
+                                  for m in range(d + 1)])
+def test_least_t_coefficients_are_integer_multiples_of_q_powers(m, n, mode):
+    """The support lemma, symbolic in Lambda and q: in component k, the
+    least-t coefficient of each non-constant (x, y)-monomial is c q^i
+    with c a nonzero integer and no d in it, and that of the constant
+    monomial is c q^i d_k.  So the supports, and the prevariety, are the
+    same for every Lambda with all d_k != 0 and for every q != 0."""
+    deg = m + n
+    for k, comp in enumerate(_symbolic_residual(m, n, mode), start=1):
+        least = {}  # (x, y)-exponents -> (least t-degree, its terms)
+        for mono, c in comp.terms.items():
+            u, tdeg, rest = mono[:deg], mono[deg], mono[deg + 1:]
+            if u not in least or tdeg < least[u][0]:
+                least[u] = (tdeg, [])
+            if tdeg == least[u][0]:
+                least[u][1].append((rest, c))
+        assert (0,) * deg in least
+        for u, (_, terms) in least.items():
+            assert len(terms) == 1, (k, u, terms)
+            (rest, c), = terms
+            d_exps, q_exp = rest[:deg], rest[deg]
+            want_d = tuple(int(j == k - 1) for j in range(deg)) if not any(u) \
+                else (0,) * deg
+            assert d_exps == want_d, (k, u, rest)
+            assert mode == "QQ" or q_exp == 0
+            assert c.im == 0 and c.re.denominator == 1 and c.re != 0, (k, u, c)
