@@ -18,12 +18,16 @@ exact rational scalars throughout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
+import stat
 import sys
+import tempfile
 import time
 from fractions import Fraction
-from typing import List, Optional, TextIO
+from typing import List, Optional
 
 from . import __version__
 from .bethe import bethe_report
@@ -48,8 +52,32 @@ SOLVE_EXIT_CODES = {reason: code for code, reasons in (
 FORMAT_VERSION = 3
 
 
-def _emit(out: Optional[TextIO], **body) -> int:
-    """Print the report, or write it to the open --out file and close it.
+def _open_report(path: str):
+    """(file, path, tmp): the --out target, opened before any work.
+
+    A regular file, or a name with nothing behind it yet, is written
+    through the temporary file tmp in its directory, which _emit renames
+    onto path and which has the mode the file has or open() would give
+    it: a run that fails or is killed leaves an earlier report whole.
+    Anything else (a device, a FIFO) is written in place, with tmp None.
+    """
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | 0o666 & ~umask
+    if not stat.S_ISREG(mode):
+        return open(path, "w", encoding="utf-8"), path, None
+    head, name = os.path.split(target)
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=head)
+    os.fchmod(fd, stat.S_IMODE(mode))
+    return os.fdopen(fd, "w", encoding="utf-8"), target, tmp
+
+
+def _emit(out, **body) -> int:
+    """Print the report, or write it to the --out target and close it.
 
     EXIT_OK, or bad_out_path's exit code once the file cannot be written.
     """
@@ -58,11 +86,14 @@ def _emit(out: Optional[TextIO], **body) -> int:
     if out is None:
         print(text)
         return EXIT_OK
+    file, path, tmp = out
     try:
-        with out:
-            out.write(text + "\n")
+        with file:
+            file.write(text + "\n")
+        if tmp:
+            os.replace(tmp, path)
     except OSError as exc:
-        return _bad_out_path(out.name, exc)
+        return _bad_out_path(path, exc)
     return EXIT_OK
 
 
@@ -70,7 +101,7 @@ def _failure(reason: str, message: str) -> dict:
     return {"reason": reason, "message": message}
 
 
-def _fail(out: Optional[TextIO], reason: str, message: str) -> int:
+def _fail(out, reason: str, message: str) -> int:
     """Emit a report holding only this failure; validation exit code."""
     return _emit(out, failures=[_failure(reason, message)]) or EXIT_VALIDATION
 
@@ -201,9 +232,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     args.out = None
     if path:
         try:  # before any work, so that a path no file can take fails first
-            args.out = open(path, "w", encoding="utf-8")
+            args.out = _open_report(path)
         except OSError as exc:
             return _bad_out_path(path, exc)
+    try:
+        return _run(args)
+    finally:  # a failed run leaves no temporary file, whatever failed
+        if args.out is not None:
+            file, _, tmp = args.out
+            file.close()
+            if tmp:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(tmp)
+
+
+def _run(args) -> int:
     try:
         with open(args.spec, "r", encoding="utf-8") as fh:
             spec = ProblemSpec.from_json(json.load(fh))

@@ -1,17 +1,25 @@
 """Exact rational linear programming by fraction-free two-phase simplex.
 
-Two entries share the row builder and the pivots.  `optimum` returns the
-status and optimum value, which do not depend on where phase 1 starts: it
-starts at the slack basis, with an artificial only on each row whose rhs
-is negative.  `lp_solve` also returns a vertex, which does depend on it;
-it puts an artificial on every row, as the tests' Fraction simplex does.
+Three entries share phase 1 and the pivots.  `extend` takes a feasible
+tableau and adds rows to it: each new row enters with its slack
+basic, reduced against the current basis, and phase 1 puts an artificial
+only on each row whose rhs is then negative.  A reduced row with negative
+rhs and no negative entry refutes the system at once, with no pivot.
+`optimum` is `extend` of the empty tableau followed by phase 2; the
+status and optimum value it returns do not depend on where phase 1
+starts.  `lp_solve` also returns a vertex, which does depend on it; it
+puts an artificial on every row, as the tests' Fraction simplex does.
 
 Variables are free (unrestricted in sign) at the interface and split
 internally into nonnegative pairs.  The tableau columns are x+ (n), x- (n),
 one slack per inequality row and, during phase 1, the artificials.
 Pivoting uses Bland's rule (the smallest entering column with negative
 reduced cost; ratio-test ties go to the smallest basic column), which
-guarantees termination without perturbation.
+guarantees termination without perturbation.  A feasible tableau, as
+`extend` takes and returns it, is a tuple (n, rows, basis): n free
+variables, rows over x+, x-, the slacks and a rhs that is >= 0 in every
+row, and basis[i], row i's basic column.  The empty tableau (n, (), ())
+holds no row.
 
 Integer-row invariant: each constraint row is scaled to integers once, by
 the lcm of its denominators, and row i is kept as a list of Python ints R
@@ -59,7 +67,7 @@ def lp_solve(c: Sequence[Fraction],
     cost, cscale = _integers(c)
     scaled = [_integers([*a, b]) for a, b in zip(a_ub, b_ub)]
     status, objective, rows, basis = _solve(
-        cost, cscale, [(r[:-1], r[-1], d) for r, d in scaled], every_row=True)
+        cost, cscale, [(r[:-1], r[-1], d) for r, d in scaled])
     if status != OPTIMAL:
         return LPResult(status, None, None)
     value = {b: Fraction(row[-1], row[b])
@@ -72,52 +80,109 @@ def optimum(c: Sequence[int], a_ub: Sequence[Sequence[int]] = (),
             b_ub: Sequence[int] = ()) -> Tuple[str, Optional[Fraction]]:
     """The status and minimum of c.x subject to a_ub x <= b_ub, x free, on
     integer data; the minimum is None unless the status is OPTIMAL."""
-    return _solve(list(c), 1, [(a, b, 1) for a, b in zip(a_ub, b_ub)],
-                  every_row=False)[:2]
+    t = extend((len(c), (), ()), a_ub, b_ub)
+    if t is None:
+        return INFEASIBLE, None
+    return _phase_2(list(c), 1, list(t[1]), list(t[2]))[:2]
 
 
-def _solve(cost, cscale, constraints, every_row):
+def extend(tableau, a_ub: Sequence[Sequence[int]], b_ub: Sequence[int]):
+    """A feasible tableau of the tableau's system with the integer rows
+    a_ub x <= b_ub added, or None when that system is infeasible.
+
+    Each new row enters with its slack basic, reduced against the current
+    basis; the tableau passed in is not changed.
+    """
+    n, old, basis = tableau
+    width = 2 * n + len(old)  # the columns before the new slacks
+    new = []  # each reduced row without the new slacks, and its own slack
+    for a, b in zip(a_ub, b_ub):
+        line, u = [*a, *(-v for v in a)] + [0] * len(old) + [b], 1
+        for row, col in zip(old, basis):
+            f = line[col]
+            if f:
+                p = row[col]
+                line = [p * x - f * y for x, y in zip(line, row)]
+                u *= p
+        g = gcd(u, *line)
+        line = [v // g for v in line]
+        if line[-1] < 0 and all(v >= 0 for v in line[:-1]):
+            return None  # nonnegative columns cannot reach a negative rhs
+        new.append((line, u // g))
+    k = len(new)
+    rows = [row[:-1] + [0] * k + row[-1:] for row in old]
+    for i, (line, u) in enumerate(new):
+        rows.append(line[:-1] + [0] * k + line[-1:])
+        rows[-1][width + i] = u
+    basis = [*basis, *range(width, width + k)]
+    art = [i for i in range(len(old), len(rows)) if rows[i][-1] < 0]
+    if art:
+        # phase 1 on the rows whose rhs is negative: each is negated and
+        # gets an artificial of its slack's weight as its basic column
+        ncols = width + k
+        rows = [row[:-1] + [0] * len(art) + row[-1:] for row in rows]
+        for j, i in enumerate(art):
+            row = [-v for v in rows[i]]
+            row[ncols + j] = -row[basis[i]]
+            rows[i] = row
+            basis[i] = ncols + j
+        rows = _phase_1(rows, basis, ncols, len(art))
+        if rows is None:
+            return None
+    return n, tuple(rows), tuple(basis)
+
+
+def _solve(cost, cscale, constraints):
     """(status, objective, rows, basis) for the cost cost / cscale.
 
     Constraint (a, b, u) is a x <= b in integers, whose slack and
-    artificial enter it as u > 0.  A row starts with an artificial basic
-    when every_row is set or b < 0, else with its slack basic."""
+    artificial enter it as u > 0.  Every row starts with its artificial
+    basic."""
     n = len(cost)
     nrows = len(constraints)
     ncols = 2 * n + nrows
-    art = [i for i, (_, b, _) in enumerate(constraints)
-           if every_row or b < 0]
-    basis = list(range(2 * n, ncols))
-    for k, i in enumerate(art):
-        basis[i] = ncols + k
-    total = ncols + len(art)
+    basis = list(range(ncols, ncols + nrows))
 
-    # columns: x+ (n), x- (n), slacks (nrows), artificials (len(art)), rhs
+    # columns: x+ (n), x- (n), slacks (nrows), artificials (nrows), rhs
     rows = []
     for i, (a, b, u) in enumerate(constraints):
         s = -1 if b < 0 else 1  # normalize to rhs >= 0
-        line = [s * v for v in a] + [-s * v for v in a] + [0] * (total - 2 * n)
+        line = [s * v for v in a] + [-s * v for v in a] + [0] * (2 * nrows)
         line[2 * n + i] = s * u
         line[basis[i]] = u
         line.append(s * b)
         rows.append(_reduce(line))
+    rows = _phase_1(rows, basis, ncols, nrows)
+    if rows is None:
+        return INFEASIBLE, None, None, None
+    return _phase_2(cost, cscale, rows, basis)
 
-    # phase 1: minimize the sum of the artificials
-    if art:
-        z = _cost_row(rows, basis, [0] * ncols + [1] * len(art) + [0, 1])
-        if _simplex(rows, basis, z, total) != OPTIMAL:
-            raise RuntimeError("phase-1 simplex cannot be unbounded")
-        if z[-2] != 0:
-            return INFEASIBLE, None, rows, basis
-        _drive_out_artificials(rows, basis, ncols)
-        # phase 2 runs on the original columns only: the artificials go
-        rows = [_reduce(row[:ncols] + row[-1:]) for row in rows]
+
+def _phase_1(rows, basis, ncols, nart):
+    """The rows of a feasible basis of the real columns < ncols, or None.
+
+    Minimizes the sum of the nart artificials, the columns from ncols on;
+    those still basic at 0 are driven out, and their columns dropped.
+    """
+    total = ncols + nart
+    z = _cost_row(rows, basis, [0] * ncols + [1] * nart + [0, 1])
+    if _simplex(rows, basis, z, total) != OPTIMAL:
+        raise RuntimeError("phase-1 simplex cannot be unbounded")
+    if z[-2] != 0:
+        return None
+    _drive_out_artificials(rows, basis, ncols)
+    return [_reduce(row[:ncols] + row[-1:]) for row in rows]
+
+
+def _phase_2(cost, cscale, rows, basis):
+    """(status, objective, rows, basis): minimize cost / cscale from the
+    feasible basis; rows and basis are pivoted in place."""
     if not any(cost):
         return OPTIMAL, F0, rows, basis
-
+    n = len(cost)
     z = _cost_row(rows, basis,
-                  cost + [-v for v in cost] + [0] * (nrows + 1) + [cscale])
-    if _simplex(rows, basis, z, ncols) == UNBOUNDED:
+                  cost + [-v for v in cost] + [0] * (len(rows) + 1) + [cscale])
+    if _simplex(rows, basis, z, 2 * n + len(rows)) == UNBOUNDED:
         return UNBOUNDED, None, rows, basis
     return OPTIMAL, Fraction(-z[-2], z[-1]), rows, basis
 

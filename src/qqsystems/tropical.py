@@ -16,19 +16,23 @@ the pair's own rows in the pair's own order.  It lies in the least cells
 of both a and b, so a pair is tried only when both are nonempty; an item
 whose least cell is empty is refuted once, not once per pair.  The
 search runs an LP on a cell only when the point with every free column 0
-fails one of its inequalities, and reads only its verdict: lp.optimum's
-phase 1, whose artificials sit on the failed rows alone.  A cell holds
-the origin exactly when every equality has h = 0 and every inequality
-h >= 0, and is {0} when the rows tight there have full rank and one LP
-finds their cone of feasible directions to be {0}.  Every node below the
-first level takes this test.  Below a {0} cell every cell is {0} or
-empty, and a pair's cell is {0} exactly when both of its items have the
-least valuation of their support, so the subtree's leaves number the
-product of C(k_s, 2) over the remaining supports s, k_s counting those
-items: they are counted without a visit.  On theorem instances every
-feasible cell is expected to collapse to the origin; any other leaf is
-decided by per-coordinate min/max over the free columns, and its witness
-is a vertex of lp.lp_solve, which tests pin.
+fails one of its inequalities, and reads only its verdict, from
+lp.extend.  A least cell keeps its node's free columns and adds rows, so
+its LP extends a feasible tableau of the node's cell by those rows alone:
+the tableau the node's cell got when it was checked as a pair cell, or
+its slack basis when the zero point lies in it.  A pair cell eliminates a
+column, so its LP extends the empty tableau.  A cell holds the origin
+exactly when every equality has h = 0 and every inequality h >= 0, and
+is {0} when the rows tight there have full rank and one LP finds their
+cone of feasible directions to be {0}.  Every node below the first level
+takes this test.  Below a {0} cell every cell is {0} or empty, and a
+pair's cell is {0} exactly when both of its items have the least
+valuation of their support, so the subtree's leaves number the product
+of C(k_s, 2) over the remaining supports s, k_s counting those items:
+they are counted without a visit.  On theorem instances every feasible
+cell is expected to collapse to the origin; any other leaf is decided by
+per-coordinate min/max over the free columns, and its witness is a
+vertex of lp.lp_solve, which tests pin.
 
 Every residual component is invariant under S_m x S_n, which permutes
 the x's among themselves and the y's among themselves, so the group maps
@@ -218,11 +222,13 @@ class _Cell:
         self.ineqs[_primitive(row)] = None
         return True
 
-    def on_free(self, dim: int):
-        """The free columns, and the inequalities on them as a_ub, b_ub."""
+    def on_free(self, dim: int, start: int = 0):
+        """The free columns, and the inequalities on them from the start-th
+        on as a_ub, b_ub."""
         free = [j for j in range(dim) if j not in self.eqs]
-        return (free, [[g[j] for j in free] for g in self.ineqs],
-                [g[-1] for g in self.ineqs])
+        ineqs = list(self.ineqs)[start:]
+        return (free, [[g[j] for j in free] for g in ineqs],
+                [g[-1] for g in ineqs])
 
     def coordinate(self, i: int, free):
         """(d, a, h) with d > 0 and d w_i = h - a . w_free on the cell."""
@@ -336,13 +342,22 @@ def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult
     bounded = True
     witness: Optional[TropicalPoint] = None
 
-    def nonempty(cell: _Cell) -> bool:
-        # the point with every free column 0 lies in the cell when every
-        # inequality has h >= 0; only otherwise runs the simplex
+    def nonempty(cell: _Cell, held):
+        """The cell's tableau, or None when the cell is empty.
+
+        A tableau of a cell is a pair (t, k): t is a feasible lp tableau
+        of the cell's first k inequalities, on its free columns.  held is one
+        of this cell.  The simplex extends t by the other rows only when
+        the point with every free column 0 fails one of them; when that
+        point lies in the cell, held is returned as it is, and the rows
+        wait for the extend that first needs them.
+        """
         if all(g[-1] >= 0 for g in cell.ineqs):
-            return True
-        free, a_ub, b_ub = cell.on_free(dim)
-        return lp.optimum([0] * len(free), a_ub, b_ub)[0] == lp.OPTIMAL
+            return held
+        t, k = held
+        _, a_ub, b_ub = cell.on_free(dim, k)
+        t = lp.extend(t, a_ub, b_ub)
+        return None if t is None else (t, len(cell.ineqs))
 
     def leaf(cell: _Cell):
         nonlocal origin_only, bounded, witness
@@ -380,8 +395,9 @@ def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult
                 if any(w):
                     witness = TropicalPoint(w)
 
-    def dfs(level, cell: _Cell, stab):
-        # stab: the group elements that fix the chosen pairs so far
+    def dfs(level, cell: _Cell, stab, held):
+        # stab: the group elements that fix the chosen pairs so far; held:
+        # the cell's tableau (see nonempty)
         nonlocal cell_count
         orbit_size = len(group) // len(stab)
         if level and _is_origin_cell(cell, cell.on_free(dim)[0]):
@@ -398,23 +414,28 @@ def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult
         live = [j for j, img in enumerate(images[level])
                 if not any(img[g] < j for g in stab)]
         # least[a]: the cell on which item a is least, or None when it is
-        # empty; every pair's cell lies in both of its items' least cells
+        # empty; every pair's cell lies in both of its items' least cells.
+        # A least cell adds rows and keeps the free columns, so its LP
+        # extends the cell's tableau by the new rows alone
         rows = cell.reduced(item)
         least = {}
         for a in sorted({x for j in live for x in pairs[level][j]}):
             c = _least_cell(cell, rows, a)
-            least[a] = c if c is not None and nonempty(c) else None
+            least[a] = c if c is not None and nonempty(c, held) else None
         for j in live:
             a, b = pairs[level][j]
             if least[a] is None or least[b] is None:
                 continue
+            # the equality eliminates a column: the LP starts empty
             c = least[a].copy()
-            if (c.add_equality([x - y for x, y in zip(item[a], item[b])])
-                    and nonempty(c)):
+            if not c.add_equality([x - y for x, y in zip(item[a], item[b])]):
+                continue
+            c_held = nonempty(c, ((dim - len(c.eqs), (), ()), 0))
+            if c_held is not None:
                 img = images[level][j]
-                dfs(level + 1, c, [g for g in stab if img[g] == j])
+                dfs(level + 1, c, [g for g in stab if img[g] == j], c_held)
 
-    dfs(0, _Cell({}, {}), range(len(group)))
+    dfs(0, _Cell({}, {}), range(len(group)), ((dim, (), ()), 0))
     if not cell_count:
         origin_only = False  # empty prevariety: the theorems expect {0}
     return PrevarietyResult(cell_count=cell_count, is_origin_only=origin_only,

@@ -455,6 +455,41 @@ def test_out_write_failure_reports_on_stdout(tmp_path, capsys):
     assert [f["reason"] for f in report["failures"]] == ["bad_out_path"]
 
 
+def test_crashed_run_keeps_the_earlier_report(tmp_path):
+    # the report goes through a temporary file beside --out: a run that
+    # fails leaves an earlier report whole, and no temporary file behind
+    def broken(spec, failures):
+        raise RuntimeError("solve crashed")
+    spec = write_spec(tmp_path, QQ11)
+    out = tmp_path / "report.json"
+    out.write_text("earlier report\n")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_solve", broken)
+        with pytest.raises(RuntimeError, match="solve crashed"):
+            main(["solve", spec, "--out", str(out)])
+    assert out.read_text() == "earlier report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "report.json", "spec.json"]
+    # a run that finishes replaces it, keeping its mode
+    out.chmod(0o640)
+    assert main(["solve", spec, "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["format"] == 3
+    assert out.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "report.json", "spec.json"]
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path):
+    spec = write_spec(tmp_path, QQ11)
+    target = tmp_path / "report.json"
+    target.write_text("earlier report\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert main(["solve", spec, "--out", str(link)]) == EXIT_OK
+    assert link.is_symlink()
+    assert json.loads(target.read_text())["format"] == 3
+
+
 def test_solve_does_not_swallow_tropical_crash(tmp_path, monkeypatch):
     def broken(spec, theorem_mode):
         raise RuntimeError("prevariety crashed")

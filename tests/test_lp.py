@@ -1,12 +1,12 @@
 from fractions import Fraction
 from math import lcm
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import lp_reference
 from qqsystems import lp
-from qqsystems.lp import (lp_solve, feasible, optimum, OPTIMAL, INFEASIBLE,
-                         UNBOUNDED)
+from qqsystems.lp import (extend, lp_solve, feasible, optimum, OPTIMAL,
+                         INFEASIBLE, UNBOUNDED)
 
 F = Fraction
 
@@ -148,3 +148,93 @@ def test_optimum_unbounded_after_phase_1():
     # min -x subject to x >= 1
     assert optimum([-1], [[-1]], [-1]) == (UNBOUNDED, None)
     assert optimum([1], [[-1]], [-1]) == (OPTIMAL, 1)
+
+
+_entry = st.integers(-3, 3)
+
+
+@st.composite
+def _chains(draw):
+    """An integer system of 1-4 free variables, split into a base and one
+    to three increments; rows may be zero, constant, repeated or negated,
+    and their rhs negative."""
+    n = draw(st.integers(1, 4))
+    fresh = st.tuples(st.lists(_entry, min_size=n, max_size=n), _entry)
+    zero = st.tuples(st.just([0] * n), st.sampled_from([0, 0, 1, 2, -1]))
+    rows = draw(st.lists(st.one_of(fresh, fresh, fresh, zero), max_size=8))
+    if rows:  # repeat some rows, or their negations, with another rhs
+        rows += draw(st.lists(st.builds(
+            lambda r, s, b: ([s * v for v in r[0]], b),
+            st.sampled_from(rows), st.sampled_from([1, -1]), _entry),
+            max_size=3))
+        rows = draw(st.permutations(rows))
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)),
+                                min_size=1, max_size=3)))
+    parts = [rows[i:j] for i, j in zip([0] + cuts, cuts + [len(rows)])]
+    return n, parts
+
+
+def _vertex(t):
+    """The basic solution of the tableau, in the free variables."""
+    n, rows, basis = t
+    value = {b: Fraction(row[-1], row[b]) for row, b in zip(rows, basis)}
+    return [value.get(j, F(0)) - value.get(n + j, F(0)) for j in range(n)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_chains())
+# several rows whose rhs is negative once reduced, in one increment
+@example((1, [[([-1], -1), ([-1], -2)]]))
+@example((2, [[([-1, 0], -1)], [([0, -1], -1), ([-1, -1], -3)]]))
+def test_extend_chain_matches_reference(chain):
+    n, parts = chain
+    t, held = (n, (), ()), []
+    for part in parts:
+        held += part
+        a_ub, b_ub = [a for a, _ in held], [b for _, b in held]
+        status = lp_reference.lp_solve([F(0)] * n, a_ub, b_ub).status
+        assert optimum([0] * n, a_ub, b_ub)[0] == status
+        if t is not None:
+            t = extend(t, [a for a, _ in part], [b for _, b in part])
+        # an infeasible system stays infeasible under every increment
+        assert (t is not None) == (status == OPTIMAL)
+        if t is not None:
+            _, rows, basis = t
+            assert len(rows) == len(held)
+            assert all(row[-1] >= 0 and row[b] > 0
+                       for row, b in zip(rows, basis))
+            x = _vertex(t)
+            assert all(sum(v * w for v, w in zip(a, x)) <= b
+                       for a, b in held)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    fn = getattr(lp, name)
+    monkeypatch.setattr(
+        lp, name, lambda *args: calls.append(None) or fn(*args))
+    return calls
+
+
+def test_extend_refutes_a_row_without_a_pivot(monkeypatch):
+    # x >= 1 makes x+ basic; x <= 0 then reduces to s1 + s2 = -1, whose
+    # nonnegative columns cannot meet the negative rhs
+    t = extend((1, (), ()), [[-1]], [-1])
+    assert t is not None and t[2] == (0,)
+    pivots = _counting(monkeypatch, "_pivot")
+    assert extend(t, [[1]], [0]) is None
+    assert not pivots
+    assert extend(t, [[1], [0]], [5, 0]) is not None
+
+
+def test_extend_runs_no_phase_1_when_new_rows_hold_at_the_basis(monkeypatch):
+    # x >= 1 puts the basis at x = 1, where x <= 2 and x + y >= 0 with
+    # y = 0 hold, as 0 <= 0 does
+    t = extend((2, (), ()), [[-1, 0]], [-1])
+    calls = _counting(monkeypatch, "_simplex")
+    t2 = extend(t, [[1, 0], [-1, -1], [0, 0]], [2, 0, 0])
+    assert not calls
+    assert len(t2[1]) == 4 and t2[2][0] == t[2][0]
+    assert len(t[1]) == 1  # the tableau passed in is kept
+    assert extend(t2, [[0, -1]], [-3]) is not None
+    assert len(calls) == 1

@@ -367,25 +367,38 @@ class TestLeafDecision:
         assert _decided_at_a_point(cell, dim) is origin_only
 
     def test_one_lp_per_leaf(self, monkeypatch):
-        # qq (2,2) on shifts 1..4 makes 400 LP calls, all of them to
-        # lp.optimum and none to lp.lp_solve (no leaf needs a witness): 352
-        # feasibility checks of least and pair cells in the search, and 48
+        # qq (2,2) on shifts 1..4 makes 400 LP calls, none of them to
+        # lp.lp_solve (no leaf needs a witness): 352 lp.extend calls that
+        # decide least and pair cells in the search, and 48 lp.optimum
         # cone LPs among the 103 nodes tested for {0}, 58 of which close
         # their subtree.  A cone LP at each of 189 leaves took 676, and two
         # LPs per coordinate at every leaf took 1,860.
         calls = []
+        depth = [0]  # optimum's own extend call is not counted again
 
         def counted(solve):
             def call(*args, **kwargs):
-                calls.append(None)
-                return solve(*args, **kwargs)
+                if not depth[0]:
+                    calls.append(None)
+                depth[0] += 1
+                try:
+                    return solve(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
             return call
 
-        for name in ("lp_solve", "optimum"):
+        for name in ("lp_solve", "optimum", "extend"):
             monkeypatch.setattr(lp, name, counted(getattr(lp, name)))
+        pivots = []
+        pivot = lp._pivot
+        monkeypatch.setattr(
+            lp, "_pivot", lambda *args: pivots.append(None) or pivot(*args))
         res = prevariety(qq_spec([(k, 1) for k in range(1, 5)], 2, 2))
         assert res.cell_count == 2100 and res.is_origin_only
         assert len(calls) < 450
+        # 275 pivots: each least cell extends its node's feasible tableau;
+        # a fresh phase 1 per least cell took 720
+        assert len(pivots) <= 400
 
 
 class TestSizeCap:
