@@ -13,13 +13,18 @@ Zero positions use z_j = -a_j for the master shifts a_j with n_j = m_j.
 Nondegeneracy (simple, Lambda-disjoint, q-distinct) is decided at the
 level of truncated series: the pairwise differences must be invertible
 jets, which is exactly what makes the cleared residuals well-defined.
-Residuals are only emitted when the applicable flags pass.
+Residuals are only emitted when the applicable flags pass.  The jets are
+exact polynomials, so every coefficient inside a residual's window is
+exact: bethe_report reads the residuals from jets widened by FIRST_GUARD
+t-orders, and by WORK_GUARD only when some residual is zero through that
+first window, and reports the valuations WORK_GUARD alone would give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import log
 from typing import Dict, List, Optional, Tuple
 
 from .lifting import LiftedSolution
@@ -31,7 +36,10 @@ TWIST_GAUDIN = "2*zeta = 1/t"
 TWIST_XXZ = "zeta^2 = 1/t"
 
 # extra window (in t-orders) granted by treating the jet as an exact
-# polynomial before dividing; reciprocal of a valuation-1 jet costs two
+# polynomial before dividing; reciprocal of a valuation-1 jet costs two.
+# bethe_report reads the residuals at FIRST_GUARD, and at WORK_GUARD only
+# when one of them is zero through that smaller window
+FIRST_GUARD = 2
 WORK_GUARD = 4
 
 
@@ -122,8 +130,11 @@ def _collision_exponent(w: Series, v: Series, q2: Fraction) -> Optional[int]:
 
     Equal jets have equal lowest terms c s^e, so q2^k = |c_v|^2 / |c_w|^2,
     whose numerator or denominator is then max(p, r)^|k| >= 2^|k| for
-    q2 = p/r in lowest terms.  A zero jet meets only a zero jet, at every
-    k; 0 stands in.
+    q2 = p/r in lowest terms: |k| <= bound.  As q2 != 1 that ratio fixes
+    k = log ratio / log q2.  When the float quotient is within 1/4 of it
+    (q2 not too close to 1), its nearest integer is the one candidate;
+    otherwise every k in +-bound is tried.  Candidates are checked in exact
+    arithmetic.  A zero jet meets only a zero jet, at every k; 0 stands in.
     """
     lw, lv = w.lowest_term(), v.lowest_term()
     if lw is None or lv is None:
@@ -132,16 +143,32 @@ def _collision_exponent(w: Series, v: Series, q2: Fraction) -> Optional[int]:
         return None
     ratio = lv[1].abs2() / lw[1].abs2()
     bound = max(ratio.numerator.bit_length(), ratio.denominator.bit_length())
-    return next((k for k in range(-bound, bound + 1) if q2 ** k == ratio),
-                None)
+    (lr, err_r), (lq, err_q) = _log(ratio), _log(q2)
+    # |float quotient - k| <= (err_r + |k| err_q) / |lq| for a true k
+    if 4 * (err_r + bound * err_q) < abs(lq):
+        k = round(lr / lq)
+        candidates = [k] if abs(k) <= bound else []
+    else:
+        candidates = range(-bound, bound + 1)
+    return next((k for k in candidates if q2 ** k == ratio), None)
 
 
-def gaudin_residual(ls: LiftedSolution, spec: ProblemSpec) -> List[Series]:
-    """t-cleared Gaudin residuals R_l, one per root, window = lift order."""
+def _log(x: Fraction) -> Tuple[float, float]:
+    """Natural log of a positive rational, taken of its numerator and
+    denominator so that no float conversion of x over- or underflows, and
+    a bound on its absolute error (a few ulps of each of the two logs)."""
+    ln, ld = log(x.numerator), log(x.denominator)
+    return ln - ld, (ln + ld + 1) * 2.0 ** -50
+
+
+def gaudin_residual(ls: LiftedSolution, spec: ProblemSpec,
+                    guard: int = WORK_GUARD) -> List[Series]:
+    """t-cleared Gaudin residuals R_l, one per root, computed from the
+    jets widened to lift order + guard t-orders."""
     if spec.is_difference:
         raise ValueError("Gaudin residuals apply to the differential mode")
     n_ram = ls.n_ram
-    work_top = ls.order + WORK_GUARD * n_ram
+    work_top = ls.order + guard * n_ram
     roots = [w.widen(work_top) for w in _roots(ls)]
     zeros = _lambda_zeros(spec)
     out = []
@@ -167,14 +194,16 @@ def gaudin_residual(ls: LiftedSolution, spec: ProblemSpec) -> List[Series]:
     return out
 
 
-def xxz_residual(ls: LiftedSolution, spec: ProblemSpec) -> List[Series]:
-    """Cleared two-point XXZ residuals C_l, one per root."""
+def xxz_residual(ls: LiftedSolution, spec: ProblemSpec,
+                 guard: int = WORK_GUARD) -> List[Series]:
+    """Cleared two-point XXZ residuals C_l, one per root, computed from
+    the jets widened to lift order + guard t-orders."""
     if not spec.is_difference:
         raise ValueError("XXZ residuals apply to the difference mode")
     q = spec.q
     qinv = ONE / q
     n_ram = ls.n_ram
-    work_top = ls.order + WORK_GUARD * n_ram
+    work_top = ls.order + guard * n_ram
     xs = [s.widen(work_top) for s in ls.point.x]
     roots = [-s for s in xs]
     lam = spec.lam.root_shift_multiset()
@@ -195,14 +224,21 @@ def xxz_residual(ls: LiftedSolution, spec: ProblemSpec) -> List[Series]:
 
 
 def bethe_report(ls: LiftedSolution, spec: ProblemSpec) -> BetheReport:
-    """Flags plus gated residuals for one lifted solution."""
+    """Flags plus gated residuals for one lifted solution.
+
+    Every coefficient inside a window is exact, so a valuation read at
+    FIRST_GUARD is the one WORK_GUARD gives; the residuals are read again
+    at WORK_GUARD only when one of them is zero through the first window.
+    """
     roots = _roots(ls)
     flags = nondegeneracy_check(ls, spec)
     twist = TWIST_XXZ if spec.is_difference else TWIST_GAUDIN
     if not all(flags.values()):
         return BetheReport(roots=roots, twist=twist, flags=flags,
                            residual_valuations=None)
-    res = (xxz_residual(ls, spec) if spec.is_difference
-           else gaudin_residual(ls, spec))
+    residual = xxz_residual if spec.is_difference else gaudin_residual
+    vals = [r.valuation() for r in residual(ls, spec, FIRST_GUARD)]
+    if any(v is None for v in vals):
+        vals = [r.valuation() for r in residual(ls, spec, WORK_GUARD)]
     return BetheReport(roots=roots, twist=twist, flags=flags,
-                       residual_valuations=tuple(r.valuation() for r in res))
+                       residual_valuations=tuple(vals))

@@ -1,9 +1,15 @@
 """Order-by-order lifting of infinite-system solutions.
 
 Generic bases (invertible t=0 Jacobian) lift by exact Newton/Hensel
-iteration: each order solves J0 * c_k = -defect_k over Q(i), and reads
-defect_k from the online residual, built once per base, which computes
-one new coefficient per intermediate series at each order.  Degenerate
+iteration: each order sets c_k = -J0^-1 defect_k over Q(i), with J0^-1
+in closed form at Lambda's shifts (systems.jacobian_inverse_at_zero), and
+reads defect_k from the online residual, built once per base, which
+computes one new coefficient per intermediate series at each order.
+Generic bases call neither jacobian_at_zero nor solve_unique; the
+general inverse solve_unique(jacobian_at_zero(...), I) lives on as the
+test reference (tests/lift_reference.py) that the closed form is held
+to.  solve_unique stays imported here because perfbench/spans.py wraps
+it under this module's name (tests/test_call_sites.py).  Degenerate
 bases go through a ramification search: expand the residual once in
 (delta, t) at the base, substitute t = s^N, carry each branch as one
 sympy correction jet per unknown (the delta) whose coefficients hold
@@ -24,11 +30,12 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .infinite import InfiniteSolution
-from .linalg import SingularJacobianError, rref, solve_unique
-from .scalar import Scalar, ZERO, ONE
+from .linalg import SingularJacobianError, rref, solve_unique  # noqa: F401
+from .scalar import Scalar, ZERO, ONE, dot
 from .series import OnlineSeries, Series
 from .systems import (CandidatePoint, ProblemSpec, evaluate_residual,
-                      expanded_residual, jacobian_at_zero, online_residual)
+                      expanded_residual, jacobian_at_zero,
+                      jacobian_inverse_at_zero, online_residual)
 
 
 class LiftError(RuntimeError):
@@ -128,23 +135,28 @@ def certify_residual_point(point: CandidatePoint, spec: ProblemSpec) -> Fraction
 def lift_newton(sol: InfiniteSolution, spec: ProblemSpec) -> LiftedSolution:
     """Unique order-K lift of a generic base (N = 1).
 
-    J0 is inverted once (SingularJacobianError at a degenerate base), and
-    order k sets c_k = -J0^-1 defect_k.  The residual is built once over
-    online series whose leaves read the coefficient table.  The order-k
-    residual coefficient reads only coefficients of order <= k, so read
-    with c_k = 0 it is defect_k; once c_k is set, what was computed from
-    c_k = 0 is dropped and computed again at the next order.
+    Order k sets c_k = -J0^-1 defect_k, each entry one integer dot
+    product (scalar.dot) of a row of -J0^-1 with the defect.  J0^-1 is
+    read in closed form from Lambda's shifts at the base
+    (jacobian_inverse_at_zero; SingularJacobianError at a repeated one),
+    with no row reduction.  The residual is built once over online series
+    whose leaves read the coefficient table; its order-0 coefficients are
+    the base check (ValueError unless they vanish).  The order-k residual
+    coefficient reads only coefficients of order <= k, so read with c_k = 0
+    it is defect_k; once c_k is set, what was computed from c_k = 0 is
+    dropped and computed again at the next order.
     """
-    dim = spec.m + spec.n
-    inverse = solve_unique(jacobian_at_zero(sol, spec), _identity(dim))
     K = spec.K
     coeffs = [[v] + [ZERO] * K for v in list(sol.x0) + list(sol.y0)]
     unknowns = OnlineSeries.leaves(coeffs)
     residual = online_residual(unknowns, spec)
+    if not all(comp.coeff(0).is_zero for comp in residual):
+        raise ValueError("point is not a solution of the infinite system")
+    step = [[-a for a in row] for row in jacobian_inverse_at_zero(sol, spec)]
     for k in range(1, K + 1):
         defect = [comp.coeff(k) for comp in residual]
-        for i, row in enumerate(inverse):
-            coeffs[i][k] = -sum((a * d for a, d in zip(row, defect)), ZERO)
+        for i, row in enumerate(step):
+            coeffs[i][k] = dot(row, defect)
         unknowns[0].forget_from(k)  # the leaves share one family
     jets = [Series(1, row) for row in coeffs]
     point = CandidatePoint(tuple(jets[:spec.m]), tuple(jets[spec.m:]))

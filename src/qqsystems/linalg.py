@@ -1,7 +1,9 @@
 """Exact linear algebra over the Gaussian rationals (Scalar entries).
 
 Plain Gaussian elimination with exact division; no floating point
-anywhere.
+anywhere.  rref serves the ramified branch search; solve_unique, which
+generic lifts no longer call (their J0^-1 has a closed form), is the
+general inverse the tests hold that closed form to.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ def rref(rows: List[List[Scalar]]) -> Tuple[List[List[Scalar]], List[int]]:
 
 
 class SingularJacobianError(ValueError):
-    """solve_unique met a singular matrix: at a degenerate base the t = 0
-    Jacobian is one, and lifting goes through lift_ramified."""
+    """A singular matrix: met by solve_unique, or by the closed-form
+    inverse of the t = 0 Jacobian where a shift of Lambda repeats.  At
+    such a degenerate base lifting goes through lift_ramified."""
 
 
 def solve_unique(A: Sequence[Sequence[Scalar]], B: Sequence[Sequence[Scalar]]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Union
+from typing import Sequence, Union
 
 _RatLike = Union[int, Fraction]
 
@@ -217,3 +217,16 @@ class Scalar:
 ZERO = Scalar(0)
 ONE = Scalar(1)
 I = Scalar(0, 1)
+
+
+def dot(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> Scalar:
+    """sum x_k y_k over the shorter length, as integer numerators over
+    one common denominator, reduced once."""
+    dens = [x._d * y._d for x, y in zip(xs, ys)]
+    den = lcm(*dens)
+    re = im = 0
+    for x, y, d in zip(xs, ys, dens):
+        f = den // d
+        re += (x._a * y._a - x._b * y._b) * f
+        im += (x._a * y._b + x._b * y._a) * f
+    return Scalar.reduced(re, im, den)

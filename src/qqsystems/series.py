@@ -27,7 +27,7 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .scalar import Scalar, ZERO
+from .scalar import Scalar, ZERO, dot
 
 
 class RamificationMismatchError(ValueError):
@@ -371,16 +371,7 @@ class OnlineSeries:
 
 
 def _convolution(a: OnlineSeries, b: OnlineSeries, k: int) -> Scalar:
-    """Coefficient k of a * b: sum of a_i b_(k-i), as integer numerators
-    over one common denominator, reduced once."""
+    """Coefficient k of a * b: sum of a_i b_(k-i)."""
     a.coeff(k)
     b.coeff(k)
-    xs, ys = a._known[:k + 1], b._known[k::-1]
-    dens = [x._d * y._d for x, y in zip(xs, ys)]
-    den = lcm(*dens)
-    re = im = 0
-    for x, y, d in zip(xs, ys, dens):
-        f = den // d
-        re += (x._a * y._a - x._b * y._b) * f
-        im += (x._a * y._b + x._b * y._a) * f
-    return Scalar.reduced(re, im, den)
+    return dot(a._known[:k + 1], b._known[k::-1])

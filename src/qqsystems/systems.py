@@ -37,7 +37,10 @@ commutative ring that takes Scalars and ints as constants; four are used:
   (symbolic_support), and at a degenerate base, once, for lifting's
   ramified branch search, which substitutes its sympy jets into it;
 * Scalars at t = 0 (jacobian_at_zero): the base check and the t = 0
-  Jacobian J0 that lifting inverts or row-reduces.
+  Jacobian J0 that the ramified branch search row-reduces.  Generic
+  lifts do not build it: where Lambda's shifts are distinct its inverse
+  has a closed form (jacobian_inverse_at_zero), which the tests hold to the
+  row-reduced inverse of this J0.
 
 The floating-point residual in numeric.py is a separate encoding on
 purpose, so that the numeric oracle stays an independent check.
@@ -49,6 +52,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from .linalg import SingularJacobianError
 from .poly import SparsePoly
 from .scalar import Scalar, SpecValidationError, ZERO, ONE
 from .series import OnlineSeries, Series
@@ -378,6 +382,49 @@ def jacobian_at_zero(sol, spec: ProblemSpec) -> List[List[Scalar]]:
     cols = [f(base[:j] + [base[j] + ONE] + base[j + 1:])
             for j in range(len(base))]
     return [list(row) for row in zip(*cols)]
+
+
+def jacobian_inverse_at_zero(sol, spec: ProblemSpec) -> List[List[Scalar]]:
+    """J0^-1 in closed form at a base solution where Lambda's shifts are
+    distinct.
+
+    At a base, P M = Lambda at t = 0 (P(qz) M = q^m Lambda in QQ mode), so
+    column v of J0 is the coefficient vector, highest power first, of
+    w_v Lambda(z)/(z + rho_v): z + rho_v is the factor of Lambda that
+    unknown v sits in, rho_v = x_i (x_i/q in QQ) or y_j, and w_v is 1 in
+    qq, q^(m-1) for an x and q^m for a y in QQ.  A vector r, read as R(z) = sum_c r_c
+    z^(deg-1-c), is sum_v a_v w_v Lambda/(z + rho_v) for the Lagrange
+    values a_v = R(-rho_v)/(w_v prod_{u != v}(rho_u - rho_v)), so
+
+        J0^-1[v][c] = (-rho_v)^(deg-1-c) / (w_v prod_{u != v}(rho_u - rho_v)),
+
+    and -J0^-1 r is the Weierstrass (Durand-Kerner) correction.  A
+    repeated rho makes J0 singular: SingularJacobianError.  The base is
+    not checked here to be a solution: lift_newton checks it through its
+    order-0 residual, and jacobian_at_zero, the general form that the
+    ramified search row-reduces, checks it too.
+    """
+    if spec.is_difference:
+        q, qm = spec.q, spec.q ** spec.m
+        rhos = [x / q for x in sol.x0] + list(sol.y0)
+        weights = [qm / q] * spec.m + [qm] * spec.n
+    else:
+        rhos = list(sol.x0) + list(sol.y0)
+        weights = [ONE] * len(rhos)
+    inverse = []
+    for v, (rho, den) in enumerate(zip(rhos, weights)):
+        for u, other in enumerate(rhos):
+            if u != v:
+                den = den * (other - rho)
+        if den.is_zero:
+            raise SingularJacobianError(
+                f"the shift {rho} of Lambda is repeated at this base: the "
+                "t = 0 Jacobian is singular")
+        row = [ONE / den]
+        for _ in rhos[1:]:
+            row.append(row[-1] * -rho)
+        inverse.append(row[::-1])
+    return inverse
 
 
 # ---------------------------------------------------------------------------

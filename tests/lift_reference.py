@@ -3,8 +3,10 @@
 This is the loop that ``qqsystems.lifting.lift_newton`` replaced with an
 online residual: at every order k it evaluates the Series residual of the
 jet truncated at k, reads only its s^k coefficient and sets
-c_k = -J0^-1 defect_k.  The property test in ``test_lifting.py`` holds
-``lift_newton`` to this loop: equal lifts, equal JSON.
+c_k = -J0^-1 defect_k, with the general J0^-1 that row reduction of
+``jacobian_at_zero`` gives where ``lift_newton`` reads it in closed form.
+The property test in ``test_lifting.py`` holds ``lift_newton`` to this
+loop: equal lifts, equal JSON.
 """
 
 from __future__ import annotations

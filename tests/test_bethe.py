@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bethe_reference
+from qqsystems import bethe
 from qqsystems.scalar import Scalar, ZERO, ONE
 from qqsystems.series import Series
 from qqsystems.systems import CandidatePoint, MasterData, ProblemSpec
@@ -304,3 +305,139 @@ def test_unit_modulus_q_undecidable_for_any_m(m, q):
         nondegeneracy_check(_lift_with_roots(roots, 1, 1), spec)
     with pytest.raises(UndecidableQDistinctnessError):
         bethe_reference.nondegeneracy_check(roots, spec)
+
+
+# ---------------------------------------------------------------------------
+# the collision exponent against the scan over every k in the bound
+
+_COLLISION_QS = [Scalar(2), Scalar(3), Scalar(-2), Scalar(Fraction(1, 2)),
+                 Scalar(Fraction(-1, 3)), Scalar(1, 1), Scalar(2, 1),
+                 Scalar(Fraction(1, 3), Fraction(1, 3))]
+_UNITS = [ONE, Scalar(-1), Scalar(0, 1), Scalar(0, -1)]
+_NONZERO = _COEFF.filter(lambda c: not c.is_zero)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_COLLISION_QS), _NONZERO, st.integers(-9, 9),
+       st.sampled_from(["power", "other", "exponents"]), st.data())
+def test_collision_exponent_matches_scan(q, c, k, kind, data):
+    """The one candidate k = round(log ratio / log q2) gives what the scan
+    of every k in +-bound gave: q2 above and below 1, exact powers with
+    either sign of k (times a unit), ratios that are no power, and lowest
+    terms at different exponents."""
+    q2 = q.abs2()
+    if kind == "power":
+        d = c * q ** k * data.draw(st.sampled_from(_UNITS))
+    else:
+        d = data.draw(_NONZERO)
+    tail = data.draw(_COEFF)
+    e = 1 if kind == "exponents" else 0
+    w = Series(1, [c, tail, ZERO])
+    v = Series(1, [ZERO] * e + [d, tail] + [ZERO] * (1 - e))
+    got = bethe._collision_exponent(w, v, q2)
+    assert got == bethe_reference._collision_exponent(w, v, q2)
+    if kind == "power":
+        assert got == k
+
+
+def _powers_within(q2, limit):
+    """q2 whose powers past the limit fail rather than grow without end."""
+
+    class Bounded(Fraction):
+        def __pow__(self, k):
+            assert abs(k) <= limit, k
+            return Fraction(self) ** k
+
+    return Bounded(q2)
+
+
+@pytest.mark.parametrize("q", [1 + Fraction(1, 10 ** 9),
+                               1 + Fraction(1, 10 ** 14),
+                               1 + Fraction(1, 10 ** 18),
+                               1 - Fraction(1, 2 ** 40),
+                               Fraction(10 ** 6 + 1, 10 ** 6)])
+@pytest.mark.parametrize("k", [None, -3, 1, 5])
+def test_collision_exponent_q2_near_one(q, k):
+    """q2 within 1e-6 to 1e-18 of 1, where log q2 reads 0.0 or is mostly
+    rounding (at 1 + 1e-14 the float quotient is off by one): no power past the ratio's bound is taken, a ratio that is no
+    power (4) gives None and an exact power its k, as the scan does."""
+    c = Scalar(3)
+    d = c * 2 if k is None else c * Scalar(q) ** k
+    ratio = d.abs2() / c.abs2()
+    q2 = _powers_within(q * q, max(ratio.numerator.bit_length(),
+                                   ratio.denominator.bit_length()))
+    w, v = Series(1, [c, ZERO]), Series(1, [d, ONE])
+    got = bethe._collision_exponent(w, v, q2)
+    assert got == k
+    assert got == bethe_reference._collision_exponent(w, v, q2)
+
+
+# ---------------------------------------------------------------------------
+# Bethe valuations read at the first window against WORK_GUARD alone
+
+
+def _at_work_guard(ls, spec):
+    residual = xxz_residual if spec.is_difference else gaudin_residual
+    return tuple(r.valuation() for r in residual(ls, spec, bethe.WORK_GUARD))
+
+
+def _assert_report_reads_work_guard(ls, spec):
+    rep = bethe_report(ls, spec)
+    if all(rep.flags.values()):
+        assert rep.residual_valuations == _at_work_guard(ls, spec)
+    else:
+        assert rep.residual_valuations is None
+
+
+_SHIFTS = st.builds(Scalar, st.integers(-4, 4), st.integers(-2, 2))
+
+
+@st.composite
+def _generic_specs(draw):
+    """Both modes, 1 <= m + n <= 4, distinct simple nonzero shifts,
+    1 <= K <= 4, q off the unit circle."""
+    shifts = draw(st.lists(_SHIFTS.filter(lambda a: not a.is_zero),
+                           min_size=1, max_size=4, unique=True))
+    mode = draw(st.sampled_from(["qq", "QQ"]))
+    m = draw(st.integers(0, len(shifts)))
+    q = draw(st.sampled_from(_QS)) if mode == "QQ" else None
+    return ProblemSpec(mode=mode,
+                       lam=MasterData(tuple((a, 1) for a in shifts)),
+                       m=m, n=len(shifts) - m, K=draw(st.integers(1, 4)), q=q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_generic_specs())
+def test_report_valuations_are_those_at_work_guard_generic(spec):
+    for base in enumerate_infinite_solutions(spec):
+        _assert_report_reads_work_guard(lift_newton(base, spec), spec)
+
+
+@pytest.mark.parametrize("shifts,m,n,K", [
+    ([(1, 2)], 1, 1, 4), ([(1, 2), (5, 1)], 2, 1, 3),
+    ([(1, 3)], 2, 1, 1), ([(1, 3)], 2, 1, 2)])
+def test_report_valuations_are_those_at_work_guard_ramified(shifts, m, n, K):
+    # the solved rungs of the ramified ladder, (z+a)^2, (z+a)^2 (z+b) and
+    # (z+a)^3, at a = 1, b = 5
+    spec = qq_spec(shifts, m, n, K=K)
+    for base in enumerate_infinite_solutions(spec):
+        for ls in lift_ramified(base, spec):
+            _assert_report_reads_work_guard(ls, spec)
+
+
+@pytest.mark.parametrize("mode", ["qq", "QQ"])
+def test_residual_zero_through_first_window_is_read_again(monkeypatch,
+                                                          mode):
+    # with no first guard the residual of an order-K lift is zero through
+    # its window, and only the second reading finds its valuation
+    monkeypatch.setattr(bethe, "FIRST_GUARD", 0)
+    if mode == "qq":
+        ls, spec = closed_form_lift()
+    else:
+        spec = QQ_spec([(1, 1), (2, 1)], 1, 1, 3)
+        ls = lift_newton(enumerate_infinite_solutions(spec)[0], spec)
+    residual = xxz_residual if spec.is_difference else gaudin_residual
+    assert all(r.is_zero for r in residual(ls, spec, 0))
+    vals = bethe_report(ls, spec).residual_valuations
+    assert vals == _at_work_guard(ls, spec)
+    assert None not in vals

@@ -60,6 +60,22 @@ class TestNewton:
         with pytest.raises(SingularJacobianError):
             lift_newton(base, spec)
 
+    def test_singular_jacobian_rejected_difference(self):
+        # QQ (z+1)^2, q = 3: x0 = 3 and y0 = 1 differ, but x0/q = y0 is
+        # the repeated shift of Lambda
+        spec = QQ_spec([(1, 2)], 1, 1, 3)
+        base = enumerate_infinite_solutions(spec)[0]
+        assert (base.x0, base.y0) == ((Scalar(3),), (Scalar(1),))
+        with pytest.raises(SingularJacobianError):
+            lift_newton(base, spec)
+
+    def test_non_solution_rejected(self):
+        # the order-0 residual is the base check: y0 moved off its root
+        spec = qq_spec([(1, 1), (2, 1)], 1, 1)
+        base = enumerate_infinite_solutions(spec)[0]
+        with pytest.raises(ValueError, match="not a solution"):
+            lift_newton(replace(base, y0=(Scalar(3),)), spec)
+
     def test_difference_generic(self):
         spec = QQ_spec([(1, 1), (2, 1)], 1, 1, 3, K=4)
         base = enumerate_infinite_solutions(spec)[0]

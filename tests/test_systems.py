@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import support_reference
-from qqsystems.linalg import rref
+from qqsystems.linalg import rref, solve_unique
 from qqsystems.poly import SparsePoly
 from qqsystems.scalar import Scalar, ZERO, ONE
 from qqsystems.series import OnlineSeries, Series
 from qqsystems.systems import (MasterData, ProblemSpec, CandidatePoint,
                                SpecValidationError, evaluate_residual,
                                expanded_residual, jacobian_at_zero,
-                               online_residual, residual_components,
-                               symbolic_support)
+                               jacobian_inverse_at_zero, online_residual,
+                               residual_components, symbolic_support)
 from qqsystems.infinite import enumerate_infinite_solutions
 
 
@@ -330,6 +330,43 @@ def test_jacobian_is_linear_part_of_residual(spec):
             assert (0,) * dim not in comp.terms  # the base solves t = 0
             assert [comp.terms.get(_unit(j, dim), ZERO) for j in range(dim)] \
                 == row
+
+
+# real, rational and Gaussian shifts, each kind drawn on its own
+KINDS_OF_SHIFTS = st.one_of(
+    st.builds(Scalar, st.integers(-4, 4)),
+    st.builds(lambda a, b: Scalar(Fraction(a, b)), st.integers(-4, 4),
+              st.integers(2, 3)),
+    st.builds(Scalar, st.integers(-2, 2), st.integers(-2, 2).filter(bool)))
+
+
+@st.composite
+def generic_specs(draw):
+    """Both modes, 1 <= m + n <= 5 (m = 0 and n = 0 included), distinct
+    simple shifts; q in {3, 1/2, -2, 2 + i}."""
+    shifts = draw(st.lists(KINDS_OF_SHIFTS, min_size=1, max_size=5,
+                           unique=True))
+    mode = draw(st.sampled_from(["qq", "QQ"]))
+    dim = len(shifts)
+    m = draw(st.sampled_from([0, dim, draw(st.integers(0, dim))]))
+    q = draw(st.sampled_from([Scalar(3), Scalar(Fraction(1, 2)), Scalar(-2),
+                              Scalar(2, 1)])) if mode == "QQ" else None
+    return ProblemSpec(mode=mode,
+                       lam=MasterData(tuple((a, 1) for a in shifts)),
+                       m=m, n=dim - m, q=q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(generic_specs())
+def test_closed_form_inverse_is_the_row_reduced_one(spec):
+    """At every generic base the closed-form J0^-1 equals the inverse that
+    row reduction of jacobian_at_zero gives."""
+    dim = spec.m + spec.n
+    identity = [[ONE if c == i else ZERO for c in range(dim)]
+                for i in range(dim)]
+    for sol in enumerate_infinite_solutions(spec):
+        assert jacobian_inverse_at_zero(sol, spec) == \
+            solve_unique(jacobian_at_zero(sol, spec), identity)
 
 
 @settings(max_examples=60, deadline=None)
