@@ -13,7 +13,7 @@ from .lifting import (LiftedSolution, SingularJacobianError,
                       RamificationBoundExceededError, BranchExplosionError,
                       UndecidedConstraintsError, lift_newton, lift_ramified,
                       certify_residual_point)
-from .lp import LPResult, lp_solve
+from .lp import lp_solve
 from .tropical import (TropicalSupport, TropicalPoint, PrevarietyResult,
                        hypersurface_contains, prevariety, exclusion_witness)
 from .bethe import (BetheReport, bethe_report, nondegeneracy_check,
@@ -35,7 +35,7 @@ __all__ = [
     "RamificationBoundExceededError", "BranchExplosionError",
     "UndecidedConstraintsError",
     "lift_newton", "lift_ramified", "certify_residual_point",
-    "LPResult", "lp_solve",
+    "lp_solve",
     "TropicalSupport", "TropicalPoint", "PrevarietyResult",
     "hypersurface_contains", "prevariety", "exclusion_witness",
     "BetheReport", "bethe_report", "nondegeneracy_check",

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log
 from typing import Dict, List, Optional, Tuple
 
 from .lifting import LiftedSolution
@@ -128,13 +127,14 @@ def nondegeneracy_check(ls: LiftedSolution, spec: ProblemSpec
 def _collision_exponent(w: Series, v: Series, q2: Fraction) -> Optional[int]:
     """The only k for which q^k * w = v can hold (q2 = |q|^2 != 1), or None.
 
-    Equal jets have equal lowest terms c s^e, so q2^k = |c_v|^2 / |c_w|^2,
-    whose numerator or denominator is then max(p, r)^|k| >= 2^|k| for
-    q2 = p/r in lowest terms: |k| <= bound.  As q2 != 1 that ratio fixes
-    k = log ratio / log q2.  When the float quotient is within 1/4 of it
-    (q2 not too close to 1), its nearest integer is the one candidate;
-    otherwise every k in +-bound is tried.  Candidates are checked in exact
-    arithmetic.  A zero jet meets only a zero jet, at every k; 0 stands in.
+    Equal jets have equal lowest terms c s^e, so q2^k = |c_v|^2 / |c_w|^2.
+    With q2 = p/r in lowest terms, q2^k is p^k / r^k for k >= 0 and
+    r^-k / p^-k for k < 0, each in lowest terms.  Let g be p, or r when
+    p = 1, and read the ratio as up/down, turned over when g = r.  Then g
+    divides up exactly when k > 0, and k is g's multiplicity in up;
+    otherwise -k is its multiplicity in down.  That one candidate is
+    checked in exact arithmetic.  A zero jet meets only a zero jet, at
+    every k; 0 stands in.
     """
     lw, lv = w.lowest_term(), v.lowest_term()
     if lw is None or lv is None:
@@ -142,23 +142,21 @@ def _collision_exponent(w: Series, v: Series, q2: Fraction) -> Optional[int]:
     if lw[0] != lv[0]:
         return None
     ratio = lv[1].abs2() / lw[1].abs2()
-    bound = max(ratio.numerator.bit_length(), ratio.denominator.bit_length())
-    (lr, err_r), (lq, err_q) = _log(ratio), _log(q2)
-    # |float quotient - k| <= (err_r + |k| err_q) / |lq| for a true k
-    if 4 * (err_r + bound * err_q) < abs(lq):
-        k = round(lr / lq)
-        candidates = [k] if abs(k) <= bound else []
-    else:
-        candidates = range(-bound, bound + 1)
-    return next((k for k in candidates if q2 ** k == ratio), None)
+    up, down = ratio.numerator, ratio.denominator
+    g = q2.numerator
+    if g == 1:  # then r > 1
+        g, up, down = q2.denominator, down, up
+    k = _multiplicity(g, up) or -_multiplicity(g, down)
+    return k if q2 ** k == ratio else None
 
 
-def _log(x: Fraction) -> Tuple[float, float]:
-    """Natural log of a positive rational, taken of its numerator and
-    denominator so that no float conversion of x over- or underflows, and
-    a bound on its absolute error (a few ulps of each of the two logs)."""
-    ln, ld = log(x.numerator), log(x.denominator)
-    return ln - ld, (ln + ld + 1) * 2.0 ** -50
+def _multiplicity(g: int, x: int) -> int:
+    """The largest k with g^k dividing the positive integer x, for g > 1."""
+    k = 0
+    while x % g == 0:
+        x //= g
+        k += 1
+    return k
 
 
 def gaudin_residual(ls: LiftedSolution, spec: ProblemSpec,

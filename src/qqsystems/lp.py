@@ -1,14 +1,14 @@
 """Exact rational linear programming by fraction-free two-phase simplex.
 
-Three entries share phase 1 and the pivots.  `extend` takes a feasible
+Every LP starts phase 1 at the slack basis.  `extend` takes a feasible
 tableau and adds rows to it: each new row enters with its slack
 basic, reduced against the current basis, and phase 1 puts an artificial
 only on each row whose rhs is then negative.  A reduced row with negative
 rhs and no negative entry refutes the system at once, with no pivot.
-`optimum` is `extend` of the empty tableau followed by phase 2; the
-status and optimum value it returns do not depend on where phase 1
-starts.  `lp_solve` also returns a vertex, which does depend on it; it
-puts an artificial on every row, as the tests' Fraction simplex does.
+`lp_solve` is `extend` of the empty tableau followed by phase 2, and
+returns the status and the minimum; `feasible` returns the basic solution
+of the tableau that `extend` builds from the empty one, a vertex of the
+system.
 
 Variables are free (unrestricted in sign) at the interface and split
 internally into nonnegative pairs.  The tableau columns are x+ (n), x- (n),
@@ -21,28 +21,30 @@ variables, rows over x+, x-, the slacks and a rhs that is >= 0 in every
 row, and basis[i], row i's basic column.  The empty tableau (n, (), ())
 holds no row.
 
-Integer-row invariant: each constraint row is scaled to integers once, by
-the lcm of its denominators, and row i is kept as a list of Python ints R
-whose true value is R / R[basis[i]], with R[basis[i]] > 0 and the entries
-of R coprime.  A pivot on (r, col) cross-multiplies every other row,
-R_i <- p R_i - R_i[col] R_r with p = R_r[col] > 0, and divides the result
-by its gcd; ratios are compared by cross-multiplying.  The reduced-cost row
-lives in the tableau as ints over its own positive denominator and is
-updated by the same pivots instead of being recomputed every iteration.
+Integer-row invariant: every entry point takes integer rows, and row i is
+kept as a list of Python ints R whose true value is R / R[basis[i]], with
+R[basis[i]] > 0 and the entries of R coprime.  A pivot on (r, col)
+cross-multiplies every other row, R_i <- p R_i - R_i[col] R_r with
+p = R_r[col] > 0, and divides the result by its gcd; ratios are compared
+by cross-multiplying.  The reduced-cost row lives in the tableau as ints
+over its own positive denominator and is updated by the same pivots
+instead of being recomputed every iteration.
 
 Every quantity the pivot rules look at (the sign of a reduced cost, the
 sign of a column entry, the order of two ratios) is exactly the value the
 plain Fraction tableau with the same columns would hold; only its
-representation differs.  So the pivot sequence, and with it every returned
-vertex, is that of the Fraction tableau.  Results are turned into
+representation differs.  So the pivot sequence is that of the Fraction
+tableau.  It depends on the scale of the rows: phase 1 minimizes the sum
+of the artificials, each in its own row's units, so the vertex `feasible`
+returns can move when a row is multiplied by a positive factor, while the
+status and minimum of `lp_solve` cannot.  Results are turned into
 Fractions once, at the end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 F0 = Fraction(0)
@@ -52,38 +54,37 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class LPResult:
-    status: str
-    x: Optional[Tuple[Fraction, ...]]  # a solution of the original free variables
-    objective: Optional[Fraction]
-
-
-def lp_solve(c: Sequence[Fraction],
-             a_ub: Sequence[Sequence[Fraction]] = (),
-             b_ub: Sequence[Fraction] = ()) -> LPResult:
-    """Minimize c.x subject to a_ub x <= b_ub, x free."""
-    n = len(c)
-    cost, cscale = _integers(c)
-    scaled = [_integers([*a, b]) for a, b in zip(a_ub, b_ub)]
-    status, objective, rows, basis = _solve(
-        cost, cscale, [(r[:-1], r[-1], d) for r, d in scaled])
-    if status != OPTIMAL:
-        return LPResult(status, None, None)
-    value = {b: Fraction(row[-1], row[b])
-             for row, b in zip(rows, basis) if b < 2 * n}
-    x = tuple(value.get(j, F0) - value.get(n + j, F0) for j in range(n))
-    return LPResult(OPTIMAL, x, objective)
-
-
-def optimum(c: Sequence[int], a_ub: Sequence[Sequence[int]] = (),
-            b_ub: Sequence[int] = ()) -> Tuple[str, Optional[Fraction]]:
+def lp_solve(c: Sequence[int], a_ub: Sequence[Sequence[int]] = (),
+             b_ub: Sequence[int] = ()) -> Tuple[str, Optional[Fraction]]:
     """The status and minimum of c.x subject to a_ub x <= b_ub, x free, on
     integer data; the minimum is None unless the status is OPTIMAL."""
     t = extend((len(c), (), ()), a_ub, b_ub)
     if t is None:
         return INFEASIBLE, None
-    return _phase_2(list(c), 1, list(t[1]), list(t[2]))[:2]
+    if not any(c):
+        return OPTIMAL, F0
+    _, rows, basis = t
+    rows, basis = list(rows), list(basis)
+    z = _cost_row(rows, basis,
+                  [*c, *(-v for v in c)] + [0] * (len(rows) + 1) + [1])
+    if _simplex(rows, basis, z, 2 * len(c) + len(rows)) == UNBOUNDED:
+        return UNBOUNDED, None
+    return OPTIMAL, Fraction(-z[-2], z[-1])
+
+
+def feasible(a_ub: Sequence[Sequence[int]] = (), b_ub: Sequence[int] = (),
+             *, dim: int) -> Optional[Tuple[Fraction, ...]]:
+    """A vertex of the integer system a_ub x <= b_ub in dim free
+    variables, the basic solution of its tableau from extend, or None
+    when the system is infeasible."""
+    t = extend((dim, (), ()), a_ub, b_ub)
+    if t is None:
+        return None
+    _, rows, basis = t
+    value = {b: Fraction(row[-1], row[b])
+             for row, b in zip(rows, basis) if b < 2 * dim}
+    return tuple(value.get(j, F0) - value.get(dim + j, F0)
+                 for j in range(dim))
 
 
 def extend(tableau, a_ub: Sequence[Sequence[int]], b_ub: Sequence[int]):
@@ -132,32 +133,6 @@ def extend(tableau, a_ub: Sequence[Sequence[int]], b_ub: Sequence[int]):
     return n, tuple(rows), tuple(basis)
 
 
-def _solve(cost, cscale, constraints):
-    """(status, objective, rows, basis) for the cost cost / cscale.
-
-    Constraint (a, b, u) is a x <= b in integers, whose slack and
-    artificial enter it as u > 0.  Every row starts with its artificial
-    basic."""
-    n = len(cost)
-    nrows = len(constraints)
-    ncols = 2 * n + nrows
-    basis = list(range(ncols, ncols + nrows))
-
-    # columns: x+ (n), x- (n), slacks (nrows), artificials (nrows), rhs
-    rows = []
-    for i, (a, b, u) in enumerate(constraints):
-        s = -1 if b < 0 else 1  # normalize to rhs >= 0
-        line = [s * v for v in a] + [-s * v for v in a] + [0] * (2 * nrows)
-        line[2 * n + i] = s * u
-        line[basis[i]] = u
-        line.append(s * b)
-        rows.append(_reduce(line))
-    rows = _phase_1(rows, basis, ncols, nrows)
-    if rows is None:
-        return INFEASIBLE, None, None, None
-    return _phase_2(cost, cscale, rows, basis)
-
-
 def _phase_1(rows, basis, ncols, nart):
     """The rows of a feasible basis of the real columns < ncols, or None.
 
@@ -172,26 +147,6 @@ def _phase_1(rows, basis, ncols, nart):
         return None
     _drive_out_artificials(rows, basis, ncols)
     return [_reduce(row[:ncols] + row[-1:]) for row in rows]
-
-
-def _phase_2(cost, cscale, rows, basis):
-    """(status, objective, rows, basis): minimize cost / cscale from the
-    feasible basis; rows and basis are pivoted in place."""
-    if not any(cost):
-        return OPTIMAL, F0, rows, basis
-    n = len(cost)
-    z = _cost_row(rows, basis,
-                  cost + [-v for v in cost] + [0] * (len(rows) + 1) + [cscale])
-    if _simplex(rows, basis, z, 2 * n + len(rows)) == UNBOUNDED:
-        return UNBOUNDED, None, rows, basis
-    return OPTIMAL, Fraction(-z[-2], z[-1]), rows, basis
-
-
-def _integers(vals) -> Tuple[List[int], int]:
-    """(ints, d): the rationals vals times d, the lcm of their denominators."""
-    vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in vals]
-    d = lcm(*(v.denominator for v in vals))
-    return [d * v.numerator // v.denominator for v in vals], d
 
 
 def _reduce(row: List[int]) -> List[int]:
@@ -269,10 +224,3 @@ def _drive_out_artificials(rows, basis, ncols):
     for i in range(len(rows)):
         if basis[i] >= ncols:
             _pivot(rows, basis, i, next(j for j in range(ncols) if rows[i][j]))
-
-
-def feasible(a_ub=(), b_ub=(), *, dim: int
-             ) -> Optional[Tuple[Fraction, ...]]:
-    """A feasible point of a_ub x <= b_ub in dim variables, or None."""
-    res = lp_solve([F0] * dim, a_ub, b_ub)
-    return res.x if res.status == OPTIMAL else None

@@ -31,8 +31,9 @@ valuation of their support, so the subtree's leaves number the product
 of C(k_s, 2) over the remaining supports s, k_s counting those items:
 they are counted without a visit.  On theorem instances every feasible
 cell is expected to collapse to the origin; any other leaf is decided by
-per-coordinate min/max over the free columns, and its witness is a
-vertex of lp.lp_solve, which tests pin.
+per-coordinate min/max over the free columns, and its witness is the
+vertex lp.feasible finds on the cell with each coordinate pinned to a
+nonzero end of its range.
 
 Every residual component is invariant under S_m x S_n, which permutes
 the x's among themselves and the y's among themselves, so the group maps
@@ -261,9 +262,9 @@ def _is_origin_cell(cell: _Cell, free) -> bool:
     if not free:
         return True
     a_act = [[g[j] for j in free] for g in tight]
-    return lp_solve_obj([sum(col) for col in zip(*a_act)],
-                        a_act + [[-v for v in row] for row in a_act],
-                        [0] * len(a_act) + [1] * len(a_act)) == 0
+    return lp.lp_solve([sum(col) for col in zip(*a_act)],
+                       a_act + [[-v for v in row] for row in a_act],
+                       [0] * len(a_act) + [1] * len(a_act))[1] == 0
 
 
 def _least_cell(cell: _Cell, rows, a: int) -> Optional[_Cell]:
@@ -364,31 +365,34 @@ def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult
         origin_only = False  # exact on a nonempty cell that is not {0}
         free, a_ub, b_ub = cell.on_free(dim)
         coords = [cell.coordinate(i, free) for i in range(dim)]
-        # rows that hold a coordinate at a nonzero end of its range
-        pins_a, pins_b = [], []
+        # rows a . w_free <= b that hold a coordinate at a nonzero end of
+        # its range; b is a Fraction when it is a coordinate's min or max
+        pins = []
         for d, a, h in coords:
             if not any(a):
                 if h:  # w_i = h/d on the whole cell: its pin is 0 <= 0
-                    pins_a.append(a)
-                    pins_b.append(0)
+                    pins.append((a, 0))
                 continue
             # d min(w_i) = h + lo and d max(w_i) = h - hi
             neg = [-v for v in a]
-            lo = lp_solve_obj(neg, a_ub, b_ub)
-            hi = lp_solve_obj(a, a_ub, b_ub)
+            # looked up on the module at call time, so that a wrapper
+            # installed on qqsystems.lp.lp_solve also sees these calls
+            lo = lp.lp_solve(neg, a_ub, b_ub)[1]
+            hi = lp.lp_solve(a, a_ub, b_ub)[1]
             if lo is None or hi is None:
                 bounded = False
                 # w_i >= 1 when unbounded above, else w_i <= -1
-                pins_a.append(a if hi is None else neg)
-                pins_b.append(h - d if hi is None else -d - h)
+                pins.append((a, h - d) if hi is None else (neg, -d - h))
             elif lo < -h:
-                pins_a.append(neg)
-                pins_b.append(lo)
+                pins.append((neg, lo))
             elif hi < h:
-                pins_a.append(a)
-                pins_b.append(hi)
-        if witness is None and pins_a:
-            pt = feasible(a_ub + pins_a, b_ub + pins_b, dim=len(free))
+                pins.append((a, hi))
+        if witness is None and pins:
+            # primitive integer rows, as the cell's own rows are
+            rows = [_primitive([b.denominator * v for v in a] + [b.numerator])
+                    for a, b in pins]
+            pt = feasible(a_ub + [r[:-1] for r in rows],
+                          b_ub + [r[-1] for r in rows], dim=len(free))
             if pt is not None:
                 w = tuple(Fraction(h - sum(v * p for v, p in zip(a, pt))) / d
                           for d, a, h in coords)
@@ -441,9 +445,3 @@ def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult
     return PrevarietyResult(cell_count=cell_count, is_origin_only=origin_only,
                             points_bounded=bounded, witness=witness)
 
-
-def lp_solve_obj(obj, a_ub, b_ub) -> Optional[Fraction]:
-    """Minimum of obj . p subject to a_ub p <= b_ub; None when unbounded."""
-    # looked up on the module at call time, so that a wrapper installed on
-    # qqsystems.lp.optimum also sees these calls
-    return lp.optimum(obj, a_ub, b_ub)[1]

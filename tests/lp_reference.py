@@ -1,67 +1,55 @@
 """Reference two-phase simplex over a plain Fraction tableau (tests only).
 
 This is the straightforward implementation that ``qqsystems.lp`` replaced
-with an integer-row tableau.  Both use the same column layout (x+, x-,
-slacks, one artificial per row), Bland's rule and the same artificial
-drive-out, so they must return equal ``LPResult``s: the property tests in
-``test_lp.py`` hold the fast kernel to this one.
+with an integer-row tableau.  It puts an artificial on every row, where
+``qqsystems.lp`` starts at the slack basis and puts one only on each row
+whose rhs is negative, so the two may stop at different vertices; the
+status and the minimum do not depend on where phase 1 starts.  Both use
+Bland's rule.  The property tests in ``test_lp.py`` hold the fast kernel's
+``lp_solve`` to this one's, and its ``feasible`` to this one's verdict.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from qqsystems.lp import F0, INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
+from qqsystems.lp import F0, INFEASIBLE, OPTIMAL, UNBOUNDED
 
 F1 = Fraction(1)
 
 
 def lp_solve(c: Sequence[Fraction],
              a_ub: Sequence[Sequence[Fraction]] = (),
-             b_ub: Sequence[Fraction] = (),
-             a_eq: Sequence[Sequence[Fraction]] = (),
-             b_eq: Sequence[Fraction] = ()) -> LPResult:
-    """Minimize c.x subject to a_ub x <= b_ub and a_eq x = b_eq, x free."""
+             b_ub: Sequence[Fraction] = ()
+             ) -> Tuple[str, Optional[Fraction]]:
+    """The status and minimum of c.x subject to a_ub x <= b_ub, x free; the
+    minimum is None unless the status is OPTIMAL."""
     n = len(c)
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
-    n_slack = len(a_ub)
-    # columns: x+ (n), x- (n), slacks (n_slack)
-    for i, row in enumerate(a_ub):
-        r = [Fraction(v) for v in row]
-        line = r + [-v for v in r] + [F0] * n_slack
-        line[2 * n + i] = F1
-        rows.append(line)
-        rhs.append(Fraction(b_ub[i]))
-    for i, row in enumerate(a_eq):
-        r = [Fraction(v) for v in row]
-        rows.append(r + [-v for v in r] + [F0] * n_slack)
-        rhs.append(Fraction(b_eq[i]))
-    ncols = 2 * n + n_slack
-    # normalize to rhs >= 0
-    for i in range(len(rows)):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-    nrows = len(rows)
+    nrows = len(a_ub)
     if nrows == 0:
         if any(Fraction(v) != 0 for v in c):
-            return LPResult(UNBOUNDED, None, None)
-        return LPResult(OPTIMAL, tuple([F0] * n), F0)
-
-    # phase 1: artificial variable per row
-    tableau = [rows[i] + [F1 if j == i else F0 for j in range(nrows)] + [rhs[i]]
-               for i in range(nrows)]
+            return UNBOUNDED, None
+        return OPTIMAL, F0
+    # columns: x+ (n), x- (n), slacks (nrows), artificials (nrows), rhs;
+    # each row is normalized to rhs >= 0
+    ncols = 2 * n + nrows
+    tableau = []
+    for i, (row, b) in enumerate(zip(a_ub, b_ub)):
+        r = [Fraction(v) for v in row]
+        line = r + [-v for v in r] + [F0] * nrows
+        line[2 * n + i] = F1
+        s = -1 if b < 0 else 1
+        tableau.append([s * v for v in line] +
+                       [F1 if j == i else F0 for j in range(nrows)] +
+                       [s * Fraction(b)])
     basis = [ncols + i for i in range(nrows)]
     total = ncols + nrows
-    cost1 = [F0] * total
-    for j in range(ncols, total):
-        cost1[j] = F1
+    cost1 = [F0] * ncols + [F1] * nrows
     if _simplex(tableau, basis, cost1, total) != OPTIMAL:
         raise RuntimeError("phase-1 simplex cannot be unbounded")
     if _objective(tableau, basis, cost1) != 0:
-        return LPResult(INFEASIBLE, None, None)
+        return INFEASIBLE, None
     _drive_out_artificials(tableau, basis, ncols)
 
     # phase 2 on the original columns only
@@ -69,15 +57,9 @@ def lp_solve(c: Sequence[Fraction],
     for j in range(n):
         cost2[j] = Fraction(c[j])
         cost2[n + j] = -Fraction(c[j])
-    status = _simplex(tableau, basis, cost2, ncols)
-    if status == UNBOUNDED:
-        return LPResult(UNBOUNDED, None, None)
-    sol = [F0] * total
-    for i, b in enumerate(basis):
-        sol[b] = tableau[i][-1]
-    x = tuple(sol[j] - sol[n + j] for j in range(n))
-    obj = sum((Fraction(c[j]) * x[j] for j in range(n)), F0)
-    return LPResult(OPTIMAL, x, obj)
+    if _simplex(tableau, basis, cost2, ncols) == UNBOUNDED:
+        return UNBOUNDED, None
+    return OPTIMAL, _objective(tableau, basis, cost2)
 
 
 def _objective(tableau, basis, cost) -> Fraction:

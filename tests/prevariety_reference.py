@@ -9,16 +9,19 @@ coordinates, in the same order, as the integer cell's free columns.  This
 one decides every cell by per-coordinate min/max LPs; ``qqsystems.tropical``
 skips those on cells it proves to be {0}, which yield no witness, and counts
 the cells below a {0} cell without visiting them.  Both walk the cells in
-the same order and hand the same witness LPs (up to positive row
-multiples) to ``qqsystems.lp`` on the cells they share, so they must
-return equal ``PrevarietyResult``s: the first cell that yields a witness is
-the least of its orbit, so both find the same one.  The tests in
-``test_tropical.py`` hold the orbit enumeration to this one.
+the same order.  On the cells they share, this one scales each Fraction
+row of a witness LP to the primitive integer row ``qqsystems.tropical``
+hands to ``qqsystems.lp.feasible``, whose vertex depends on the scale of
+the rows, so both get the same vertex, and they must return equal
+``PrevarietyResult``s: the first cell that yields a witness is the least of
+its orbit, so both find the same one.  The tests in ``test_tropical.py``
+hold the orbit enumeration to this one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Tuple
 
 from qqsystems import lp
@@ -110,7 +113,7 @@ class _AffineState:
         """A feasible parameter point, or None."""
         a_ub = [list(g) for g, _ in self.ineqs]
         b_ub = [h for _, h in self.ineqs]
-        return feasible(a_ub, b_ub, dim=self.rank_free)
+        return feasible(*_integer_rows(a_ub, b_ub), dim=self.rank_free)
 
     def point_at(self, p) -> Tuple[Fraction, ...]:
         dim = len(self.w0)
@@ -189,7 +192,7 @@ def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult
                 elif v < 0:
                     extra_a.append(list(obj))
                     extra_b.append(v - state.w0[i])
-            pt = feasible(extra_a, extra_b, dim=r)
+            pt = feasible(*_integer_rows(extra_a, extra_b), dim=r)
             if pt is not None:
                 w = state.point_at(pt)
                 if any(c != 0 for c in w):
@@ -218,7 +221,20 @@ def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult
 
 def lp_solve_obj(obj, a_ub, b_ub) -> Optional[Fraction]:
     """Minimum of obj . p subject to a_ub p <= b_ub; None when unbounded."""
+    d = lcm(*(v.denominator for v in obj))
     # looked up on the module at call time, so that a wrapper installed on
     # qqsystems.lp.lp_solve also sees these calls
-    res = lp.lp_solve(obj, a_ub, b_ub)
-    return res.objective if res.status == lp.OPTIMAL else None
+    value = lp.lp_solve([int(v * d) for v in obj],
+                        *_integer_rows(a_ub, b_ub))[1]
+    return None if value is None else value / d
+
+
+def _integer_rows(a_ub, b_ub):
+    """The Fraction rows a . p <= b as primitive integer rows."""
+    rows = []
+    for a, b in zip(a_ub, b_ub):
+        d = lcm(*(Fraction(v).denominator for v in [*a, b]))
+        row = [int(v * d) for v in [*a, b]]
+        g = gcd(*row) or 1
+        rows.append([v // g for v in row])
+    return [r[:-1] for r in rows], [r[-1] for r in rows]

@@ -321,10 +321,10 @@ _NONZERO = _COEFF.filter(lambda c: not c.is_zero)
 @given(st.sampled_from(_COLLISION_QS), _NONZERO, st.integers(-9, 9),
        st.sampled_from(["power", "other", "exponents"]), st.data())
 def test_collision_exponent_matches_scan(q, c, k, kind, data):
-    """The one candidate k = round(log ratio / log q2) gives what the scan
-    of every k in +-bound gave: q2 above and below 1, exact powers with
-    either sign of k (times a unit), ratios that are no power, and lowest
-    terms at different exponents."""
+    """The one candidate, a multiplicity of q2's base in the ratio, gives
+    what the scan of every k in +-bound gave: q2 above and below 1,
+    exact powers with either sign of k (times a unit), ratios that are no
+    power, and lowest terms at different exponents."""
     q2 = q.abs2()
     if kind == "power":
         d = c * q ** k * data.draw(st.sampled_from(_UNITS))
@@ -358,9 +358,10 @@ def _powers_within(q2, limit):
                                Fraction(10 ** 6 + 1, 10 ** 6)])
 @pytest.mark.parametrize("k", [None, -3, 1, 5])
 def test_collision_exponent_q2_near_one(q, k):
-    """q2 within 1e-6 to 1e-18 of 1, where log q2 reads 0.0 or is mostly
-    rounding (at 1 + 1e-14 the float quotient is off by one): no power past the ratio's bound is taken, a ratio that is no
-    power (4) gives None and an exact power its k, as the scan does."""
+    """q2 within 1e-6 to 1e-18 of 1, where a float log q2 reads 0.0 or is
+    mostly rounding: no power past the ratio's bound is taken, a ratio
+    that is no power (4) gives None and an exact power its k, as the scan
+    does."""
     c = Scalar(3)
     d = c * 2 if k is None else c * Scalar(q) ** k
     ratio = d.abs2() / c.abs2()

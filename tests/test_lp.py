@@ -5,73 +5,63 @@ from hypothesis import example, given, settings, strategies as st
 
 import lp_reference
 from qqsystems import lp
-from qqsystems.lp import (extend, lp_solve, feasible, optimum, OPTIMAL,
-                         INFEASIBLE, UNBOUNDED)
+from qqsystems.lp import (extend, lp_solve, feasible, OPTIMAL, INFEASIBLE,
+                          UNBOUNDED)
 
 F = Fraction
 
 
 def test_simple_minimum():
     # min x subject to x >= 1  (i.e. -x <= -1)
-    res = lp_solve([F(1)], a_ub=[[F(-1)]], b_ub=[F(-1)])
-    assert res.status == OPTIMAL
-    assert res.objective == F(1)
-    assert res.x == (F(1),)
+    assert lp_solve([1], a_ub=[[-1]], b_ub=[-1]) == (OPTIMAL, 1)
+    assert feasible([[-1]], [-1], dim=1) == (F(1),)
 
 
 def test_unbounded():
-    res = lp_solve([F(1)], a_ub=[[F(1)]], b_ub=[F(5)])  # min x, x <= 5
-    assert res.status == UNBOUNDED
+    assert lp_solve([1], a_ub=[[1]], b_ub=[5]) == (UNBOUNDED, None)
 
 
 def test_infeasible():
     # x <= 0 and x >= 1
-    res = lp_solve([F(0)], a_ub=[[F(1)], [F(-1)]], b_ub=[F(0), F(-1)])
-    assert res.status == INFEASIBLE
+    assert lp_solve([0], a_ub=[[1], [-1]], b_ub=[0, -1]) == (INFEASIBLE, None)
 
 
 def test_free_variables_negative_solution():
     # min x subject to x >= -3
-    res = lp_solve([F(1)], a_ub=[[F(-1)]], b_ub=[F(3)])
-    assert res.status == OPTIMAL
-    assert res.objective == F(-3)
+    assert lp_solve([1], a_ub=[[-1]], b_ub=[3]) == (OPTIMAL, -3)
 
 
 def test_exact_rational_answer():
-    # min 3x + 2y with x + y >= 7/3, x - y <= 1/2, y <= 2
-    res = lp_solve([F(3), F(2)],
-                   a_ub=[[F(-1), F(-1)], [F(1), F(-1)], [F(0), F(1)]],
-                   b_ub=[F(-7, 3), F(1, 2), F(2)])
-    assert res.status == OPTIMAL
+    # min 3x + 2y with x + y >= 7/3, x - y <= 1/2, y <= 2, in integer rows
+    status, minimum = lp_solve([3, 2], a_ub=[[-3, -3], [2, -2], [0, 1]],
+                               b_ub=[-7, 1, 2])
     # optimum at y = 2, x = 1/3: objective = 1 + 4 = 5
-    assert res.objective == F(5)
+    assert (status, minimum) == (OPTIMAL, 5)
+    assert isinstance(minimum, Fraction)
 
 
 def test_degenerate_cycling_guard():
     # a classic degenerate instance; Bland's rule must terminate
-    a_ub = [[F(1), F(1), F(0)], [F(1), F(0), F(1)],
-            [F(-1), F(0), F(0)], [F(0), F(-1), F(0)], [F(0), F(0), F(-1)]]
-    b_ub = [F(0), F(0), F(0), F(0), F(0)]
-    res = lp_solve([F(-3, 4), F(20), F(-1, 2)], a_ub=a_ub, b_ub=b_ub)
-    assert res.status in (OPTIMAL, UNBOUNDED)
+    a_ub = [[1, 1, 0], [1, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]]
+    status, _ = lp_solve([-3, 80, -2], a_ub=a_ub, b_ub=[0] * 5)
+    assert status in (OPTIMAL, UNBOUNDED)
 
 
 def test_feasible_helper():
-    pt = feasible(a_ub=[[F(1)], [F(-1)]], b_ub=[F(2), F(0)], dim=1)
+    pt = feasible(a_ub=[[1], [-1]], b_ub=[2, 0], dim=1)
     assert pt is not None
     assert F(0) <= pt[0] <= F(2)
-    assert feasible(a_ub=[[F(1)], [F(-1)]], b_ub=[F(-1), F(0)], dim=1) is None
+    assert feasible(a_ub=[[1], [-1]], b_ub=[-1, 0], dim=1) is None
 
 
 def test_no_constraints():
-    res = lp_solve([F(0), F(0)])
-    assert res.status == OPTIMAL
-    assert res.x == (F(0), F(0))
+    assert lp_solve([0, 0]) == (OPTIMAL, 0)
+    assert feasible(dim=2) == (F(0), F(0))
 
 
 def test_no_constraints_nonzero_cost_is_unbounded():
-    assert lp_solve([F(1)]).status == UNBOUNDED
-    assert lp_solve([F(0), F(-1, 2)]).status == UNBOUNDED
+    assert lp_solve([1]) == (UNBOUNDED, None)
+    assert lp_solve([0, -1]) == (UNBOUNDED, None)
 
 
 _small = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
@@ -81,21 +71,16 @@ _rhs = st.one_of(st.just(F(0)), _small)
 
 @st.composite
 def _problems(draw):
-    """Small LPs: 1-4 free variables, 0-7 <= rows."""
+    """Small LPs in integer rows: 1-4 free variables, 0-7 <= rows, each
+    drawn in Fractions and scaled by the lcm of its denominators."""
     n = draw(st.integers(1, 4))
     vec = st.lists(_small, min_size=n, max_size=n)
-    # a zero cost asks only for feasibility: the answer is the vertex
-    # where phase 1 stops
+    # a zero cost asks only for feasibility
     c = draw(st.one_of(st.just([F(0)] * n), vec))
     a_ub = draw(st.lists(vec, max_size=7))
     b_ub = draw(st.lists(_rhs, min_size=len(a_ub), max_size=len(a_ub)))
-    return c, a_ub, b_ub
-
-
-@settings(max_examples=400, deadline=None)
-@given(_problems())
-def test_matches_fraction_reference(problem):
-    assert lp_solve(*problem) == lp_reference.lp_solve(*problem)
+    rows = [_integers(a + [b]) for a, b in zip(a_ub, b_ub)]
+    return _integers(c), [r[:-1] for r in rows], [r[-1] for r in rows]
 
 
 def _integers(row):
@@ -106,18 +91,28 @@ def _integers(row):
 
 @settings(max_examples=400, deadline=None)
 @given(_problems())
-def test_optimum_matches_lp_solve(problem):
-    c, a_ub, b_ub = problem
-    c = _integers(c)
-    rows = [_integers(a + [b]) for a, b in zip(a_ub, b_ub)]
-    a_ub, b_ub = [r[:-1] for r in rows], [r[-1] for r in rows]
-    res = lp_solve(c, a_ub, b_ub)
-    assert optimum(c, a_ub, b_ub) == (res.status, res.objective)
+def test_matches_fraction_reference(problem):
+    # the status and the minimum do not depend on where phase 1 starts
+    assert lp_solve(*problem) == lp_reference.lp_solve(*problem)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_problems())
+def test_feasible_matches_reference(problem):
+    _, a_ub, b_ub = problem
+    n = len(problem[0])
+    pt = feasible(a_ub, b_ub, dim=n)
+    status, _ = lp_reference.lp_solve([0] * n, a_ub, b_ub)
+    assert (pt is None) == (status == INFEASIBLE)
+    if pt is not None:
+        assert len(pt) == n
+        assert all(sum(v * x for v, x in zip(a, pt)) <= b
+                   for a, b in zip(a_ub, b_ub))
 
 
 def test_optimum_no_rows():
-    assert optimum([0, 0]) == (OPTIMAL, 0)
-    assert optimum([0, -1]) == (UNBOUNDED, None)
+    assert lp_solve([0, 0]) == (OPTIMAL, 0)
+    assert lp_solve([0, -1]) == (UNBOUNDED, None)
 
 
 def test_optimum_runs_no_phase_1_when_every_rhs_is_nonnegative(monkeypatch):
@@ -131,23 +126,25 @@ def test_optimum_runs_no_phase_1_when_every_rhs_is_nonnegative(monkeypatch):
         calls.append(None)
         return simplex(*args)
     monkeypatch.setattr(lp, "_simplex", counted)
-    assert optimum([0, 0], a_ub, b_ub) == (OPTIMAL, 0)
+    assert lp_solve([0, 0], a_ub, b_ub) == (OPTIMAL, 0)
+    assert feasible(a_ub, b_ub, dim=2) == (0, 0)
     assert not calls
-    assert optimum([-1, -1], a_ub, b_ub) == (OPTIMAL, -3)
+    assert lp_solve([-1, -1], a_ub, b_ub) == (OPTIMAL, -3)
     assert len(calls) == 1  # phase 2 only
-    assert optimum([0, 1], a_ub, b_ub) == (OPTIMAL, -3)
+    assert lp_solve([0, 1], a_ub, b_ub) == (OPTIMAL, -3)
 
 
 def test_optimum_one_negative_row_infeasible():
     # x <= 1 and x >= 2: only the second row starts with an artificial
     for c in ([0], [1]):
-        assert optimum(c, [[1], [-1]], [1, -2]) == (INFEASIBLE, None)
+        assert lp_solve(c, [[1], [-1]], [1, -2]) == (INFEASIBLE, None)
+    assert feasible([[1], [-1]], [1, -2], dim=1) is None
 
 
 def test_optimum_unbounded_after_phase_1():
     # min -x subject to x >= 1
-    assert optimum([-1], [[-1]], [-1]) == (UNBOUNDED, None)
-    assert optimum([1], [[-1]], [-1]) == (OPTIMAL, 1)
+    assert lp_solve([-1], [[-1]], [-1]) == (UNBOUNDED, None)
+    assert lp_solve([1], [[-1]], [-1]) == (OPTIMAL, 1)
 
 
 _entry = st.integers(-3, 3)
@@ -192,8 +189,8 @@ def test_extend_chain_matches_reference(chain):
     for part in parts:
         held += part
         a_ub, b_ub = [a for a, _ in held], [b for _, b in held]
-        status = lp_reference.lp_solve([F(0)] * n, a_ub, b_ub).status
-        assert optimum([0] * n, a_ub, b_ub)[0] == status
+        status, _ = lp_reference.lp_solve([0] * n, a_ub, b_ub)
+        assert lp_solve([0] * n, a_ub, b_ub)[0] == status
         if t is not None:
             t = extend(t, [a for a, _ in part], [b for _, b in part])
         # an infeasible system stays infeasible under every increment

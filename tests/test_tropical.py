@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import prevariety_reference
-from qqsystems import lp
+from qqsystems import lp, tropical
 from qqsystems.scalar import Scalar, ONE
 from qqsystems.systems import (MasterData, ProblemSpec, SpecValidationError,
                                symbolic_support)
 from qqsystems.tropical import (TropicalSupport, TropicalPoint,
                                 hypersurface_contains, prevariety,
                                 exclusion_witness, check_theorem_hypothesis,
-                                lp_solve_obj, _Cell, _is_origin_cell,
+                                _Cell, _is_origin_cell,
                                 _least_cell, _pair_images, _primitive)
 
 F = Fraction
@@ -211,8 +211,16 @@ def _small_specs(draw):
 @settings(max_examples=150, deadline=None)
 @given(_small_specs())
 def test_prevariety_matches_fraction_reference(spec):
-    assert prevariety(spec, theorem_mode=False) == \
-        prevariety_reference.prevariety(spec, theorem_mode=False)
+    res = prevariety(spec, theorem_mode=False)
+    assert res == prevariety_reference.prevariety(spec, theorem_mode=False)
+    _assert_witness_in_prevariety(spec, res)
+
+
+def _assert_witness_in_prevariety(spec, res):
+    """A witness is a nonzero point that no hypersurface excludes."""
+    if res.witness is not None:
+        assert any(res.witness.w)
+        assert exclusion_witness(spec, res.witness) is None
 
 
 # dimension 4, where |S_m x S_n| reaches 6: the orbit enumeration against
@@ -232,8 +240,9 @@ _R2 = [(1, 2), (2, 2)]                   # (z+1)^2 (z+2)^2
          "qq-z4-1-3", "QQ-r2-1-3"])
 def test_prevariety_matches_reference_in_dimension_4(mode, shifts, m, n):
     spec = mode_spec(mode, shifts, m, n)
-    assert prevariety(spec, theorem_mode=False) == \
-        prevariety_reference.prevariety(spec, theorem_mode=False)
+    res = prevariety(spec, theorem_mode=False)
+    assert res == prevariety_reference.prevariety(spec, theorem_mode=False)
+    _assert_witness_in_prevariety(spec, res)
 
 
 def test_asymmetric_support_is_an_internal_error():
@@ -329,8 +338,8 @@ def _per_coordinate(cell, dim):
             if h:
                 return False
             continue
-        lo = lp_solve_obj([-v for v in a], a_ub, b_ub)
-        hi = lp_solve_obj(a, a_ub, b_ub)
+        lo = lp.lp_solve([-v for v in a], a_ub, b_ub)[1]
+        hi = lp.lp_solve(a, a_ub, b_ub)[1]
         if lo is None or hi is None or h + lo or h - hi:
             return False
     return True
@@ -368,13 +377,13 @@ class TestLeafDecision:
 
     def test_one_lp_per_leaf(self, monkeypatch):
         # qq (2,2) on shifts 1..4 makes 400 LP calls, none of them to
-        # lp.lp_solve (no leaf needs a witness): 352 lp.extend calls that
-        # decide least and pair cells in the search, and 48 lp.optimum
+        # lp.feasible (no leaf needs a witness): 352 lp.extend calls that
+        # decide least and pair cells in the search, and 48 lp.lp_solve
         # cone LPs among the 103 nodes tested for {0}, 58 of which close
         # their subtree.  A cone LP at each of 189 leaves took 676, and two
         # LPs per coordinate at every leaf took 1,860.
         calls = []
-        depth = [0]  # optimum's own extend call is not counted again
+        depth = [0]  # lp_solve's own extend call is not counted again
 
         def counted(solve):
             def call(*args, **kwargs):
@@ -387,8 +396,10 @@ class TestLeafDecision:
                     depth[0] -= 1
             return call
 
-        for name in ("lp_solve", "optimum", "extend"):
+        for name in ("lp_solve", "extend"):
             monkeypatch.setattr(lp, name, counted(getattr(lp, name)))
+        # prevariety calls feasible by the name it imported from lp
+        monkeypatch.setattr(tropical, "feasible", counted(tropical.feasible))
         pivots = []
         pivot = lp._pivot
         monkeypatch.setattr(
