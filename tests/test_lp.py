@@ -98,6 +98,28 @@ def test_matches_fraction_reference(problem):
 
 @settings(max_examples=400, deadline=None)
 @given(_problems())
+def test_optimum_matches_lp_solve(problem):
+    # the minimum lp_solve reports is attained: capping c.x at it leaves a
+    # feasible system, and every point of that system has c.x equal to it
+    c, a_ub, b_ub = problem
+    n = len(c)
+    status, minimum = lp_solve(c, a_ub, b_ub)
+    if status == INFEASIBLE:
+        assert feasible(a_ub, b_ub, dim=n) is None
+        return
+    if status == UNBOUNDED:
+        cap, rhs = c, -1000
+    else:
+        d = minimum.denominator
+        cap, rhs = [d * v for v in c], minimum.numerator
+    pt = feasible(a_ub + [cap], b_ub + [rhs], dim=n)
+    assert pt is not None
+    if status == OPTIMAL:
+        assert sum(v * x for v, x in zip(c, pt)) == minimum
+
+
+@settings(max_examples=400, deadline=None)
+@given(_problems())
 def test_feasible_matches_reference(problem):
     _, a_ub, b_ub = problem
     n = len(problem[0])
