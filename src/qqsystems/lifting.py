@@ -6,16 +6,18 @@ in closed form at Lambda's shifts (systems.jacobian_inverse_at_zero), and
 reads defect_k from the online residual, built once per base, which
 computes one new coefficient per intermediate series at each order.
 Generic bases call neither jacobian_at_zero nor solve_unique; the
-general inverse solve_unique(jacobian_at_zero(...), I) lives on as the
+general inverse, solve_unique of J0 and the identity, lives on as the
 test reference (tests/lift_reference.py) that the closed form is held
 to.  solve_unique stays imported here because perfbench/spans.py wraps
 it under this module's name (tests/test_call_sites.py).  Degenerate
 bases go through a ramification search: expand the residual once in
-(delta, t) at the base, substitute t = s^N, carry each branch as one
-sympy correction jet per unknown (the delta) whose coefficients hold
-the kernel directions of the singular Jacobian as symbolic parameters,
-and branch on the finitely many parameter values that keep the next
-orders consistent.  Each distinct constraint system is solved once per
+(delta, t) at the base, read the base check and the J0 to row-reduce
+from that expansion's constant and delta-linear terms
+(jacobian_at_zero), substitute t = s^N, carry each branch as one sympy
+correction jet per unknown (the delta) whose coefficients hold the
+kernel directions of the singular Jacobian as symbolic parameters, and
+branch on the finitely many parameter values that keep the next orders
+consistent.  Each distinct constraint system is solved once per
 base, and one whose Groebner basis is [1] is closed without sympy.solve.
 A finished branch is read out once, with its ramification normalised.
 Every returned branch carries an exact residual-valuation certificate,
@@ -163,10 +165,6 @@ def lift_newton(sol: InfiniteSolution, spec: ProblemSpec) -> LiftedSolution:
     return LiftedSolution.of(point, sol, spec)
 
 
-def _identity(dim: int) -> List[List[Scalar]]:
-    return [[ONE if c == i else ZERO for c in range(dim)] for i in range(dim)]
-
-
 # ---------------------------------------------------------------------------
 # degenerate (ramified, branching) path
 
@@ -185,13 +183,13 @@ def lift_ramified(sol: InfiniteSolution, spec: ProblemSpec
     such bases to lift_newton instead.
     """
     n_max = spec.ramification_bound
+    expansion = expanded_residual(spec, sol.x0 + sol.y0)
     # [J0 | I] reduces to [R | L] with L * J0 = R, in sympy once per base
-    red, pivots = rref([row + id_row for row, id_row in
-                        zip(jacobian_at_zero(sol, spec),
-                            _identity(spec.m + spec.n))])
+    red, pivots = rref([row + [ONE if c == i else ZERO for c in range(len(row))]
+                        for i, row in enumerate(jacobian_at_zero(expansion))])
     reduced = ([[_scalar_to_sympy(e) for e in row] for row in red], pivots)
     residual = [[(mono, _scalar_to_sympy(c)) for mono, c in comp.terms.items()]
-                for comp in expanded_residual(spec, sol.x0 + sol.y0)]
+                for comp in expansion]
     found: List[LiftedSolution] = []
     seen_keys = set()
     dropped_outside_field = 0
@@ -262,7 +260,6 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
 
     dim = spec.m + spec.n
     k_s = spec.K * n_ram
-    base_scalars = list(sol.x0) + list(sol.y0)
     red, pivots = reduced
     # a row whose pivot lies in the L block is a zero row of R and yields
     # consistency constraints
@@ -312,7 +309,7 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
     for jets in branches:
         pin = {p: 0 for jet in jets for c in jet for p in c.free_symbols}
         rows = [[b] + [_try_scalar(sp.expand(c.subs(pin))) for c in jet[1:]]
-                for b, jet in zip(base_scalars, jets)]
+                for b, jet in zip(sol.x0 + sol.y0, jets)]
         if any(c is None for row in rows for c in row):
             dropped += 1
             continue

@@ -1,9 +1,10 @@
 """Exact linear algebra over the Gaussian rationals (Scalar entries).
 
 Plain Gaussian elimination with exact division; no floating point
-anywhere.  rref serves the ramified branch search; solve_unique, which
-generic lifts no longer call (their J0^-1 has a closed form), is the
-general inverse the tests hold that closed form to.
+anywhere.  rref row-reduces the J0 that the ramified branch search reads
+from its one expansion at the base; solve_unique, which generic lifts no
+longer call (their J0^-1 has a closed form), is the general inverse the
+tests hold that closed form to.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ parts re and im read as Fractions.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import Sequence, Union
 
 _RatLike = Union[int, Fraction]
@@ -29,17 +30,29 @@ class SpecValidationError(ValueError):
 
 
 def _exact_rational(obj) -> Fraction:
-    """A JSON rational: an integer or a "p/q" / decimal string."""
+    """A JSON rational: an integer or a "p/q" / decimal string whose
+    numerator and denominator Python can write, with at most
+    sys.get_int_max_str_digits() digits each (any number when that is 0).
+
+    Fraction builds 10**exp for a decimal exponent without a bound, so the
+    exponent is read first: int() holds the mantissa's two parts to the
+    digit bound each, so past three times it no nonzero value fits.
+    """
+    limit = sys.get_int_max_str_digits() or inf
     if isinstance(obj, int) and not isinstance(obj, bool):
         return Fraction(obj)
     if isinstance(obj, str):
         try:
-            return Fraction(obj)
+            if abs(int(obj.lower().partition("e")[2] or 0)) <= 3 * limit:
+                value = Fraction(obj)
+                str(value)  # ValueError past the digit bound
+                return value
         except (ValueError, ZeroDivisionError):
             pass
     raise SpecValidationError(
-        "bad_scalar", f"expected an integer or an exact rational string, "
-                      f"got {obj!r}")
+        "bad_scalar", f"expected an integer or an exact rational string "
+                      f"with at most {limit} digits in its numerator and "
+                      f"denominator, got {obj!r:.80}")
 
 
 class Scalar:

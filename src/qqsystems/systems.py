@@ -24,7 +24,7 @@ each entry weighted by mode:
   Lambda enters as -q^m lambda_e, and in the t-part as +q^n lambda_e.
 
 residual_components writes these components out once, over any
-commutative ring that takes Scalars and ints as constants; four are used:
+commutative ring that takes Scalars and ints as constants; three are used:
 
 * Series jets in s with t = s^N (evaluate_residual): the residual
   certificate, which judges every lift;
@@ -35,12 +35,12 @@ commutative ring that takes Scalars and ints as constants; four are used:
 * SparsePoly in (delta, t) with the unknowns at a point plus delta
   (expanded_residual): read at the origin for the tropical supports
   (symbolic_support), and at a degenerate base, once, for lifting's
-  ramified branch search, which substitutes its sympy jets into it;
-* Scalars at t = 0 (jacobian_at_zero): the base check and the t = 0
-  Jacobian J0 that the ramified branch search row-reduces.  Generic
-  lifts do not build it: where Lambda's shifts are distinct its inverse
-  has a closed form (jacobian_inverse_at_zero), which the tests hold to the
-  row-reduced inverse of this J0.
+  ramified branch search, which reads the base check and the t = 0
+  Jacobian J0 from its constant and delta-linear terms
+  (jacobian_at_zero) and substitutes its sympy jets into it.  Generic
+  lifts do not build J0: where Lambda's shifts are distinct its inverse
+  has a closed form (jacobian_inverse_at_zero), which the tests hold to
+  the row-reduced inverse of J0.
 
 The floating-point residual in numeric.py is a separate encoding on
 purpose, so that the numeric oracle stays an independent check.
@@ -282,11 +282,8 @@ def residual_components(xs: Sequence, ys: Sequence, spec: ProblemSpec, one,
     """Components f_1..f_{m+n}: the z^{m+n-k} coefficients of the residual.
 
     xs and ys are elements of a commutative ring with +, -, * that takes
-    Scalars and ints as constants; one is its one.  The part of the
-    residual that carries t is handed over unbuilt: times_t(build)
-    returns t times build(), a dict from z-exponent to ring element, as a
-    dict with the same keys, so a ring at t = 0 can return {} without
-    building it.
+    Scalars and ints as constants; one is its one, and times_t maps an
+    element to t times it.
 
     Both modes read one table of products p_i m_j of the z-coefficients
     of q+ = prod(z + x_i) and q- = prod(z + y_j), expanded once each
@@ -319,19 +316,19 @@ def residual_components(xs: Sequence, ys: Sequence, spec: ProblemSpec, one,
     if spec.is_difference:
         qk = [spec.q ** k for k in range(deg + 1)]
         comps = read(lambda i, j: qk[i], 0, qk[spec.m])
-        tp = times_t(lambda: read(lambda i, j: -qk[j], 0, -qk[spec.n]))
+        tp = read(lambda i, j: -qk[j], 0, -qk[spec.n])
     else:
         comps = read(lambda i, j: 1, 0, 1)
-        tp = times_t(lambda: read(lambda i, j: j - i, 1, 0))
-    return [comps[e] + tp[e] if e in tp else comps[e]
+        tp = read(lambda i, j: j - i, 1, 0)
+    return [comps[e] + times_t(tp[e]) if e in tp else comps[e]
             for e in range(deg - 1, -1, -1)]
 
 
 def evaluate_residual(p: CandidatePoint, spec: ProblemSpec) -> List[Series]:
     """Residual components at a jet point; t = s^N is a shift by N."""
-    return residual_components(
-        p.x, p.y, spec, Series.const(ONE, p.top, p.n_ram),
-        lambda build: {e: s.shift(p.n_ram) for e, s in build().items()})
+    return residual_components(p.x, p.y, spec,
+                               Series.const(ONE, p.top, p.n_ram),
+                               lambda s: s.shift(p.n_ram))
 
 
 def online_residual(unknowns: Sequence[OnlineSeries], spec: ProblemSpec
@@ -340,7 +337,7 @@ def online_residual(unknowns: Sequence[OnlineSeries], spec: ProblemSpec
     by one."""
     return residual_components(
         unknowns[:spec.m], unknowns[spec.m:], spec, OnlineSeries.constant(ONE),
-        lambda build: {e: s.shift(1) for e, s in build().items()})
+        lambda s: s.shift(1))
 
 
 def expanded_residual(spec: ProblemSpec, at: Sequence[Scalar]
@@ -352,36 +349,26 @@ def expanded_residual(spec: ProblemSpec, at: Sequence[Scalar]
     u = [g + a for g, a in zip(gens, at)]
     return residual_components(
         u[:spec.m], u[spec.m:], spec, SparsePoly.constant(ONE, dim + 1),
-        lambda build: {e: p * gens[dim] for e, p in build().items()})
+        lambda p: p * gens[dim])
 
 
 # ---------------------------------------------------------------------------
 # the t = 0 Jacobian
 
 
-def jacobian_at_zero(sol, spec: ProblemSpec) -> List[List[Scalar]]:
-    """Exact t = 0 Jacobian of residual_components at a base solution.
+def jacobian_at_zero(expansion: Sequence[SparsePoly]) -> List[List[Scalar]]:
+    """Exact t = 0 Jacobian J0 at a base, read from expanded_residual there.
 
-    f is residual_components over Scalars at t = 0.  Each component is
-    affine in each single unknown: it is a weighted sum of the table
-    entries p_i m_j, less a constant, and each root sits in one factor of
-    each entry (x_i in p_i, y_j in m_j), so every entry is multilinear.
-    Hence f(base + e_j) - f(base) is exactly the j-th partial derivative,
-    and with f(base) = 0 (checked first; ValueError otherwise) column j is
-    f(base + e_j).  Its rank is the number l of distinct shifts of
-    Lambda, which the enumeration already records on the base.
+    J0[i][j] is the coefficient of delta_j t^0 in component i.  The base
+    must solve the t = 0 system: every constant term is zero (ValueError
+    otherwise).  J0's rank is the number l of distinct shifts of Lambda,
+    which the enumeration already records on the base.
     """
-    base = list(sol.x0) + list(sol.y0)
-
-    def f(u: List[Scalar]) -> List[Scalar]:
-        return residual_components(u[:spec.m], u[spec.m:], spec, ONE,
-                                   lambda build: {})
-
-    if not all(c.is_zero for c in f(base)):
+    nvars = expansion[0].nvars
+    if any((0,) * nvars in comp.terms for comp in expansion):
         raise ValueError("point is not a solution of the infinite system")
-    cols = [f(base[:j] + [base[j] + ONE] + base[j + 1:])
-            for j in range(len(base))]
-    return [list(row) for row in zip(*cols)]
+    units = [tuple(int(k == j) for k in range(nvars)) for j in range(nvars - 1)]
+    return [[comp.terms.get(u, ZERO) for u in units] for comp in expansion]
 
 
 def jacobian_inverse_at_zero(sol, spec: ProblemSpec) -> List[List[Scalar]]:
@@ -401,8 +388,8 @@ def jacobian_inverse_at_zero(sol, spec: ProblemSpec) -> List[List[Scalar]]:
     and -J0^-1 r is the Weierstrass (Durand-Kerner) correction.  A
     repeated rho makes J0 singular: SingularJacobianError.  The base is
     not checked here to be a solution: lift_newton checks it through its
-    order-0 residual, and jacobian_at_zero, the general form that the
-    ramified search row-reduces, checks it too.
+    order-0 residual, and jacobian_at_zero through the expansion's
+    constant terms.
     """
     if spec.is_difference:
         q, qm = spec.q, spec.q ** spec.m

@@ -17,14 +17,15 @@ from qqsystems.lifting import LiftedSolution
 from qqsystems.scalar import ONE, ZERO
 from qqsystems.series import Series
 from qqsystems.systems import (CandidatePoint, ProblemSpec, evaluate_residual,
-                               jacobian_at_zero)
+                               expanded_residual, jacobian_at_zero)
 
 
 def lift_newton(sol: InfiniteSolution, spec: ProblemSpec) -> LiftedSolution:
     dim = spec.m + spec.n
     identity = [[ONE if c == i else ZERO for c in range(dim)]
                 for i in range(dim)]
-    inverse = solve_unique(jacobian_at_zero(sol, spec), identity)
+    j0 = jacobian_at_zero(expanded_residual(spec, sol.x0 + sol.y0))
+    inverse = solve_unique(j0, identity)
     K = spec.K
     coeffs = [[v] + [ZERO] * K for v in list(sol.x0) + list(sol.y0)]
 

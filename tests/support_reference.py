@@ -4,8 +4,8 @@ This is the expansion that ``qqsystems.systems.symbolic_support`` replaced
 with the shared residual builder over ``SparsePoly``.  It writes the
 residual out independently, as one sympy expression in (z, x, y, t), and
 reads the supports off ``sp.Poly``; the property tests in
-``test_systems.py`` hold the exact sparse path, and the residual at
-arbitrary points, to it.
+``test_systems.py`` hold the exact sparse path, the residual at arbitrary
+points, and the t = 0 Jacobian at every base, to it.
 """
 
 from __future__ import annotations
@@ -60,6 +60,23 @@ def residual_at(spec: ProblemSpec, u, t0):
     dim = spec.m + spec.n
     return [_sympy_to_scalar(poly_z.coeff_monomial(z ** (dim - k)))
             for k in range(1, dim + 1)]
+
+
+def jacobian_at_zero(spec: ProblemSpec, u):
+    """The t = 0 Jacobian of the z^{m+n-k} coefficients, k = 1..m+n, of
+    the root form, by sympy's partial derivatives in (x, y) read at
+    (x, y) = u; rows are components, columns unknowns, all Scalars."""
+    m, n = spec.m, spec.n
+    dim = m + n
+    z = sp.Symbol("z")
+    xs = sp.symbols(f"x1:{m + 1}") if m else ()
+    ys = sp.symbols(f"y1:{n + 1}") if n else ()
+    unknowns = tuple(xs) + tuple(ys)
+    poly_z = sp.Poly(sp.expand(residual_expr(spec, z, 0, xs, ys)), z)
+    at = dict(zip(unknowns, (_scalar_to_sympy(v) for v in u)))
+    return [[_sympy_to_scalar(
+        sp.diff(poly_z.coeff_monomial(z ** (dim - k)), v).subs(at))
+        for v in unknowns] for k in range(1, dim + 1)]
 
 
 def symbolic_support(spec: ProblemSpec):

@@ -134,12 +134,13 @@ def test_criterion_2_degenerate_branches(criterion2_branches):
 def test_criterion_3_count_rank_certificates(criterion3_lifts):
     with _Verdict(3, "solution count, Jacobian rank, residual certificates"):
         from qqsystems.linalg import rref
-        from qqsystems.systems import jacobian_at_zero
+        from qqsystems.systems import expanded_residual, jacobian_at_zero
         for spec, bases, lifts in criterion3_lifts:
             dim = spec.m + spec.n
             assert len(bases) == comb(dim, spec.m)
             for base in bases:
-                _, pivots = rref(jacobian_at_zero(base, spec))
+                expansion = expanded_residual(spec, base.x0 + base.y0)
+                _, pivots = rref(jacobian_at_zero(expansion))
                 assert len(pivots) == dim
             for ls in lifts:
                 assert ls.residual_valuation >= Fraction(spec.K + 1)

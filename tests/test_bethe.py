@@ -12,6 +12,7 @@ from qqsystems.infinite import InfiniteSolution, enumerate_infinite_solutions
 from qqsystems.lifting import lift_newton, lift_ramified, LiftedSolution
 from qqsystems.bethe import (bethe_report, nondegeneracy_check,
                              gaudin_residual, xxz_residual,
+                             NondegeneracyError,
                              UndecidableQDistinctnessError,
                              TWIST_GAUDIN, TWIST_XXZ)
 
@@ -136,6 +137,24 @@ class TestGaudin:
         spec = QQ_spec([(1, 1), (2, 1)], 1, 1, 3)
         ls = lift_newton(enumerate_infinite_solutions(spec)[0], spec)
         with pytest.raises(ValueError):
+            gaudin_residual(ls, spec)
+
+    def test_equal_roots_raise_nondegeneracy_error(self):
+        # equal jets leave 1/(w_1 - w_2) undefined: the guard names both
+        # roots before Series.reciprocal would fail
+        spec = qq_spec([(1, 1), (2, 1), (3, 1)], 2, 1)
+        w = Series(1, [Scalar(5), ONE, ZERO])
+        ls = _lift_with_roots([w, w], top=2, n_ram=1)
+        with pytest.raises(NondegeneracyError, match="roots 1 and 2 coincide"):
+            gaudin_residual(ls, spec)
+
+    def test_root_on_lambda_zero_raises_nondegeneracy_error(self):
+        # w = -2 is the zero of the factor z + 2 of Lambda
+        spec = qq_spec([(1, 1), (2, 1)], 1, 1)
+        ls = _lift_with_roots([Series.const(Scalar(-2), 2, 1)], top=2,
+                              n_ram=1)
+        with pytest.raises(NondegeneracyError,
+                           match="root 1 collides with the Lambda zero -2"):
             gaudin_residual(ls, spec)
 
     def test_relabel_invariance(self):

@@ -165,6 +165,10 @@ BAD_SPECS = [
     ("shift_unknown_part",
      _with(QQ11, **{"lambda": _shifts([{"real": "1"}, 1], ["2", 1])}),
      "bad_scalar"),
+    # 10^4400 has more digits than Python writes an int with
+    ("shift_too_many_digits",
+     _with(QQ11, **{"lambda": _shifts(["1e4400", 1], ["2", 1])}),
+     "bad_scalar"),
     ("no_unknowns", _with(QQ11, m=0, n=0, **{"lambda": _shifts()}),
      "bad_degrees"),
     ("N_max_zero", _with(QQ11, N_max=0), "bad_ramification_bound"),

@@ -243,8 +243,8 @@ class TestRamified:
         assert any("i" in lead for lead in leads)
 
     def test_residual_expanded_once_per_base(self, monkeypatch):
-        # the search reads one expansion at the base for every N and order;
-        # the residual builder only ever sees Series, SparsePoly or Scalars
+        # the search reads J0 and every N and order from one expansion at
+        # the base; the residual builder only ever sees Series or SparsePoly
         import sympy
         from qqsystems import systems
         residual_components = systems.residual_components
@@ -267,7 +267,7 @@ class TestRamified:
                 if [str(v) for v in s.x0] == ["1", "1"]][0]
         assert lift_ramified(base, spec)
         assert expansions == [base.x0 + base.y0]
-        assert rings == {"Series", "SparsePoly", "Scalar"}
+        assert rings == {"Series", "SparsePoly"}
 
     def test_generic_base_gives_the_newton_lift(self):
         # the search itself finds the one branch at N = 1, Newton's

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qqsystems.scalar import Scalar, ZERO, ONE, I
+from qqsystems.scalar import Scalar, SpecValidationError, ZERO, ONE, I
 
 
 def test_construction_and_equality():
@@ -62,6 +62,20 @@ def test_json_round_trip():
     assert Scalar.from_json("3/4") == Scalar(Fraction(3, 4))
     assert Scalar.from_json({"re": "1/2", "im": "-1"}) == \
         Scalar(Fraction(1, 2), Fraction(-1))
+
+
+def test_from_json_bounds_the_digits():
+    # a part may have at most sys.get_int_max_str_digits() digits; the
+    # exponent is read before 10**exp is built, so a huge one is quick
+    for bad in ("1e5000", "1e-5000", {"re": "1e5000"}, "1e1000000000",
+                "1e-1000000000"):
+        with pytest.raises(SpecValidationError) as exc:
+            Scalar.from_json(bad)
+        assert exc.value.code == "bad_scalar"
+    assert Scalar.from_json("1e3") == Scalar(1000)
+    assert Scalar.from_json("2.5e-2") == Scalar(Fraction(1, 40))
+    assert Scalar.from_json({"re": "1e2", "im": "-1e-1"}) == \
+        Scalar(100, Fraction(-1, 10))
 
 
 def test_complex_conversion():
