@@ -119,15 +119,22 @@ def certify_residual_point(point: CandidatePoint, spec: ProblemSpec) -> Fraction
 
     The point is widened (its unknown tail taken as exactly zero), so the
     value is the true valuation of the residual of the jet-as-polynomial.
-    When every component vanishes through the inspected window the
-    returned value is the window bound, a certified lower bound.
+    The residual is read first through s^(top + N).  A component that is
+    zero there has a valuation above every nonzero one found, so any
+    nonzero component decides the value.  Only when every component
+    vanishes is it read again, through s^(top + CERTIFY_GUARD N), and when
+    every component vanishes there too the returned value is that window's
+    bound, a certified lower bound.
     """
     n_ram = point.n_ram
-    eval_top = point.top + CERTIFY_GUARD * n_ram
-    vals = [comp.valuation()
-            for comp in evaluate_residual(point.widen(eval_top), spec)]
-    return min((v for v in vals if v is not None),
-               default=Fraction(eval_top + 1, n_ram))
+    for guard in (1, CERTIFY_GUARD):
+        eval_top = point.top + guard * n_ram
+        vals = [comp.valuation()
+                for comp in evaluate_residual(point.widen(eval_top), spec)]
+        found = [v for v in vals if v is not None]
+        if found:
+            return min(found)
+    return Fraction(eval_top + 1, n_ram)
 
 
 # ---------------------------------------------------------------------------

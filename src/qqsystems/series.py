@@ -10,6 +10,10 @@ pole order, which reciprocals of positive-valuation series require.
 Coefficients are integer numerators (real and imaginary parts) over one
 positive denominator, in lowest terms: a product is an integer convolution,
 a sum scales to a common denominator, and each reduces by one final gcd.
+A row of imaginary parts that is all zero (a real jet) is neither
+convolved, scaled nor reduced: a product, sum or reciprocal of real jets
+computes the real row only, and the reduction leaves a zero row out of
+its gcd.
 
 Operations track the knowledge window: mixing two series keeps only the
 exponents both windows support.  Mixing different ramification indices
@@ -57,11 +61,13 @@ class Series:
     def _reduced(n_ram: int, offset: int, den: int,
                  re: Sequence[int], im: Sequence[int]) -> "Series":
         """sum (re[k] + im[k] i)/den s^(offset + k), in lowest terms."""
-        g = gcd(den, *re, *im)
+        real = not any(im)
+        g = gcd(den, *re) if real else gcd(den, *re, *im)
         if g != 1:
             den //= g
             re = [a // g for a in re]
-            im = [b // g for b in im]
+            if not real:
+                im = [b // g for b in im]
         s = object.__new__(Series)
         for name, v in zip(Series.__slots__, (n_ram, offset, den, re, im)):
             object.__setattr__(s, name, v)
@@ -144,11 +150,14 @@ class Series:
                           (ZERO,) * (-off) + (c,) + (ZERO,) * self.top, off)
         return None
 
+    def _row(self, row: Sequence[int], off: int, n: int, factor: int):
+        """One numerator row times factor at exponents off .. off + n - 1."""
+        return ([0] * (self.offset - off) + [a * factor for a in row])[:n]
+
     def _numerators(self, off: int, n: int, factor: int):
-        """Numerators times factor at exponents off .. off + n - 1."""
-        lead = [0] * (self.offset - off)
-        return ((lead + [a * factor for a in self._re])[:n],
-                (lead + [b * factor for b in self._im])[:n])
+        """Both numerator rows times factor at exponents off .. off + n - 1."""
+        return (self._row(self._re, off, n, factor),
+                self._row(self._im, off, n, factor))
 
     def __add__(self, other):
         o = self._embed(other)
@@ -160,10 +169,16 @@ class Series:
         if top < off:
             raise ValueError("empty knowledge window in series addition")
         g = gcd(self._den, o._den)
-        re1, im1 = self._numerators(off, top - off + 1, o._den // g)
-        re2, im2 = o._numerators(off, top - off + 1, self._den // g)
+        n, f1, f2 = top - off + 1, o._den // g, self._den // g
+        re = list(map(add, self._row(self._re, off, n, f1),
+                      o._row(o._re, off, n, f2)))
+        if any(self._im) or any(o._im):
+            im = list(map(add, self._row(self._im, off, n, f1),
+                          o._row(o._im, off, n, f2)))
+        else:
+            im = [0] * n
         return Series._reduced(self.n_ram, off, self._den // g * o._den,
-                               list(map(add, re1, re2)), list(map(add, im1, im2)))
+                               re, im)
 
     __radd__ = __add__
 
@@ -197,12 +212,17 @@ class Series:
         n = min(len(self._re), len(other._re))
         if n <= 0:
             raise ValueError("empty knowledge window in series product")
-        re, im = [], []
-        for k in range(n):
-            a, b = self._re[:k + 1], self._im[:k + 1]
-            c, d = other._re[k::-1], other._im[k::-1]
-            re.append(sum(map(mul, a, c)) - sum(map(mul, b, d)))
-            im.append(sum(map(mul, a, d)) + sum(map(mul, b, c)))
+        if any(self._im) or any(other._im):
+            re, im = [], []
+            for k in range(n):
+                a, b = self._re[:k + 1], self._im[:k + 1]
+                c, d = other._re[k::-1], other._im[k::-1]
+                re.append(sum(map(mul, a, c)) - sum(map(mul, b, d)))
+                im.append(sum(map(mul, a, d)) + sum(map(mul, b, c)))
+        else:
+            re = [sum(map(mul, self._re[:k + 1], other._re[k::-1]))
+                  for k in range(n)]
+            im = [0] * n
         return Series._reduced(self.n_ram, self.offset + other.offset,
                                self._den * other._den, re, im)
 
@@ -217,29 +237,43 @@ class Series:
 
         For the unit part U_r / D (Gaussian integers U_r, n0 = |U_0|^2) the
         inverse is D W_r / n0^(r+1): W_0 = conj(U_0), W_r = -conj(U_0) *
-        sum_{j=1..r} U_j W_{r-j} n0^(j-1), all Gaussian integers.
+        sum_{j=1..r} U_j W_{r-j} n0^(j-1), all Gaussian integers.  A real
+        unit part takes n0 = U_0 instead: W_0 = 1, W_r = -sum_{j=1..r} U_j
+        W_{r-j} n0^(j-1), all integers, with no imaginary row to compute.
         """
         low = self.lowest_term()
         if low is None:
             raise NonInvertibleSeriesError("non-invertible series (zero through window)")
         v = low[0]
         ur, ui = self._re[v - self.offset:], self._im[v - self.offset:]
-        x0, y0 = ur[0], ui[0]
-        n0 = x0 * x0 + y0 * y0
         rel = len(ur) - 1  # unit part known through this relative order
-        wr, wi = [x0], [-y0]
-        for r in range(1, rel + 1):
-            sr = si = 0
-            for j in range(r, 0, -1):  # Horner in n0
-                a, b, c, d = ur[j], ui[j], wr[r - j], wi[r - j]
-                sr = sr * n0 + a * c - b * d
-                si = si * n0 + a * d + b * c
-            wr.append(-(x0 * sr + y0 * si))
-            wi.append(y0 * sr - x0 * si)
+        x0, y0 = ur[0], ui[0]
+        if any(ui):
+            n0 = x0 * x0 + y0 * y0
+            wr, wi = [x0], [-y0]
+            for r in range(1, rel + 1):
+                sr = si = 0
+                for j in range(r, 0, -1):  # Horner in n0
+                    a, b, c, d = ur[j], ui[j], wr[r - j], wi[r - j]
+                    sr = sr * n0 + a * c - b * d
+                    si = si * n0 + a * d + b * c
+                wr.append(-(x0 * sr + y0 * si))
+                wi.append(y0 * sr - x0 * si)
+        else:
+            n0 = x0
+            wr, wi = [1], [0] * (rel + 1)
+            for r in range(1, rel + 1):
+                sr = 0
+                for j in range(r, 0, -1):  # Horner in n0
+                    sr = sr * n0 + ur[j] * wr[r - j]
+                wr.append(-sr)
+        den = n0 ** (rel + 1)
         scale = [self._den * n0 ** (rel - r) for r in range(rel + 1)]
+        if den < 0:  # a negative real U_0 to an odd power
+            den, scale = -den, [-f for f in scale]
         # result exponents -v .. top - 2v
-        return Series._reduced(self.n_ram, -v, n0 ** (rel + 1),
-                               list(map(mul, wr, scale)), list(map(mul, wi, scale)))
+        return Series._reduced(self.n_ram, -v, den, list(map(mul, wr, scale)),
+                               list(map(mul, wi, scale)))
 
     # -- comparison -----------------------------------------------------------
 

@@ -178,6 +178,14 @@ ONE = Scalar(1)
 I = Scalar(0, 1)
 
 
+def dot(xs, ys) -> Scalar:
+    """sum x_k y_k over the shorter length."""
+    acc = ZERO
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
+
+
 class Series:
     __slots__ = ("n_ram", "offset", "coeffs")
 

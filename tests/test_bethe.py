@@ -433,6 +433,34 @@ def test_report_valuations_are_those_at_work_guard_generic(spec):
         _assert_report_reads_work_guard(lift_newton(base, spec), spec)
 
 
+def _gaudin_every_ordered_pair(ls, spec, guard):
+    """The Gaudin residuals with a reciprocal for each ordered root pair."""
+    work_top = ls.order + guard * ls.n_ram
+    roots = [(-s).widen(work_top) for s in ls.point.x]
+    out = []
+    for l, w in enumerate(roots):
+        acc = Series.const(ZERO, work_top, ls.n_ram)
+        for a, mult in spec.lam.shifts:
+            acc = acc + (w + a).reciprocal() * Scalar(mult)
+        for s, ws in enumerate(roots):
+            if s != l:
+                acc = acc - (w - ws).reciprocal() * Scalar(2)
+        out.append(Series.const(ONE, work_top, ls.n_ram) + acc.shift(ls.n_ram))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(_generic_specs().filter(lambda spec: not spec.is_difference))
+def test_gaudin_shared_pair_reciprocals(spec):
+    # 1/(w_s - w_l) = -1/(w_l - w_s): the same residuals, windows included
+    for base in enumerate_infinite_solutions(spec):
+        ls = lift_newton(base, spec)
+        for guard in (bethe.FIRST_GUARD, bethe.WORK_GUARD):
+            assert [r.to_json() for r in gaudin_residual(ls, spec, guard)] \
+                == [r.to_json()
+                    for r in _gaudin_every_ordered_pair(ls, spec, guard)]
+
+
 @pytest.mark.parametrize("shifts,m,n,K", [
     ([(1, 2)], 1, 1, 4), ([(1, 2), (5, 1)], 2, 1, 3),
     ([(1, 3)], 2, 1, 1), ([(1, 3)], 2, 1, 2)])
@@ -443,6 +471,21 @@ def test_report_valuations_are_those_at_work_guard_ramified(shifts, m, n, K):
     for base in enumerate_infinite_solutions(spec):
         for ls in lift_ramified(base, spec):
             _assert_report_reads_work_guard(ls, spec)
+
+
+def test_exact_branch_is_read_once_at_work_guard(monkeypatch):
+    # x = 1 + 2t solves the (z+1)^2 system exactly: its certificate is the
+    # window bound, and its residuals are read once, at WORK_GUARD
+    spec = qq_spec([(1, 2)], 1, 1, K=4)
+    branches = lift_ramified(enumerate_infinite_solutions(spec)[0], spec)
+    moving = [b for b in branches if b.point.x[0].coeff(1) != ZERO][0]
+    assert moving.residual_valuation == Fraction(7)
+    guards = []
+    monkeypatch.setattr(bethe, "gaudin_residual", lambda ls, sp, guard: (
+        guards.append(guard) or gaudin_residual(ls, sp, guard)))
+    vals = bethe_report(moving, spec).residual_valuations
+    assert guards == [bethe.WORK_GUARD]
+    assert vals == _at_work_guard(moving, spec) == (None,)
 
 
 @pytest.mark.parametrize("mode", ["qq", "QQ"])

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 import lift_reference
 from qqsystems.scalar import Scalar, ZERO, ONE
 from qqsystems.series import Series
-from qqsystems.systems import MasterData, ProblemSpec, CandidatePoint
+from qqsystems.systems import (MasterData, ProblemSpec, CandidatePoint,
+                               evaluate_residual)
 from qqsystems.infinite import enumerate_infinite_solutions
 from qqsystems import lifting
 from qqsystems.lifting import (lift_newton, lift_ramified,
@@ -211,6 +212,81 @@ class TestCertificate:
         spec = qq_spec([(1, 1), (2, 1)], 1, 1, K=0)
         ls0 = lift_newton(enumerate_infinite_solutions(spec)[0], spec)
         assert ls0.residual_valuation == Fraction(1)
+
+
+# ---------------------------------------------------------------------------
+# the two-window certificate against one reading at CERTIFY_GUARD
+
+
+def _certify_once(point, spec):
+    """The certificate as one reading of the residual at top + CERTIFY_GUARD
+    * N: the least nonzero valuation, or the window bound."""
+    n_ram = point.n_ram
+    eval_top = point.top + lifting.CERTIFY_GUARD * n_ram
+    vals = [comp.valuation()
+            for comp in evaluate_residual(point.widen(eval_top), spec)]
+    return min((v for v in vals if v is not None),
+               default=Fraction(eval_top + 1, n_ram))
+
+
+def _window_bound(point):
+    return Fraction(point.top + lifting.CERTIFY_GUARD * point.n_ram + 1,
+                    point.n_ram)
+
+
+def _cut(point, top):
+    """The point's jets cut after s^top."""
+    def jet(s):
+        return Series(s.n_ram, s.coeffs[:top - s.offset + 1], s.offset)
+    return CandidatePoint(tuple(map(jet, point.x)), tuple(map(jet, point.y)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(generic_specs(max_dim=4, max_k=4))
+def test_certificate_equals_one_reading_generic(spec):
+    # every prefix of each lift: the cut after s^0 leaves the residual
+    # nonzero at t^1, inside the first window
+    for base in enumerate_infinite_solutions(spec):
+        point = lift_newton(base, spec).point
+        for top in range(point.top + 1):
+            cut = _cut(point, top)
+            assert certify_residual_point(cut, spec) == \
+                _certify_once(cut, spec)
+
+
+@pytest.mark.parametrize("shifts,m,n,K", [
+    ([(1, 2)], 1, 1, 4), ([(1, 2), (5, 1)], 2, 1, 3),
+    ([(1, 3)], 2, 1, 1), ([(1, 3)], 2, 1, 2)])
+def test_certificate_equals_one_reading_ramified(shifts, m, n, K):
+    # every lift of the solved ramified ladder rungs, (z+a)^2, (z+a)^2 (z+b)
+    # and (z+a)^3 at a = 1, b = 5, and every prefix of it
+    spec = qq_spec(shifts, m, n, K=K)
+    exact = 0
+    for base in enumerate_infinite_solutions(spec):
+        for ls in lift_ramified(base, spec):
+            for top in range(ls.order + 1):
+                cut = _cut(ls.point, top)
+                val = certify_residual_point(cut, spec)
+                assert val == _certify_once(cut, spec)
+                exact += val == _window_bound(cut)
+    # the (z+1)^2 branches (1, 1) and (1 + 2t, 1 - 2t) are exact, so the
+    # residual is zero through both windows and the second is read
+    assert exact or shifts != [(1, 2)]
+
+
+def test_exact_branch_reads_the_second_window(monkeypatch):
+    # x = 1 + 2t solves the (z+1)^2 system exactly: two readings, and the
+    # bound of the second window
+    spec = qq_spec([(1, 2)], 1, 1, K=4)
+    point = CandidatePoint((Series(1, [ONE, Scalar(2)] + [ZERO] * 3),),
+                           (Series(1, [ONE, Scalar(-2)] + [ZERO] * 3),))
+    calls = []
+    monkeypatch.setattr(lifting, "evaluate_residual",
+                        lambda p, s: calls.append(p.top) or
+                        evaluate_residual(p, s))
+    assert certify_residual_point(point, spec) == Fraction(7) == \
+        _window_bound(point)
+    assert calls == [5, 6]
 
 
 class TestRamified:
