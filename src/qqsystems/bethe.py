@@ -18,9 +18,10 @@ exact polynomials, so every coefficient inside a residual's window is
 exact: bethe_report reads the residuals from jets widened by FIRST_GUARD
 t-orders, and by WORK_GUARD only when some residual is zero through that
 first window, and reports the valuations WORK_GUARD alone would give.  An
-exact branch, whose residual certificate found every component zero
-through its window, is read once, at WORK_GUARD.  The Gaudin sum takes one
-reciprocal per unordered root pair: 1/(w_s - w_l) = -1/(w_l - w_s).
+exact branch (LiftedSolution.exact: its residual certificate found every
+component zero through its window) is read once, at WORK_GUARD.  The
+Gaudin sum takes one reciprocal per unordered root pair:
+1/(w_s - w_l) = -1/(w_l - w_s).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .lifting import CERTIFY_GUARD, LiftedSolution
+from .lifting import LiftedSolution
 from .scalar import Scalar, ZERO, ONE
 from .series import Series
 from .systems import ProblemSpec
@@ -235,7 +236,8 @@ def bethe_report(ls: LiftedSolution, spec: ProblemSpec) -> BetheReport:
 
     Every coefficient inside a window is exact, so a valuation read at
     FIRST_GUARD is the one WORK_GUARD gives; the residuals are read again
-    at WORK_GUARD only when one of them is zero through the first window.
+    at WORK_GUARD only when one of them is zero through the first window,
+    and at WORK_GUARD alone when the lift is exact (ls.exact).
     """
     roots = _roots(ls)
     flags = nondegeneracy_check(ls, spec)
@@ -244,13 +246,9 @@ def bethe_report(ls: LiftedSolution, spec: ProblemSpec) -> BetheReport:
         return BetheReport(roots=roots, twist=twist, flags=flags,
                            residual_valuations=None)
     residual = xxz_residual if spec.is_difference else gaudin_residual
-    # a certificate at its window bound found every residual component
-    # zero, as on an exact branch, whose Bethe residuals are zero through
-    # every window: the first reading is skipped (the values are
-    # WORK_GUARD's either way)
-    exact = (ls.residual_valuation * ls.n_ram
-             > ls.order + CERTIFY_GUARD * ls.n_ram)
-    for guard in (WORK_GUARD,) if exact else (FIRST_GUARD, WORK_GUARD):
+    # an exact branch has Bethe residuals zero through every window: the
+    # first reading is skipped (the values are WORK_GUARD's either way)
+    for guard in (WORK_GUARD,) if ls.exact else (FIRST_GUARD, WORK_GUARD):
         vals = [r.valuation() for r in residual(ls, spec, guard)]
         if None not in vals:
             break

@@ -4,12 +4,14 @@ Every failure is a {reason, message} pair in the report's "failures".
 Exit codes: 0 success; 2 a spec that fails validation (the reason names
 the check), a spec file that cannot be read (bad_spec_file), an --out
 file that cannot be opened or written (bad_out_path), the tropical size
-cap exceeded (size_cap_exceeded), or a solve refused before lifting
-(lambda_root_at_origin, q_unit_modulus); 3 a base that cannot be lifted
-(ramification_bound_exceeded, branch_explosion, undecided_constraints);
-4 a residual certificate failure (certificate_failure) or a Bethe
-residual valuation below its bound (bethe_valuation), or, with no
-failure listed, a tropical prevariety that is not exactly the origin.
+cap exceeded (size_cap_exceeded), the tropical theorem gate (some
+d_k = 0: zero_coefficient d_k, unless --no-theorem-mode), or a solve
+refused before lifting (lambda_root_at_origin, q_unit_modulus); 3 a base
+that cannot be lifted (ramification_bound_exceeded, branch_explosion,
+undecided_constraints); 4 a residual certificate failure
+(certificate_failure) or a Bethe residual valuation below its bound
+(bethe_valuation), or, with no failure listed, a tropical prevariety
+that is not exactly the origin.
 A solve exits with the largest code of its failures, read from
 SOLVE_EXIT_CODES.  Reports are deterministic JSON ("format": 3) with
 exact rational scalars throughout.
@@ -34,7 +36,7 @@ from .bethe import bethe_report
 from .infinite import enumerate_infinite_solutions
 from .lifting import LiftError, lift_newton, lift_ramified
 from .systems import ProblemSpec, SizeCapExceededError, SpecValidationError
-from .tropical import prevariety
+from .tropical import check_theorem_hypothesis, prevariety
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -165,7 +167,7 @@ def _solve(spec: ProblemSpec, failures: List[dict]) -> dict:
                                "tropical subcommand"}
     else:
         try:
-            tropical = prevariety(spec, theorem_mode=False).to_json()
+            tropical = prevariety(spec).to_json()
         except SizeCapExceededError as exc:  # advisory only for solve
             tropical = {"skipped": str(exc)}
     return {"spec": spec.to_json(), "bases": entries, "failures": failures,
@@ -184,7 +186,9 @@ def cmd_solve(args, spec: ProblemSpec) -> int:
 
 def cmd_tropical(args, spec: ProblemSpec) -> int:
     try:
-        res = prevariety(spec, theorem_mode=not args.no_theorem_mode)
+        if not args.no_theorem_mode:
+            check_theorem_hypothesis(spec)
+        res = prevariety(spec)
     except SpecValidationError as exc:  # theorem hypothesis: some d_k = 0
         return _fail(args.out, exc.code, str(exc))
     except SizeCapExceededError as exc:

@@ -93,6 +93,14 @@ class LiftedSolution:
     def certified(self) -> bool:
         return self.residual_valuation >= Fraction(self.order + 1, self.n_ram)
 
+    @property
+    def exact(self) -> bool:
+        """True when the certificate read every residual component as zero
+        through top + CERTIFY_GUARD N, as on an exact branch: its value is
+        then that window's bound (certify_residual_point)."""
+        return (self.residual_valuation * self.n_ram
+                > self.order + CERTIFY_GUARD * self.n_ram)
+
     @staticmethod
     def of(point: CandidatePoint, base: InfiniteSolution, spec: ProblemSpec
            ) -> "LiftedSolution":

@@ -133,6 +133,7 @@ class NumericCheck:
     tolerances: Tuple[float, ...]
     decay_exponent: Optional[float]
     passed: bool
+    verdict: Optional[bool]  # from the samples inside the disc; None: no such
 
 
 def numeric_check(ls: LiftedSolution, spec: ProblemSpec,
@@ -146,6 +147,10 @@ def numeric_check(ls: LiftedSolution, spec: ProblemSpec,
     largest of that, the tail bound 20 (rho s0)^(top+1) and Newton's
     resolution NEWTON_RESOLUTION * (1 + |jet(t0)|).  Passes when every
     sample converges within its allowance, which `tolerances` reports.
+    Outside the disc the allowance assumes coefficients the jet does not
+    have, so `verdict` reads only the samples inside it: True when each
+    converges within its allowance, False when one does not, and None
+    (cannot tell) when no sample lies inside.
     The decay exponent is the log-log slope of the mismatch, defined when
     at least two samples give nonzero mismatch.
     """
@@ -156,24 +161,27 @@ def numeric_check(ls: LiftedSolution, spec: ProblemSpec,
                if e >= 1 and not c.is_zero), default=0.0)
     mismatches: List[float] = []
     tolerances: List[float] = []
+    inside: List[bool] = []
     for t0 in samples:
         seed = np.array([s.eval_at(t0) for s in jets])
         f = residual_function(spec, t0)
         root = damped_newton(f, seed)
+        mismatches.append(float("nan") if root is None
+                          else float(np.max(np.abs(root - seed))))
         tol = 10.0 * t0 ** order_exp
         ratio = rho * t0 ** (1.0 / ls.n_ram)
         if ratio < 0.5:
             tol = max(tol, 20.0 * ratio ** (ls.order + 1),
                       NEWTON_RESOLUTION * (1.0 + float(np.linalg.norm(seed))))
+            inside.append(mismatches[-1] <= tol)
         tolerances.append(tol)
-        mismatches.append(float("nan") if root is None
-                          else float(np.max(np.abs(root - seed))))
     decay = decay_exponent(samples, mismatches)
     # a nan mismatch (Newton failed) fits no allowance
     return NumericCheck(samples=tuple(samples), mismatches=tuple(mismatches),
                         tolerances=tuple(tolerances), decay_exponent=decay,
                         passed=all(err <= tol for err, tol
-                                   in zip(mismatches, tolerances)))
+                                   in zip(mismatches, tolerances)),
+                        verdict=all(inside) if inside else None)
 
 
 def decay_exponent(samples: Sequence[float], errors: Sequence[float]

@@ -56,6 +56,23 @@ c q^i, or c q^i d_k for the constant item, with c a nonzero integer
 (checked symbolically in the tests for every m + n <= 6 in both modes).
 So each verdict holds for every Lambda with all d_k != 0 and for every
 admissible q; no q is exceptional.
+
+The exclusion rule proves the verdict {0} for every (m, n) in both modes.
+Write d = m + n and f_k for the coefficient of z^(d-k).  The items of
+valuation 0 in f_k are the C(d, k) square-free monomials of degree k in
+(x, y) and the constant, a nonzero multiple of d_k; qq adds only
+monomials of degree k - 1, at valuation 1, and QQ adds none.  Take w != 0
+and mu = min w_i.  If mu < 0, let S = {i : w_i = mu} and s = |S|: f_s
+excludes w.  Its degree-s monomials reach their least value s mu only at
+x^S, since any other set of s indices holds one with w_i > mu; the
+constant gives 0 > s mu; a degree-(s - 1) item gives at least
+1 + (s - 1) mu > s mu, since mu < 1.  If mu >= 0, f_d excludes w: the
+constant gives 0, the one degree-d monomial gives sum w_i > 0, and a
+degree-(d - 1) item gives at least 1.  So every nonempty cell is {0},
+both items of each of its pairs have valuation 0, and cell_count is the
+product over k of C(C(d, k) + 1, 2).  The enumeration does not use the
+rule and stays its independent check; the tests hold both to each other
+(the rule for m + n <= 8, the count for m + n <= 4).
 """
 
 from __future__ import annotations
@@ -136,7 +153,8 @@ def exclusion_witness(spec: ProblemSpec, w: TropicalPoint) -> Optional[int]:
 
 
 def check_theorem_hypothesis(spec: ProblemSpec) -> None:
-    """All master coefficients d_k must be nonzero (theorem-verification mode)."""
+    """SpecValidationError "zero_coefficient d_k" unless every master
+    coefficient d_k is nonzero, the hypothesis of the tropical theorem."""
     lam = spec.lam
     for k in range(1, lam.degree + 1):
         if lam.coeffs[lam.degree - k].is_zero:
@@ -302,8 +320,13 @@ def _pair_images(s: TropicalSupport, pairs, group):
     return list(zip(*per_g))
 
 
-def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult:
+def prevariety(spec: ProblemSpec) -> PrevarietyResult:
     """Enumerate the prevariety cells and decide whether their union is {0}.
+
+    It computes the prevariety of any spec within its size cap and checks
+    no theorem hypothesis: a caller that wants the all-d_k-nonzero gate
+    calls check_theorem_hypothesis first, as the CLI's tropical command
+    does unless --no-theorem-mode is given.
 
     A depth-first search picks one pair per support, smallest supports
     first, and visits one cell per S_m x S_n orbit.  At each node, each
@@ -313,8 +336,6 @@ def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult
     tail[level] being its number of leaves (see the module docstring).
     """
     from .systems import symbolic_support
-    if theorem_mode:
-        check_theorem_hypothesis(spec)
     dim = spec.m + spec.n
     # smallest supports first for maximal pruning; each level keeps its
     # items as rows R = (u, -v), and its pairs in the order visited

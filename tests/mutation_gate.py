@@ -1,0 +1,173 @@
+"""Seeded mutation gate: every listed one-line edit of src/ must fail its tests.
+
+Run from anywhere, with the test dependencies installed:
+
+    python tests/mutation_gate.py [-k SUBSTRING]
+
+The script copies src/, tests/, perfbench/ and pyproject.toml to a
+temporary directory and first runs pytest there, unmutated, on every test
+file the chosen mutants name: a gate whose tests fail on the real code
+proves nothing, so it stops with exit 2.  Then, for each mutant in turn,
+it replaces the one line (which must occur exactly once in its module),
+runs pytest on the test files named with it, and restores the module.
+A mutant is killed when pytest reports a failure or runs past TIMEOUT_S
+(a mutant can make a loop run forever); it survives when the tests
+pass.  Any other pytest outcome (a collection or usage error) is an
+error.
+Hypothesis runs with a fixed seed, so each verdict is repeatable.
+
+Exit codes: 0 every mutant killed; 1 a mutant survived, or an edit no
+longer applies or ends in an error; 2 the unmutated tests fail.
+
+pytest does not collect this file: its name does not start with test_.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# seconds per mutant's pytest run; the slowest mutant's run takes about
+# 22 s on 2 vCPU
+TIMEOUT_S = 120
+
+# (name, module under src/qqsystems, line text, its mutant, test files)
+MUTANTS = [
+    # lp.extend: each new row must be reduced against the current basis
+    ("lp.extend skips the reduction against the basis", "lp.py",
+     "            f = line[col]",
+     "            f = 0",
+     ["tests/test_lp.py"]),
+    # a row refutes the system only when no entry can reach its rhs
+    ("lp.extend refutes on any nonnegative entry", "lp.py",
+     "        if line[-1] < 0 and all(v >= 0 for v in line[:-1]):",
+     "        if line[-1] < 0 and any(v >= 0 for v in line[:-1]):",
+     ["tests/test_lp.py"]),
+    ("lp.extend puts an artificial on the first negative row only", "lp.py",
+     "    art = [i for i in range(len(old), len(rows)) if rows[i][-1] < 0]",
+     "    art = [i for i in range(len(old), len(rows)) if rows[i][-1] < 0][:1]",
+     ["tests/test_lp.py"]),
+    ("lp.feasible's vertex with a sign error", "lp.py",
+     "    return tuple(value.get(j, F0) - value.get(dim + j, F0)",
+     "    return tuple(value.get(j, F0) + value.get(dim + j, F0)",
+     ["tests/test_lp.py"]),
+    ("bethe._collision_exponent with its sign swapped", "bethe.py",
+     "    k = _multiplicity(g, up) or -_multiplicity(g, down)",
+     "    k = -_multiplicity(g, up) or _multiplicity(g, down)",
+     ["tests/test_bethe.py"]),
+    # with |q|^2 = 1/r the base is r, and the ratio must be turned over
+    ("bethe._collision_exponent keeps the ratio at base r", "bethe.py",
+     "        g, up, down = q2.denominator, down, up",
+     "        g, up, down = q2.denominator, up, down",
+     ["tests/test_bethe.py"]),
+    ("bethe_report reads an exact branch at the first window", "bethe.py",
+     "    for guard in (WORK_GUARD,) if ls.exact else (FIRST_GUARD, WORK_GUARD):",
+     "    for guard in (FIRST_GUARD,) if ls.exact else (FIRST_GUARD, WORK_GUARD):",
+     ["tests/test_bethe.py"]),
+    ("series._reduced's gcd skips the last real numerator", "series.py",
+     "        g = gcd(den, *re) if real else gcd(den, *re, *im)",
+     "        g = gcd(den, *re[:-1]) if real else gcd(den, *re, *im)",
+     ["tests/test_arith.py"]),
+    ("the real reciprocal subtracts in its recurrence", "series.py",
+     "                    sr = sr * n0 + ur[j] * wr[r - j]",
+     "                    sr = sr * n0 - ur[j] * wr[r - j]",
+     ["tests/test_arith.py"]),
+    ("the certificate returns the first window's bound", "lifting.py",
+     "    return Fraction(eval_top + 1, n_ram)",
+     "    return Fraction(point.top + n_ram + 1, n_ram)",
+     ["tests/test_lifting.py"]),
+    ("a QQ t-part weight with the wrong sign", "systems.py",
+     "        tp = read(lambda i, j: -qk[j], 0, -qk[spec.n])",
+     "        tp = read(lambda i, j: qk[j], 0, -qk[spec.n])",
+     ["tests/test_systems.py"]),
+    ("the leaf's pin rows reach lp.feasible unscaled", "tropical.py",
+     "            rows = [_primitive([b.denominator * v for v in a] + [b.numerator])",
+     "            rows = [([b.denominator * v for v in a] + [b.numerator])",
+     ["tests/test_tropical.py"]),
+    ("scalar.dot adds the wrong imaginary cross term", "scalar.py",
+     "        im += (x._a * y._b + x._b * y._a) * f",
+     "        im += (x._a * y._b - x._b * y._a) * f",
+     ["tests/test_arith.py"]),
+]
+
+
+def _copy(tree: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis",
+                                    ".pytest_cache", "out")
+    for name in ("src", "tests", "perfbench"):
+        shutil.copytree(ROOT / name, tree / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", tree)
+
+
+def _pytest(tree: Path, files, timeout) -> str:
+    """'passed', 'failed', 'timeout' or 'error' for pytest on the files."""
+    path = os.pathsep.join(p for p in (str(tree / "src"),
+                                       os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+    # a session of its own, so that a timeout also stops what the tests
+    # started (the CLI tests run subprocesses)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--hypothesis-seed=0", *files],
+        cwd=tree, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL, start_new_session=True)
+    try:
+        code = proc.wait(timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        return "timeout"
+    return {0: "passed", 1: "failed"}.get(code, "error")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("-k", default="", metavar="SUBSTRING",
+                        help="run only the mutants whose name contains it")
+    args = parser.parse_args(argv)
+    chosen = [m for m in MUTANTS if args.k in m[0]]
+    with tempfile.TemporaryDirectory(prefix="mutation-gate-") as tmp:
+        tree = Path(tmp)
+        _copy(tree)
+        files = sorted({f for m in chosen for f in m[4]})
+        start = time.monotonic()
+        clean = _pytest(tree, files, None)
+        print(f"{clean:8s} unmutated: {' '.join(files)} "
+              f"({time.monotonic() - start:.1f} s)", flush=True)
+        if clean != "passed":
+            return 2
+        bad = 0
+        for name, module, old, new, tests in chosen:
+            path = tree / "src" / "qqsystems" / module
+            text = path.read_text(encoding="utf-8")
+            lines = text.split("\n")
+            if lines.count(old) != 1:
+                print(f"{'missing':8s} {name}: the line is not in "
+                      f"{module} exactly once", flush=True)
+                bad += 1
+                continue
+            lines[lines.index(old)] = new
+            path.write_text("\n".join(lines), encoding="utf-8")
+            start = time.monotonic()
+            try:
+                outcome = _pytest(tree, tests, TIMEOUT_S)
+            finally:
+                path.write_text(text, encoding="utf-8")
+            verdict = {"failed": "killed", "timeout": "killed",
+                       "passed": "SURVIVED"}.get(outcome, "ERROR")
+            print(f"{verdict:8s} {name} [{outcome}, "
+                  f"{time.monotonic() - start:.1f} s]", flush=True)
+            bad += verdict != "killed"
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

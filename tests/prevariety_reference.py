@@ -28,7 +28,7 @@ from qqsystems import lp
 from qqsystems.lp import F0, feasible
 from qqsystems.systems import ProblemSpec, symbolic_support
 from qqsystems.tropical import (PrevarietyResult, TropicalPoint,
-                                TropicalSupport, check_theorem_hypothesis)
+                                TropicalSupport)
 
 F1 = Fraction(1)
 
@@ -135,10 +135,8 @@ def _pair_constraints(s: TropicalSupport, a: int, b: int):
     return eq, ubs
 
 
-def prevariety(spec: ProblemSpec, theorem_mode: bool = True) -> PrevarietyResult:
+def prevariety(spec: ProblemSpec) -> PrevarietyResult:
     """Enumerate the prevariety cells and decide whether their union is {0}."""
-    if theorem_mode:
-        check_theorem_hypothesis(spec)
     dim = spec.m + spec.n
     # smallest supports first for maximal pruning; each level's pair
     # constraints are built once, in the order the cells are visited

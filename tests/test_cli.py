@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -495,7 +496,7 @@ def test_out_through_a_symlink_writes_its_target(tmp_path):
 
 
 def test_solve_does_not_swallow_tropical_crash(tmp_path, monkeypatch):
-    def broken(spec, theorem_mode):
+    def broken(spec):
         raise RuntimeError("prevariety crashed")
     monkeypatch.setattr(cli, "prevariety", broken)
     spec = write_spec(tmp_path, QQ11)
@@ -582,6 +583,28 @@ def test_oracle_names_resolve_lazily():
               "except AttributeError:\n"
               "    print('ok')\n")
     assert _python(script).strip() == "ok"
+
+
+def _perfbench_package_imports():
+    """Each name perfbench imports with `from qqsystems import ...`."""
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    return sorted({alias.name for path in perfbench.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.ImportFrom)
+                   and node.module == "qqsystems" and not node.level
+                   for alias in node.names})
+
+
+@pytest.mark.parametrize("name", _perfbench_package_imports())
+def test_perfbench_package_import_resolves(name):
+    # the statement perfbench runs: a submodule, a name the package binds,
+    # or a lazy oracle name
+    exec(f"from qqsystems import {name}", {})
+
+
+def test_package_all_resolves():
+    import qqsystems
+    assert all(hasattr(qqsystems, name) for name in qqsystems.__all__)
 
 
 class TestEnumerate:

@@ -1,6 +1,8 @@
 import json
+import runpy
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -499,3 +501,42 @@ class TestNumericOracle:
         nc = numeric_check(ls1, spec, samples=(1e-2, 1e-3, 1e-4))
         assert nc.decay_exponent is not None
         assert abs(nc.decay_exponent - 2.0) < 0.25
+
+
+def _generic_lift_workload(seed):
+    """(spec, lift) for every base of perfbench's generic-lift operations."""
+    workloads = (Path(__file__).resolve().parent.parent / "perfbench"
+                 / "workloads.py")
+    out = []
+    for op in runpy.run_path(str(workloads))["build"]("generic-lift", seed):
+        spec = ProblemSpec.from_json(op.spec)
+        out += [(spec, lift_newton(base, spec))
+                for base in enumerate_infinite_solutions(spec)]
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_numeric_verdict_reads_only_the_disc(seed):
+    # passed is False for 19 of these 50 correct lifts, each time at a
+    # sample outside the jet's disc rho t0 < 1/2 (N = 1), where the
+    # allowance assumes coefficients of size about 1; verdict reads only
+    # the samples inside the disc, and cannot tell when none is
+    from qqsystems.numeric import numeric_check
+    samples = (1e-2, 1e-3)
+    verdicts = []
+    for spec, ls in _generic_lift_workload(seed):
+        res = numeric_check(ls, spec, samples=samples)
+        rho = max(abs(complex(c)) ** (1 / e) for s in ls.point.x + ls.point.y
+                  for e, c in enumerate(s.coeffs) if e and not c.is_zero)
+        assert res.verdict is not False
+        assert (res.verdict is None) == all(rho * t0 >= 0.5 for t0 in samples)
+        verdicts.append((res.passed, res.verdict))
+        if spec.mode == "qq":
+            # qq jets have small coefficients: a coefficient off by 1 shows
+            x = ls.point.x[0]
+            bumped = Series(1, (x.coeffs[0], x.coeffs[1] + 1) + x.coeffs[2:])
+            wrong = replace(ls, point=CandidatePoint(
+                (bumped,) + ls.point.x[1:], ls.point.y))
+            assert numeric_check(wrong, spec, samples=samples).verdict is False
+    assert len(verdicts) == 50
+    assert (False, True) in verdicts and (False, None) in verdicts

@@ -1,12 +1,12 @@
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import prevariety_reference
-from qqsystems import lp, tropical
+from qqsystems import lp, systems, tropical
 from qqsystems.scalar import Scalar, ONE
 from qqsystems.systems import (MasterData, ProblemSpec, SpecValidationError,
                                symbolic_support)
@@ -89,10 +89,8 @@ class TestPrevariety:
         with pytest.raises(SpecValidationError) as e:
             check_theorem_hypothesis(spec)
         assert e.value.code == "zero_coefficient d_1"
-        with pytest.raises(SpecValidationError):
-            prevariety(spec, theorem_mode=True)
-        # exploratory mode still runs and reports the prevariety object
-        res = prevariety(spec, theorem_mode=False)
+        # the gate is the caller's: prevariety computes the cells anyway
+        res = prevariety(spec)
         assert res.cell_count >= 1
 
     @pytest.mark.parametrize("shifts, m, n, cells, bounded, witness", [
@@ -104,7 +102,7 @@ class TestPrevariety:
                                           witness):
         # a zero shift kills d_k, so cells reach nonzero points, some of
         # them fixed by the equalities alone (no free parameter left)
-        res = prevariety(qq_spec(shifts, m, n), theorem_mode=False)
+        res = prevariety(qq_spec(shifts, m, n))
         assert res.cell_count == cells
         assert not res.is_origin_only
         assert res.points_bounded is bounded
@@ -208,12 +206,45 @@ def _small_specs(draw):
                        q=_scalar(draw(st.sampled_from(_Q))))
 
 
+def _feasible_rows(patch, spec):
+    """prevariety's result on spec, and each row it hands lp.feasible,
+    with its rhs appended."""
+    rows = []
+
+    def recording(a_ub, b_ub, *, dim):
+        rows.extend(list(a) + [b] for a, b in zip(a_ub, b_ub))
+        return lp.feasible(a_ub, b_ub, dim=dim)
+
+    patch.setattr(tropical, "feasible", recording)
+    return prevariety(spec), rows
+
+
 @settings(max_examples=150, deadline=None)
 @given(_small_specs())
 def test_prevariety_matches_fraction_reference(spec):
-    res = prevariety(spec, theorem_mode=False)
-    assert res == prevariety_reference.prevariety(spec, theorem_mode=False)
+    # feasible's vertex moves with a row's positive scale, so the leaf
+    # hands it primitive integer rows, its pins scaled like the cell's own
+    # rows, and prevariety_reference scales its rows the same way
+    with pytest.MonkeyPatch.context() as patch:
+        res, rows = _feasible_rows(patch, spec)
+    assert res == prevariety_reference.prevariety(spec)
+    assert all(gcd(*row) == 1 or not any(row) for row in rows), rows
     _assert_witness_in_prevariety(spec, res)
+
+
+def test_pin_row_with_a_common_factor_reaches_feasible_primitive(monkeypatch):
+    # no residual support of a small spec gives a pin row with a common
+    # factor, so this support is built by hand: its pair (0, 1) puts
+    # w0 = -2 w1, items 2 and 3 bound w1 to [0, 1], and pinning w0 to its
+    # minimum -2 is the row -2 w1 <= -2, which feasible gets as -w1 <= -1,
+    # as it gets w1's pin to its maximum 1
+    s = TropicalSupport(tuple((u, v, ONE) for u, v in [
+        ((1, 2), 0), ((0, 0), 0), ((0, 1), 0), ((1, 1), 1)]))
+    monkeypatch.setattr(systems, "symbolic_support", lambda spec: [s])
+    res, rows = _feasible_rows(monkeypatch, qq_spec([(1, 1), (2, 1)], 1, 1))
+    assert res.witness == TropicalPoint.of(-2, 1)
+    # the cell's rows -w1 <= 0 and w1 <= 1, then the pins of w0 and w1
+    assert rows == [[-1, 0], [1, 1], [-1, -1], [-1, -1]]
 
 
 def _assert_witness_in_prevariety(spec, res):
@@ -240,9 +271,65 @@ _R2 = [(1, 2), (2, 2)]                   # (z+1)^2 (z+2)^2
          "qq-z4-1-3", "QQ-r2-1-3"])
 def test_prevariety_matches_reference_in_dimension_4(mode, shifts, m, n):
     spec = mode_spec(mode, shifts, m, n)
-    res = prevariety(spec, theorem_mode=False)
-    assert res == prevariety_reference.prevariety(spec, theorem_mode=False)
+    res = prevariety(spec)
+    assert res == prevariety_reference.prevariety(spec)
     _assert_witness_in_prevariety(spec, res)
+
+
+# The exclusion rule (tropical module docstring): for w != 0 with
+# mu = min w_i, component s = |{i : w_i = mu}| excludes w when mu < 0, and
+# component m + n does when mu >= 0.  So the prevariety is {0} whenever
+# every d_k != 0, for every (m, n), in both modes and at every q.
+def _excluding_component(w):
+    mu = min(w)
+    return w.count(mu) if mu < 0 else len(w)
+
+
+_RULE_SHIFTS = [1, 2, -1, -3, F(1, 2), F(-5, 3), (1, 1), (2, -1)]
+_RULE_Q = [3, F(1, 2), -2, 5]
+# a few values drawn often, so that minima tie, and any small fraction
+_RULE_COORDS = st.one_of(st.sampled_from([F(-2), F(-1), F(-1, 2), F(0),
+                                          F(1, 3), F(1)]),
+                         st.fractions(-4, 4, max_denominator=6))
+
+
+@pytest.mark.parametrize("mode", ["qq", "QQ"])
+@pytest.mark.parametrize("dim", range(1, 9))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_exclusion_rule(mode, dim, data):
+    # one drawn Lambda with every d_k != 0, q and w != 0, at every (m, n)
+    # with m + n = dim
+    shifts = Counter(data.draw(st.lists(st.sampled_from(_RULE_SHIFTS),
+                                        min_size=dim, max_size=dim)))
+    lam = MasterData(tuple((_scalar(a), k) for a, k in shifts.items()))
+    q = _scalar(data.draw(st.sampled_from(_RULE_Q))) if mode == "QQ" else None
+    specs = [ProblemSpec(mode=mode, lam=lam, m=m, n=dim - m, q=q, size_cap=8)
+             for m in range(dim + 1)]
+    try:
+        check_theorem_hypothesis(specs[0])
+    except SpecValidationError:
+        assume(False)
+    w = tuple(data.draw(st.lists(_RULE_COORDS, min_size=dim, max_size=dim)
+                        .filter(any)))
+    for spec in specs:
+        component = symbolic_support(spec)[_excluding_component(w) - 1]
+        assert not hypersurface_contains(component, TropicalPoint(w))
+
+
+@pytest.mark.parametrize("mode, m, n", [
+    (mode, m, d - m) for mode in ("qq", "QQ") for d in range(1, 5)
+    for m in range(d + 1)])
+def test_enumeration_gives_the_closed_form_count(mode, m, n):
+    # the prevariety is {0}, so a cell picks, in each f_k, a pair of its
+    # valuation-0 items: the C(d, k) square-free monomials of degree k and
+    # the constant
+    dim = m + n
+    res = prevariety(mode_spec(mode, [(k, 1) for k in range(1, dim + 1)],
+                               m, n))
+    assert res.is_origin_only
+    assert res.cell_count == prod(comb(comb(dim, k) + 1, 2)
+                                  for k in range(1, dim + 1))
 
 
 def test_asymmetric_support_is_an_internal_error():
