@@ -18,7 +18,9 @@ correction jet per unknown (the delta) whose coefficients hold the
 kernel directions of the singular Jacobian as symbolic parameters, and
 branch on the finitely many parameter values that keep the next orders
 consistent.  Each distinct constraint system is solved once per
-base, and one whose Groebner basis is [1] is closed without sympy.solve.
+base, through its reduced Groebner basis: the same ideal, hence the same
+solutions, without the system's redundant rows.  A basis [1] closes its
+branch without sympy.solve.
 A finished branch is read out once, with its ramification normalised.
 Every returned branch carries an exact residual-valuation certificate,
 which makes correctness independent of how the series was found.
@@ -263,8 +265,10 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
     whose finitely many exact solutions are branched on.
     `solved` is the base's table of constraint systems already solved:
     sibling branches, and the same order at another N, often meet the
-    same system again.  A system whose Groebner basis is [1] has no
-    solution and closes its branch without sympy.solve.
+    same system again.  sympy.solve is given a system's reduced Groebner
+    basis, not the system: it has the same variety and drops the
+    proportional rows (e and 2e) the zero rows often give.  A basis [1]
+    has no solution and closes its branch without sympy.solve.
     After the last order the parameters still free are pinned to zero
     and each branch is read out with its ramification normalised: when
     g = gcd(N, exponents of its nonzero coefficients) > 1 it is a series
@@ -342,15 +346,18 @@ def _scalar_to_sympy(c: Scalar):
 
 
 def _try_scalar(expr) -> Optional[Scalar]:
-    """Convert an exact sympy number to a Scalar; None outside Q(i)."""
+    """Convert an exact sympy number to a Scalar; None outside Q(i).
+    Only a number whose real and imaginary parts are not already
+    Rationals is simplified."""
     import sympy as sp
-    re, im = sp.simplify(expr).as_real_imag()
-    try:
-        re_q = sp.Rational(sp.simplify(re))
-        im_q = sp.Rational(sp.simplify(im))
-    except (TypeError, ValueError):
-        return None
-    return Scalar(Fraction(re_q.p, re_q.q), Fraction(im_q.p, im_q.q))
+    re, im = expr.as_real_imag()
+    if not (re.is_Rational and im.is_Rational):
+        re, im = sp.simplify(expr).as_real_imag()
+        try:
+            re, im = sp.Rational(sp.simplify(re)), sp.Rational(sp.simplify(im))
+        except (TypeError, ValueError):
+            return None
+    return Scalar(Fraction(re.p, re.q), Fraction(im.p, im.q))
 
 
 def _constraint_solutions(constraints, solved: Dict[tuple, List[dict]]
@@ -358,8 +365,12 @@ def _constraint_solutions(constraints, solved: Dict[tuple, List[dict]]
     """Exact solutions of the pending consistency constraints, as
     substitution dicts (one empty dict when nothing is constrained; none
     when the constraints are inconsistent).  A system found in `solved`
-    is not solved again.  A Groebner basis [1] proves the system empty
-    over C (Nullstellensatz) before sympy.solve is tried.
+    is not solved again.  The reduced Groebner basis generates the same
+    ideal, so sympy.solve is given the basis, which has the system's
+    solutions and fewer, simpler rows; a basis [1] proves the system
+    empty over C (Nullstellensatz) without it.  Where sympy.groebner
+    cannot take the system (a coefficient such as sqrt(brk_...) of a
+    parameter), the system itself is solved.
     UndecidedConstraintsError when sympy can neither solve the system nor
     prove it empty."""
     import sympy as sp
@@ -374,12 +385,12 @@ def _constraint_solutions(constraints, solved: Dict[tuple, List[dict]]
     if not involved:
         return []  # nonzero constant constraint
     try:
-        empty = sp.groebner(live, *involved, order="grevlex",
-                            extension=True).exprs == [1]
+        basis = sp.groebner(live, *involved, order="grevlex",
+                            extension=True).exprs
     except (BasePolynomialError, NotImplementedError):
-        empty = False
+        basis = list(live)
     try:
-        sols = [] if empty else sp.solve(list(live), involved, dict=True)
+        sols = [] if basis == [1] else sp.solve(basis, involved, dict=True)
     except NotImplementedError as exc:
         raise UndecidedConstraintsError(
             f"sympy cannot solve {len(live)} consistency constraint(s) on "

@@ -92,6 +92,13 @@ MUTANTS = [
      "            rows = [_primitive([b.denominator * v for v in a] + [b.numerator])",
      "            rows = [([b.denominator * v for v in a] + [b.numerator])",
      ["tests/test_tropical.py"]),
+    # the constraint solve must read the whole reduced Groebner basis;
+    # basis[:1] would be an equivalent mutant, since the first element of
+    # each two-element basis the tests meet already cuts out the variety
+    ("the constraint solve drops a basis element", "lifting.py",
+     "        sols = [] if basis == [1] else sp.solve(basis, involved, dict=True)",
+     "        sols = [] if basis == [1] else sp.solve(basis[1:], involved, dict=True)",
+     ["tests/test_lifting.py"]),
     ("scalar.dot adds the wrong imaginary cross term", "scalar.py",
      "        im += (x._a * y._b + x._b * y._a) * f",
      "        im += (x._a * y._b - x._b * y._a) * f",

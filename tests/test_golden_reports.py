@@ -50,6 +50,17 @@ CASES = {
         "solve", {"mode": "qq", "lambda": _shifts(("1", 3)),
                   "m": 2, "n": 1, "K": 1},
         "1d67f3e152d6a0e95a4e6aaae4e9c81850634d8fd2f9bb2479cbd2bbd5cbb2f5"),
+    # two more ramified-lift benchmark specs, recorded from the search that
+    # handed each raw constraint system to sympy.solve: repeated and empty
+    # systems at K = 2, and two degenerate bases of two branches each
+    "qq (z+1)^3 m=2 n=1 K=2": (
+        "solve", {"mode": "qq", "lambda": _shifts(("1", 3)),
+                  "m": 2, "n": 1, "K": 2},
+        "808fe17f7ec17525d988e9ff99aaf8ca1bb00aa46681b34ec9e1f6073e5f9fcb"),
+    "qq (z+1)^2(z+5) m=2 n=1": (
+        "solve", {"mode": "qq", "lambda": _shifts(("1", 2), ("5", 1)),
+                  "m": 2, "n": 1},
+        "de77c5626e9b3360214358d20abc2b24b7bbdbbbbf12eb142b7eb2a50bb3fb0b"),
     # the three generic-lift benchmark specs at seed 7, recorded from the
     # lift that evaluated the whole Series residual at every order
     "qq (3,3) K=8": (

@@ -411,27 +411,71 @@ class TestConstraintSolutions:
         # an independent check of the emptiness shortcut on every system
         # the search meets: sympy.solve on the system itself agrees
         import sympy
-        spec = qq_spec(shifts, 2, 1, K=K)
-        systems = set()
-        inner = lifting._constraint_solutions
-
-        def recording(constraints, solved):
-            live = tuple(c for c in map(sympy.expand, constraints) if c != 0)
-            if any(c.free_symbols for c in live):
-                systems.add(live)
-            return inner(constraints, solved)
-
-        monkeypatch.setattr(lifting, "_constraint_solutions", recording)
-        for base in enumerate_infinite_solutions(spec):
-            lift_ramified(base, spec)
-        assert systems
-        for live in systems:
-            involved = sorted(set().union(*(c.free_symbols for c in live)),
-                              key=lambda p: p.name)
+        for live in _systems_met(monkeypatch, shifts, K):
+            involved = _involved(live)
             basis = sympy.groebner(live, *involved, order="grevlex",
                                    extension=True)
             sols = sympy.solve(list(live), involved, dict=True)
             assert (basis.exprs == [1]) == (sols == []), live
+
+    @pytest.mark.parametrize("shifts,K", [([(1, 3)], 1),
+                                          ([(1, 2), (7, 1)], 3)])
+    def test_basis_solve_agrees_with_the_raw_solve(self, monkeypatch,
+                                                   shifts, K):
+        # the solutions are read from the reduced Groebner basis, which
+        # has the variety of the system as the search wrote it: each
+        # returned map zeroes every raw constraint (sound), and each
+        # solution sympy.solve finds for the raw system lies on one
+        # returned map (complete)
+        import sympy
+        for live, sols in _systems_met(monkeypatch, shifts, K).items():
+            for sol in sols:
+                assert all(sympy.expand(c.subs(sol)) == 0 for c in live), \
+                    (live, sol)
+            for raw in sympy.solve(list(live), _involved(live), dict=True):
+                assert any(all(sympy.expand((key - val).subs(raw)) == 0
+                               for key, val in sol.items())
+                           for sol in sols), (live, raw)
+
+    def test_raw_system_solved_where_the_basis_fails(self):
+        # sqrt of a parameter, as in the (z+a)^3 K=3 search, is no
+        # polynomial to sympy.groebner; the system itself is then solved
+        import sympy
+        from sympy.polys.polyerrors import BasePolynomialError
+        p, q = sympy.symbols("brk_1_0 brk_1_1")
+        live = [p ** 2 - sympy.sqrt(q), p - 1]
+        with pytest.raises(BasePolynomialError):
+            sympy.groebner(live, p, q, order="grevlex", extension=True)
+        raw = sympy.solve(live, [p, q], dict=True)
+        assert raw == [{p: 1, q: 1}]
+        assert _constraint_solutions(live, {}) == raw
+
+
+def _involved(live):
+    return sorted(set().union(*(c.free_symbols for c in live)),
+                  key=lambda p: p.name)
+
+
+def _systems_met(monkeypatch, shifts, K):
+    """Each constraint system with parameters that lift_ramified meets on
+    the bases of the qq (2, 1) spec, with the solutions it was given."""
+    import sympy
+    spec = qq_spec(shifts, 2, 1, K=K)
+    met = {}
+    inner = lifting._constraint_solutions
+
+    def recording(constraints, solved):
+        live = tuple(c for c in map(sympy.expand, constraints) if c != 0)
+        sols = inner(constraints, solved)
+        if any(c.free_symbols for c in live):
+            met[live] = sols
+        return sols
+
+    monkeypatch.setattr(lifting, "_constraint_solutions", recording)
+    for base in enumerate_infinite_solutions(spec):
+        lift_ramified(base, spec)
+    assert met
+    return met
 
 
 class TestNumericOracle:
