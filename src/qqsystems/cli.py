@@ -2,11 +2,12 @@
 
 Every failure is a {reason, message} pair in the report's "failures".
 Exit codes: 0 success; 2 a spec that fails validation (the reason names
-the check), a spec file that cannot be read (bad_spec_file), an --out
-file that cannot be opened or written (bad_out_path), the tropical size
-cap exceeded (size_cap_exceeded), the tropical theorem gate (some
-d_k = 0: zero_coefficient d_k, unless --no-theorem-mode), or a solve
-refused before lifting (lambda_root_at_origin, q_unit_modulus); 3 a base
+the check), a spec file that cannot be read or parsed, however deeply it
+nests (bad_spec_file), an --out file that cannot be opened or written
+(bad_out_path), tropical above the enumeration size cap, m + n > 6
+(size_cap_exceeded), the tropical theorem gate (some d_k = 0:
+zero_coefficient d_k, unless --no-theorem-mode), or a solve refused
+before lifting (lambda_root_at_origin, q_unit_modulus); 3 a base
 that cannot be lifted (ramification_bound_exceeded, branch_explosion,
 undecided_constraints); 4 a residual certificate failure
 (certificate_failure) or a Bethe residual valuation below its bound
@@ -35,8 +36,9 @@ from . import __version__
 from .bethe import bethe_report
 from .infinite import enumerate_infinite_solutions
 from .lifting import LiftError, lift_newton, lift_ramified
-from .systems import ProblemSpec, SizeCapExceededError, SpecValidationError
-from .tropical import check_theorem_hypothesis, prevariety
+from .systems import ProblemSpec, SpecValidationError
+from .tropical import (SizeCapExceededError, check_theorem_hypothesis,
+                       prevariety)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -166,10 +168,7 @@ def _solve(spec: ProblemSpec, failures: List[dict]) -> dict:
         tropical = {"skipped": "cell enumeration above m+n=4 is run via the "
                                "tropical subcommand"}
     else:
-        try:
-            tropical = prevariety(spec).to_json()
-        except SizeCapExceededError as exc:  # advisory only for solve
-            tropical = {"skipped": str(exc)}
+        tropical = prevariety(spec).to_json()
     return {"spec": spec.to_json(), "bases": entries, "failures": failures,
             "tropical": tropical}
 
@@ -256,7 +255,8 @@ def _run(args) -> int:
             spec = ProblemSpec.from_json(json.load(fh))
     except SpecValidationError as exc:
         return _fail(args.out, exc.code, str(exc))
-    except (OSError, ValueError) as exc:  # unreadable file or not JSON
+    # an unreadable file, or not JSON (RecursionError: nested too deeply)
+    except (OSError, ValueError, RecursionError) as exc:
         return _fail(args.out, "bad_spec_file", str(exc))
     return args.func(args, spec)
 

@@ -58,10 +58,6 @@ from .scalar import Scalar, SpecValidationError, ZERO, ONE
 from .series import OnlineSeries, Series
 
 
-class SizeCapExceededError(ValueError):
-    """Symbolic expansion requested above the configured variable cap."""
-
-
 def _integer(value, name: str) -> int:
     """A JSON integer; floats, bools, strings and null are rejected."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -156,7 +152,6 @@ class ProblemSpec:
     q: Optional[Scalar] = None
     K: int = 3
     n_max: Optional[int] = None
-    size_cap: int = 6
 
     @property
     def is_difference(self) -> bool:
@@ -182,9 +177,6 @@ class ProblemSpec:
         if self.n_max is not None and self.n_max < 1:
             raise SpecValidationError("bad_ramification_bound",
                                       "N_max must be positive")
-        if self.size_cap < 1:
-            raise SpecValidationError("bad_size_cap",
-                                      "tropical size_cap must be positive")
         if self.is_difference:
             if self.q is None or self.q.is_zero:
                 raise SpecValidationError("bad_q", "difference mode needs q != 0")
@@ -201,8 +193,6 @@ class ProblemSpec:
             obj["q"] = self.q.to_json()
         if self.n_max is not None:
             obj["N_max"] = self.n_max
-        if self.size_cap != ProblemSpec.size_cap:
-            obj["tropical"] = {"size_cap": self.size_cap}
         return obj
 
     @staticmethod
@@ -210,7 +200,7 @@ class ProblemSpec:
         """Parse and structurally validate a spec object; unknown keys rejected."""
         if not isinstance(obj, dict):
             raise SpecValidationError("bad_spec", "spec must be a JSON object")
-        allowed = {"mode", "lambda", "m", "n", "q", "K", "N_max", "tropical"}
+        allowed = {"mode", "lambda", "m", "n", "q", "K", "N_max"}
         unknown = set(obj) - allowed
         if unknown:
             raise SpecValidationError(
@@ -225,13 +215,6 @@ class ProblemSpec:
         lam = MasterData.from_json(lam_obj)
         # only the keys present are passed: the dataclass holds the defaults
         given = {}
-        if "tropical" in obj:
-            trop = obj["tropical"]
-            if not isinstance(trop, dict) or set(trop) - {"size_cap"}:
-                raise SpecValidationError(
-                    "bad_tropical", "tropical accepts only 'size_cap'")
-            if "size_cap" in trop:
-                given["size_cap"] = _integer(trop["size_cap"], "size_cap")
         m, n = _integer(obj["m"], "m"), _integer(obj["n"], "n")
         if "q" in obj:
             given["q"] = Scalar.from_json(obj["q"])
@@ -424,7 +407,9 @@ def symbolic_support(spec: ProblemSpec):
     Returns one TropicalSupport per component k = 1..m+n: the exponent
     vectors in (x_1..x_m, y_1..y_n) with the t-valuation and exact value
     of each monomial's coefficient, read from expanded_residual at the
-    origin, where cancelling monomials have dropped out.
+    origin, where cancelling monomials have dropped out.  It works at
+    every m + n: only the cell enumeration (tropical.prevariety) is
+    capped.
 
     The exponents and valuations depend neither on Lambda, while every
     d_k is nonzero, nor on q.  The coefficient table shows why: each
@@ -439,9 +424,6 @@ def symbolic_support(spec: ProblemSpec):
     from .tropical import TropicalSupport
 
     dim = spec.m + spec.n
-    if dim > spec.size_cap:
-        raise SizeCapExceededError(
-            f"m + n = {dim} exceeds the symbolic size cap {spec.size_cap}")
     supports = []
     for comp in expanded_residual(spec, [ZERO] * dim):
         lowest = {}  # x/y exponents -> (least t-degree, its coefficient)

@@ -72,7 +72,10 @@ degree-(d - 1) item gives at least 1.  So every nonempty cell is {0},
 both items of each of its pairs have valuation 0, and cell_count is the
 product over k of C(C(d, k) + 1, 2).  The enumeration does not use the
 rule and stays its independent check; the tests hold both to each other
-(the rule for m + n <= 8, the count for m + n <= 4).
+(the rule for m + n <= 10, the count for m + n <= 4).
+
+Only the enumeration is capped, at m + n <= SIZE_CAP; the supports and
+exclusion_witness work at every m + n.
 """
 
 from __future__ import annotations
@@ -87,6 +90,15 @@ from . import lp
 from .lp import feasible
 from .scalar import Scalar
 from .systems import ProblemSpec, SpecValidationError
+
+# the largest m + n whose cells prevariety enumerates: at 6 the theorem
+# instances take seconds to about half a minute, and QQ (4,3) at 7 did not
+# finish in 900 s
+SIZE_CAP = 6
+
+
+class SizeCapExceededError(ValueError):
+    """Cell enumeration requested above SIZE_CAP unknowns."""
 
 
 @dataclass(frozen=True)
@@ -323,10 +335,11 @@ def _pair_images(s: TropicalSupport, pairs, group):
 def prevariety(spec: ProblemSpec) -> PrevarietyResult:
     """Enumerate the prevariety cells and decide whether their union is {0}.
 
-    It computes the prevariety of any spec within its size cap and checks
-    no theorem hypothesis: a caller that wants the all-d_k-nonzero gate
-    calls check_theorem_hypothesis first, as the CLI's tropical command
-    does unless --no-theorem-mode is given.
+    It computes the prevariety of any spec with m + n <= SIZE_CAP, and
+    raises SizeCapExceededError above it before any support is built.  It
+    checks no theorem hypothesis: a caller that wants the all-d_k-nonzero
+    gate calls check_theorem_hypothesis first, as the CLI's tropical
+    command does unless --no-theorem-mode is given.
 
     A depth-first search picks one pair per support, smallest supports
     first, and visits one cell per S_m x S_n orbit.  At each node, each
@@ -337,6 +350,9 @@ def prevariety(spec: ProblemSpec) -> PrevarietyResult:
     """
     from .systems import symbolic_support
     dim = spec.m + spec.n
+    if dim > SIZE_CAP:
+        raise SizeCapExceededError(
+            f"m + n = {dim} exceeds the enumeration size cap {SIZE_CAP}")
     # smallest supports first for maximal pruning; each level keeps its
     # items as rows R = (u, -v), and its pairs in the order visited
     supports = sorted(symbolic_support(spec), key=lambda s: len(s.items))

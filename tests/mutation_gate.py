@@ -103,6 +103,23 @@ MUTANTS = [
      "        im += (x._a * y._b + x._b * y._a) * f",
      "        im += (x._a * y._b - x._b * y._a) * f",
      ["tests/test_arith.py"]),
+    # m + n = SIZE_CAP must still enumerate
+    ("the size cap refuses its own boundary", "tropical.py",
+     "    if dim > SIZE_CAP:",
+     "    if dim >= SIZE_CAP:",
+     ["tests/test_tropical.py"]),
+    ("a {0} subtree counts pairs of all its items", "tropical.py",
+     "        tail.insert(0, tail[0] * comb(vals.count(min(vals)), 2))",
+     "        tail.insert(0, tail[0] * comb(len(vals), 2))",
+     ["tests/test_tropical.py"]),
+    ("the Gaudin residual weighs a root pair by 1", "bethe.py",
+     "            pair[l, s] = diff.reciprocal() * Scalar(2)",
+     "            pair[l, s] = diff.reciprocal()",
+     ["tests/test_bethe.py"]),
+    ("a spec file nested too deeply escapes the CLI", "cli.py",
+     "    except (OSError, ValueError, RecursionError) as exc:",
+     "    except (OSError, ValueError) as exc:",
+     ["tests/test_cli.py"]),
 ]
 
 

@@ -151,7 +151,14 @@ BAD_SPECS = [
     ("K_bool", _with(QQ11, K=True), "bad_integer"),
     ("m_string", _with(QQ11, m="1"), "bad_integer"),
     ("N_max_null", _with(QQ11, N_max=None), "bad_integer"),
-    ("size_cap_float", _with(QQ11, tropical={"size_cap": 6.0}), "bad_integer"),
+    # the spec has no "tropical" block: it is refused by its key, whatever
+    # it holds, before any of its values is read
+    ("size_cap_float", _with(QQ11, tropical={"size_cap": 6.0}), "unknown_key"),
+    ("size_cap_zero", _with(QQ11, tropical={"size_cap": 0}), "unknown_key"),
+    ("size_cap_negative", _with(QQ11, tropical={"size_cap": -1}),
+     "unknown_key"),
+    ("tropical_extra_key", _with(QQ11, tropical={"size_cap": 6, "x": 1}),
+     "unknown_key"),
     ("multiplicity_float",
      _with(QQ11, **{"lambda": _shifts(["1", 1.0], ["2", 1])}), "bad_integer"),
     ("multiplicity_bool",
@@ -173,9 +180,6 @@ BAD_SPECS = [
     ("no_unknowns", _with(QQ11, m=0, n=0, **{"lambda": _shifts()}),
      "bad_degrees"),
     ("N_max_zero", _with(QQ11, N_max=0), "bad_ramification_bound"),
-    ("size_cap_zero", _with(QQ11, tropical={"size_cap": 0}), "bad_size_cap"),
-    ("size_cap_negative", _with(QQ11, tropical={"size_cap": -1}),
-     "bad_size_cap"),
     ("q_i", _with(QQ_DIFF, q={"re": "0", "im": "1"}), "q_root_of_unity"),
     ("q_float", _with(QQ_DIFF, q=3.0), "bad_scalar"),
     ("q_null", _with(QQ_DIFF, q=None), "bad_scalar"),
@@ -186,8 +190,6 @@ BAD_SPECS = [
     ("spec_a_list", [QQ11], "bad_spec"),
     ("lambda_extra_key",
      _with(QQ11, **{"lambda": dict(QQ11["lambda"], x=1)}), "bad_lambda"),
-    ("tropical_extra_key", _with(QQ11, tropical={"size_cap": 6, "x": 1}),
-     "bad_tropical"),
     ("multiplicity_zero",
      _with(QQ11, **{"lambda": _shifts(["1", 0], ["2", 1])}),
      "bad_multiplicity"),
@@ -208,10 +210,27 @@ def test_malformed_spec_fails_validation(tmp_path, capsys, command,
 
 
 def test_tropical_size_cap_reason(tmp_path, capsys):
-    spec = write_spec(tmp_path, _with(QQ11, tropical={"size_cap": 1}))
+    # m + n = 7 is past the enumeration size cap; refused at once
+    spec = write_spec(tmp_path, {
+        "mode": "qq", "m": 4, "n": 3,
+        "lambda": _shifts(*[(str(k), 1) for k in range(1, 8)])})
     assert main(["tropical", spec]) == EXIT_VALIDATION
     report = json.loads(capsys.readouterr().out)
     assert [f["reason"] for f in report["failures"]] == ["size_cap_exceeded"]
+    assert report["failures"][0]["message"] == (
+        "m + n = 7 exceeds the enumeration size cap 6")
+
+
+@pytest.mark.parametrize("command", ["solve", "tropical", "enumerate"])
+def test_deeply_nested_spec_file(tmp_path, capsys, command):
+    # json raises RecursionError, not ValueError, on this file
+    spec = tmp_path / "nested.json"
+    spec.write_text("[" * 200_000)
+    assert main([command, str(spec)]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert [f["reason"] for f in json.loads(out)["failures"]] == [
+        "bad_spec_file"]
+    assert err == ""
 
 
 def test_branch_explosion_reported_per_base(tmp_path, capsys, monkeypatch):
@@ -406,14 +425,6 @@ def test_solve_rejects_unit_modulus_q(tmp_path, capsys):
     assert len(json.loads(capsys.readouterr().out)["solutions"]) == 2
     assert main(["tropical", spec]) in (EXIT_OK, EXIT_CERTIFICATE)
     assert "tropical" in json.loads(capsys.readouterr().out)
-
-
-def test_solve_reports_tropical_size_cap_as_skipped(tmp_path, capsys):
-    spec = write_spec(tmp_path, _with(QQ11, tropical={"size_cap": 1}))
-    assert main(["solve", spec]) == EXIT_OK
-    report = json.loads(capsys.readouterr().out)
-    assert report["tropical"] == {
-        "skipped": "m + n = 2 exceeds the symbolic size cap 1"}
 
 
 @pytest.mark.parametrize("command", ["solve", "tropical"])

@@ -294,7 +294,7 @@ _RULE_COORDS = st.one_of(st.sampled_from([F(-2), F(-1), F(-1, 2), F(0),
 
 
 @pytest.mark.parametrize("mode", ["qq", "QQ"])
-@pytest.mark.parametrize("dim", range(1, 9))
+@pytest.mark.parametrize("dim", range(1, 11))
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_exclusion_rule(mode, dim, data):
@@ -304,7 +304,7 @@ def test_exclusion_rule(mode, dim, data):
                                         min_size=dim, max_size=dim)))
     lam = MasterData(tuple((_scalar(a), k) for a, k in shifts.items()))
     q = _scalar(data.draw(st.sampled_from(_RULE_Q))) if mode == "QQ" else None
-    specs = [ProblemSpec(mode=mode, lam=lam, m=m, n=dim - m, q=q, size_cap=8)
+    specs = [ProblemSpec(mode=mode, lam=lam, m=m, n=dim - m, q=q)
              for m in range(dim + 1)]
     try:
         check_theorem_hypothesis(specs[0])
@@ -500,10 +500,29 @@ class TestLeafDecision:
 
 
 class TestSizeCap:
-    def test_cap_enforced(self):
-        from qqsystems.systems import SizeCapExceededError
+    def test_cap_enforced(self, monkeypatch):
+        # refused before any support is built
+        def no_support(spec):
+            raise AssertionError("support built above the size cap")
+        monkeypatch.setattr(systems, "symbolic_support", no_support)
         shifts = [(k, 1) for k in range(1, 8)]
-        spec = ProblemSpec(mode="qq", lam=master(*shifts), m=4, n=3,
-                           size_cap=6)
-        with pytest.raises(SizeCapExceededError):
+        spec = ProblemSpec(mode="qq", lam=master(*shifts), m=4, n=3)
+        with pytest.raises(tropical.SizeCapExceededError,
+                           match=r"m \+ n = 7 exceeds the enumeration size"):
             prevariety(spec)
+
+    def test_cap_admits_its_boundary(self):
+        # m + n = SIZE_CAP still enumerates; QQ (6,0) takes about 0.2 s
+        assert tropical.SIZE_CAP == 6
+        spec = QQ_spec([(k, 1) for k in range(1, 7)], 6, 0, 3)
+        res = prevariety(spec)
+        assert res.cell_count == 1333584000 and res.is_origin_only
+
+    @pytest.mark.parametrize("mode", ["qq", "QQ"])
+    def test_supports_are_uncapped(self, mode):
+        # m + n = 12: w = (-1, 0, ..., 0) is excluded by f_1, and the zero
+        # vector by no hypersurface
+        spec = mode_spec(mode, [(k, 1) for k in range(1, 13)], 7, 5)
+        assert len(symbolic_support(spec)) == 12
+        assert exclusion_witness(spec, TropicalPoint.of(-1, *[0] * 11)) == 1
+        assert exclusion_witness(spec, TropicalPoint.of(*[0] * 12)) is None
