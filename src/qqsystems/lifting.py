@@ -10,10 +10,15 @@ general inverse, solve_unique of J0 and the identity, lives on as the
 test reference (tests/lift_reference.py) that the closed form is held
 to.  solve_unique stays imported here because perfbench/spans.py wraps
 it under this module's name (tests/test_call_sites.py).  Degenerate
-bases go through a ramification search: expand the residual once in
-(delta, t) at the base, read the base check and the J0 to row-reduce
-from that expansion's constant and delta-linear terms
-(jacobian_at_zero), substitute t = s^N, carry each branch as one sympy
+bases go through a ramification search, run only at the indices N <=
+N_max the base admits (admitted_indices).  Where min(m, n) <= 1 these
+are read from Newton polygons of the rank-one eliminant
+(systems.eliminant; Walker, Algebraic Curves, ch. IV) at the base: a
+superset of the indices its branches have, searched in ascending order.
+Where min(m, n) >= 2 every N <= N_max is searched.  The search itself:
+expand the residual once in (delta, t) at the base, read the base check
+and the J0 to row-reduce from that expansion's constant and delta-linear
+terms (jacobian_at_zero), substitute t = s^N, carry each branch as one sympy
 correction jet per unknown (the delta) whose coefficients hold the
 kernel directions of the singular Jacobian as symbolic parameters, and
 branch on the finitely many parameter values that keep the next orders
@@ -30,15 +35,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import comb, gcd, lcm
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .infinite import InfiniteSolution
 from .linalg import SingularJacobianError, rref, solve_unique  # noqa: F401
+from .poly import SparsePoly
 from .scalar import Scalar, ZERO, ONE, dot
 from .series import OnlineSeries, Series
-from .systems import (CandidatePoint, ProblemSpec, evaluate_residual,
-                      expanded_residual, jacobian_at_zero,
+from .systems import (CandidatePoint, ProblemSpec, eliminant,
+                      evaluate_residual, expanded_residual, jacobian_at_zero,
                       jacobian_inverse_at_zero, online_residual)
 
 
@@ -191,13 +197,16 @@ _MAX_BRANCHES = 256
 
 def lift_ramified(sol: InfiniteSolution, spec: ProblemSpec
                   ) -> List[LiftedSolution]:
-    """All certified branches over ramification indices 1..N_max.
+    """All certified branches at the ramification indices the base admits.
 
-    N_max is spec.ramification_bound.  Each branch comes out of the search
-    with its minimal ramification, and a series found again at a higher
-    index is dropped, so each series solution appears once.  At a generic
-    base the one branch, found at N = 1, is the Newton lift; the CLI sends
-    such bases to lift_newton instead.
+    The branch search runs at each N <= N_max that admitted_indices
+    leaves (every N when min(m, n) >= 2); N_max, spec.ramification_bound,
+    is a cap.  Each branch comes out of the search with its minimal
+    ramification, and a series found again at a higher index is dropped,
+    so each series solution appears once.  A ramification_bound_exceeded
+    failure counts the branches dropped outside Q(i) at the searched
+    indices only.  At a generic base the one branch, found at N = 1, is
+    the Newton lift; the CLI sends such bases to lift_newton instead.
     """
     n_max = spec.ramification_bound
     expansion = expanded_residual(spec, sol.x0 + sol.y0)
@@ -211,7 +220,7 @@ def lift_ramified(sol: InfiniteSolution, spec: ProblemSpec
     seen_keys = set()
     dropped_outside_field = 0
     solved: Dict[tuple, List[dict]] = {}
-    for n_ram in range(1, n_max + 1):
+    for n_ram in admitted_indices(sol, spec):
         points, dropped = _branch_search(sol, spec, reduced, residual, n_ram,
                                          solved)
         dropped_outside_field += dropped
@@ -398,3 +407,136 @@ def _constraint_solutions(constraints, solved: Dict[tuple, List[dict]]
     solved[live] = [{key: sp.expand(val) for key, val in sol_map.items()}
                     for sol_map in sols]
     return solved[live]
+
+
+# ---------------------------------------------------------------------------
+# the ramification indices a degenerate base admits
+
+
+def admitted_indices(sol: InfiniteSolution, spec: ProblemSpec) -> List[int]:
+    """The indices N <= N_max at which a branch through the base can lie,
+    ascending: every N when min(m, n) >= 2.
+
+    For k = min(m, n) <= 1 they are read from the rank-one eliminant
+    (systems.eliminant) by Newton polygons (ramification_indices), one
+    set per coordinate: the smaller side's root v from F at its base
+    value; a root x0 that the larger side repeats at the base from
+    G(u, t) = Res_v(F, L(-u)) at x0 (L(-u) itself when k = 0); a simple
+    root of the larger side is analytic in that side's coefficients, so
+    its index divides v's.  A branch's index is the lcm of its
+    coordinates' indices, so the lcms of one index per set, at most N_max,
+    hold every branch's.
+    """
+    n_max = spec.ramification_bound
+    k = min(spec.m, spec.n)
+    if k > 1:
+        return list(range(1, n_max + 1))
+    f, larger = eliminant(spec)
+    big, small = (sol.x0, sol.y0) if spec.m >= spec.n else (sol.y0, sol.x0)
+    per_coordinate = [ramification_indices(f, small[0])] if k else []
+    repeated = sorted({x for x in big if big.count(x) > 1},
+                      key=Scalar.sort_key)
+    if repeated:
+        g = _larger_side_eliminant(f, larger)
+        per_coordinate += [ramification_indices(g, x) for x in repeated]
+    admitted = {1}
+    for options in per_coordinate:
+        admitted = {lcm(a, b) for a in admitted for b in options
+                    if lcm(a, b) <= n_max}
+    return sorted(admitted)
+
+
+def ramification_indices(poly: SparsePoly, root: Scalar) -> Set[int]:
+    """The ramification indices the branches v(t) -> root of poly(v, t) = 0
+    can have: a superset of the true ones, read from the lower Newton
+    polygon of H(w, t) = poly(root + w, t) (Walker, Algebraic Curves,
+    ch. IV).
+
+    A factor w^i0 of H is the branch v = root exactly: index 1.  The other
+    branches through root lie on the polygon's edges of negative slope,
+    from the point of least w-degree to the first point of least t-degree.
+    An edge of slope -p/q in lowest terms gives branches w = c t^(p/q) +
+    ..., c a root of its characteristic polynomial, a polynomial in c^q:
+    of index exactly q where c is a simple root, and of index q j for some
+    j up to r where c has multiplicity r.  So each edge adds q j for every
+    j up to the largest multiplicity of its characteristic polynomial.
+    """
+    powers = [ONE]
+    for _ in range(max(a for a, _ in poly.terms)):
+        powers.append(powers[-1] * root)
+    shifted: Dict[Tuple[int, int], Scalar] = {}
+    for (a, b), c in poly.terms.items():
+        for i in range(a + 1):  # (root + w)^a
+            term = c * powers[a - i] * comb(a, i)
+            shifted[i, b] = shifted[i, b] + term if (i, b) in shifted else term
+    low: Dict[int, int] = {}
+    for (i, j), c in shifted.items():
+        if not c.is_zero and j < low.get(i, j + 1):
+            low[i] = j
+    bottom = min(low.values())
+    right = min(i for i, j in low.items() if j == bottom)
+    indices = {1} if min(low) > 0 else set()
+    hull: List[Tuple[int, int]] = []
+    for i, j in sorted(item for item in low.items() if item[0] <= right):
+        while len(hull) > 1:  # drop a last vertex on or above the chord
+            (i0, j0), (i1, j1) = hull[-2:]
+            if (i1 - i0) * (j - j0) > (j1 - j0) * (i - i0):
+                break
+            hull.pop()
+        hull.append((i, j))
+    for (i1, j1), (i2, j2) in zip(hull, hull[1:]):
+        q = Fraction(j1 - j2, i2 - i1).denominator
+        step = (j1 - j2) * q // (i2 - i1)  # the t-degree falls by p per q
+        chi = [shifted.get((i1 + q * e, j1 - step * e), ZERO)
+               for e in range((i2 - i1) // q + 1)]
+        indices |= {q * j for j in range(1, _largest_multiplicity(chi) + 1)}
+    return indices
+
+
+def _largest_multiplicity(f: List[Scalar]) -> int:
+    """The largest multiplicity of a root of f (coefficients lowest first,
+    degree >= 1): how often f <- gcd(f, f') runs until f is constant."""
+    r = 0
+    while len(f) > 1:
+        a, b = f, [c * e for e, c in enumerate(f)][1:]
+        while b:  # Euclid: a <- b, b <- a mod b
+            a = list(a)
+            while len(a) >= len(b):
+                lead = a[-1] / b[-1]
+                shift = len(a) - len(b)
+                for e, c in enumerate(b):
+                    a[shift + e] = a[shift + e] - lead * c
+                while a and a[-1].is_zero:
+                    a.pop()
+            a, b = b, a
+        f, r = a, r + 1
+    return r
+
+
+def _larger_side_eliminant(f: Optional[SparsePoly], larger: List[SparsePoly]
+                           ) -> SparsePoly:
+    """G(u, t) in (u, t), whose roots u are the larger side's roots on the
+    system's solutions: Res_v(F, L(-u)) for L = sum_j larger[j] z^j, and
+    L(-u) itself when there is no F.  Repeated factors of F and of G are
+    removed first, as they add no branch.  Over the integers (the Gaussian
+    ones where a coefficient is not real), after the denominators are
+    cleared: sympy's modular resultant over ZZ takes a few milliseconds."""
+    import sympy as sp
+    v, u, t = sp.symbols("v u t")
+    lu = {(a, j, b): c if j % 2 == 0 else -c
+          for j, part in enumerate(larger) for (a, b), c in part.terms.items()}
+    fv = {} if f is None else {(a, 0, b): c for (a, b), c in f.terms.items()}
+    scalars = list(lu.values()) + list(fv.values())
+    domain = sp.ZZ if all(c.im == 0 for c in scalars) else sp.ZZ_I
+    scale = lcm(*(x.denominator for c in scalars for x in (c.re, c.im)))
+
+    def integral(terms):
+        return sp.Poly.from_dict({mono: _scalar_to_sympy(c * scale)
+                                  for mono, c in terms.items()},
+                                 v, u, t, domain=domain)
+
+    g = integral(lu)
+    if fv:
+        g = sp.resultant(integral(fv).sqf_part(), g)  # in v, the first gen
+    g = sp.Poly(g.as_expr(), u, t, domain=domain).sqf_part()
+    return SparsePoly({mono: _try_scalar(c) for mono, c in g.terms()}, 2)

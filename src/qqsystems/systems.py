@@ -23,8 +23,10 @@ each entry weighted by mode:
   with weight q^i, and to the t-part at z^{i+j} with weight -q^j;
   Lambda enters as -q^m lambda_e, and in the t-part as +q^n lambda_e.
 
-residual_components writes these components out once, over any
-commutative ring that takes Scalars and ints as constants; three are used:
+coefficient_components reads these components from the z-coefficients
+themselves, and residual_components expands the roots into them first,
+over any commutative ring that takes Scalars and ints as constants; three
+rings are used for the roots:
 
 * Series jets in s with t = s^N (evaluate_residual): the residual
   certificate, which judges every lift;
@@ -41,6 +43,12 @@ commutative ring that takes Scalars and ints as constants; three are used:
   lifts do not build J0: where Lambda's shifts are distinct its inverse
   has a closed form (jacobian_inverse_at_zero), which the tests hold to
   the row-reduced inverse of J0.
+
+With min(m, n) <= 1 the components are also read once over SparsePoly in
+the larger side's coefficients, v and t (eliminant): the smaller side
+fixed at z + v leaves them triangular in the larger side's coefficients,
+and solving that part leaves one polynomial F(v, t), from whose Newton
+polygons lifting reads the ramification indices a degenerate base admits.
 
 The floating-point residual in numeric.py is a separate encoding on
 purpose, so that the numeric oracle stays an independent check.
@@ -268,18 +276,29 @@ def residual_components(xs: Sequence, ys: Sequence, spec: ProblemSpec, one,
     Scalars and ints as constants; one is its one, and times_t maps an
     element to t times it.
 
-    Both modes read one table of products p_i m_j of the z-coefficients
-    of q+ = prod(z + x_i) and q- = prod(z + y_j), expanded once each
-    (module docstring).  Every x_i sits in one factor of p_i and every
-    y_j in one factor of m_j, so each entry, and each component, is
-    affine in each single unknown.
+    The roots are expanded once each into the z-coefficients of
+    q+ = prod(z + x_i) and q- = prod(z + y_j), which coefficient_components
+    reads.  Every x_i sits in one factor of p_i and every y_j in one factor
+    of m_j, so each component is affine in each single unknown.
+    """
+    return coefficient_components(_monic_from_shifts(xs),
+                                  _monic_from_shifts(ys), spec, one, times_t)
+
+
+def coefficient_components(ps: Sequence, ms: Sequence, spec: ProblemSpec,
+                           one, times_t: Callable) -> List:
+    """The residual components from the z-coefficients p_0..p_{m-1} of q+
+    and m_0..m_{n-1} of q-, lowest first, below their leading 1s.
+
+    Both modes read one table of products p_i m_j (module docstring), so
+    each component is bilinear in the two coefficient lists: with one side
+    fixed it is linear in the other side's coefficients (eliminant).
     """
     deg = spec.lam.degree
     lam = spec.lam.coeffs
     # the leading 1s of q+ and q- enter the table without a product
-    qm = _monic_from_shifts(ys)
-    ab = [[a * b for b in qm] + [a] for a in _monic_from_shifts(xs)]
-    ab.append(qm + [one])
+    ab = [[a * b for b in ms] + [a] for a in ps]
+    ab.append(list(ms) + [one])
 
     def read(weight, shift, lam_weight):
         """Sum weight(i, j) p_i m_j into z^{i+j-shift}, below z^deg, less
@@ -333,6 +352,58 @@ def expanded_residual(spec: ProblemSpec, at: Sequence[Scalar]
     return residual_components(
         u[:spec.m], u[spec.m:], spec, SparsePoly.constant(ONE, dim + 1),
         lambda p: p * gens[dim])
+
+
+# ---------------------------------------------------------------------------
+# the rank-one eliminant
+
+
+def eliminant(spec: ProblemSpec
+              ) -> Tuple[Optional[SparsePoly], List[SparsePoly]]:
+    """(F, L): the residual with the smaller side's root v left free and
+    the larger side's coefficients eliminated, for k = min(m, n) <= 1.
+
+    Fix the smaller side at z + v (k = 1; q- when m = n) or at 1 (k = 0).
+    The components are then linear in the larger side's l = m + n - k
+    coefficients c_j, and the component at z^e (e >= k) reads c_{e-k}
+    last, with the diagonal 1 in qq and q^i - t q^j, a unit at t = 0, in
+    QQ: a triangular system.  It is solved fraction-free, down from the
+    top component, over SparsePoly in (v, t): c_j = N_j / D.  L is
+    [N_0, .., N_{l-1}, D], the larger side times D, lowest power first.
+    F(v, t) is the remaining z^0 component times D, whose roots v are the
+    smaller side's root on the system's solutions; None when k = 0, where
+    every component is triangular and L is its own eliminant.  F(v, 0)
+    is a constant times Lambda(-v), or Lambda(-v/q) where v is QQ's x.
+    """
+    k, l = min(spec.m, spec.n), max(spec.m, spec.n)
+    if k > 1:
+        raise ValueError("the eliminant needs min(m, n) <= 1")
+    nvars = l + 2  # c_0..c_{l-1}, v, t
+    cs = [SparsePoly.variable(j, nvars) for j in range(l)]
+    small = [SparsePoly.variable(l, nvars)] * k
+    ps, ms = (cs, small) if spec.m >= spec.n else (small, cs)
+    t = SparsePoly.variable(l + 1, nvars)
+    comps = coefficient_components(ps, ms, spec,
+                                   SparsePoly.constant(ONE, nvars),
+                                   lambda p: p * t)
+    num = {}
+    den = SparsePoly.constant(ONE, 2)
+    for e, comp in zip(range(spec.lam.degree - 1, -1, -1), comps):
+        # c_j -> its coefficient in (v, t), and -1 -> the free term
+        coef = {-1: SparsePoly({}, 2)}
+        for mono, c in comp.terms.items():
+            j = mono.index(1) if 1 in mono[:l] else -1
+            term = SparsePoly({mono[l:]: c}, 2)
+            coef[j] = coef[j] + term if j in coef else term
+        rest = sum((a * num[j] for j, a in coef.items() if j in num),
+                   coef[-1] * den)
+        if e < k:
+            return rest, [num[j] for j in range(l)] + [den]
+        diag = coef[e - k]
+        num = {j: a * diag for j, a in num.items()}
+        num[e - k] = -rest
+        den = den * diag
+    return None, [num[j] for j in range(l)] + [den]
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,29 @@
-"""Reference Newton lift over whole Series residuals (tests only).
+"""Reference lifts that the solver's faster loops are held to (tests only).
 
-This is the loop that ``qqsystems.lifting.lift_newton`` replaced with an
-online residual: at every order k it evaluates the Series residual of the
-jet truncated at k, reads only its s^k coefficient and sets
+lift_newton is the loop that ``qqsystems.lifting.lift_newton`` replaced
+with an online residual: at every order k it evaluates the Series residual
+of the jet truncated at k, reads only its s^k coefficient and sets
 c_k = -J0^-1 defect_k, with the general J0^-1 that row reduction of
 ``jacobian_at_zero`` gives where ``lift_newton`` reads it in closed form.
 The property test in ``test_lifting.py`` holds ``lift_newton`` to this
 loop: equal lifts, equal JSON.
+
+lift_ramified_every_index is the loop that
+``qqsystems.lifting.lift_ramified`` replaced with a search at the indices
+the base admits (``admitted_indices``): it runs the same branch search at
+every N from 1 to N_max.  The equivalence tests hold ``lift_ramified`` to
+it: equal lifts, and the same exception type and reason.
 """
 
 from __future__ import annotations
 
+from typing import Dict, List
+
 from qqsystems.infinite import InfiniteSolution
-from qqsystems.linalg import solve_unique
-from qqsystems.lifting import LiftedSolution
+from qqsystems.linalg import rref, solve_unique
+from qqsystems.lifting import (LiftedSolution, RamificationBoundExceededError,
+                               _branch_key, _branch_search, _coeff_keys,
+                               _scalar_to_sympy)
 from qqsystems.scalar import ONE, ZERO
 from qqsystems.series import Series
 from qqsystems.systems import (CandidatePoint, ProblemSpec, evaluate_residual,
@@ -43,3 +53,43 @@ def lift_newton(sol: InfiniteSolution, spec: ProblemSpec) -> LiftedSolution:
         for i, row in enumerate(inverse):
             coeffs[i][k] = -sum((a * d for a, d in zip(row, defect)), ZERO)
     return LiftedSolution.of(point_through(K), sol, spec)
+
+
+def lift_ramified_every_index(sol: InfiniteSolution, spec: ProblemSpec
+                              ) -> List[LiftedSolution]:
+    n_max = spec.ramification_bound
+    expansion = expanded_residual(spec, sol.x0 + sol.y0)
+    red, pivots = rref([row + [ONE if c == i else ZERO for c in range(len(row))]
+                        for i, row in enumerate(jacobian_at_zero(expansion))])
+    reduced = ([[_scalar_to_sympy(e) for e in row] for row in red], pivots)
+    residual = [[(mono, _scalar_to_sympy(c)) for mono, c in comp.terms.items()]
+                for comp in expansion]
+    found: List[LiftedSolution] = []
+    seen_keys = set()
+    dropped_outside_field = 0
+    solved: Dict[tuple, List[dict]] = {}
+    for n_ram in range(1, n_max + 1):
+        points, dropped = _branch_search(sol, spec, reduced, residual, n_ram,
+                                         solved)
+        dropped_outside_field += dropped
+        for point in points:
+            key = _branch_key(point)
+            if key in seen_keys:
+                continue
+            lifted = LiftedSolution.of(point, sol, spec)
+            if not lifted.certified():
+                continue
+            seen_keys.add(key)
+            found.append(lifted)
+    if not found:
+        extra = ""
+        if dropped_outside_field:
+            extra = (f" ({dropped_outside_field} branch(es) exist with "
+                     "coefficients outside the Gaussian rationals and were "
+                     "dropped; this base is not liftable in the exact field)")
+        raise RamificationBoundExceededError(
+            f"no branch certified for any ramification index <= {n_max}"
+            + extra)
+    found.sort(key=lambda ls: (ls.n_ram, _coeff_keys(ls.point.x),
+                               _coeff_keys(ls.point.y)))
+    return found

@@ -116,6 +116,12 @@ MUTANTS = [
      "            pair[l, s] = diff.reciprocal() * Scalar(2)",
      "            pair[l, s] = diff.reciprocal()",
      ["tests/test_bethe.py"]),
+    # QQ (z+1)^2 at q = 3 admits only N = 2, where its branches leave Q(i)
+    ("the search drops the largest admitted index", "lifting.py",
+     "    return sorted(admitted)",
+     "    return sorted(admitted)[:-1]",
+     ["tests/test_admitted_indices.py::"
+      "test_ladder_lifts_equal_the_every_index_search"]),
     ("a spec file nested too deeply escapes the CLI", "cli.py",
      "    except (OSError, ValueError, RecursionError) as exc:",
      "    except (OSError, ValueError) as exc:",

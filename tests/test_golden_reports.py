@@ -50,6 +50,12 @@ CASES = {
         "solve", {"mode": "qq", "lambda": _shifts(("1", 3)),
                   "m": 2, "n": 1, "K": 1},
         "1d67f3e152d6a0e95a4e6aaae4e9c81850634d8fd2f9bb2479cbd2bbd5cbb2f5"),
+    # the ramified-lift op that ran past its 8 s budget, recorded from the
+    # search at every N <= N_max (about 22 s); its one branch is N = 1
+    "qq (z+1)^3 m=2 n=1 K=3": (
+        "solve", {"mode": "qq", "lambda": _shifts(("1", 3)),
+                  "m": 2, "n": 1, "K": 3},
+        "617bc509fd01a66821e1be2b60eb8b59b63d2346583768f3e476dd9628a0ac97"),
     # two more ramified-lift benchmark specs, recorded from the search that
     # handed each raw constraint system to sympy.solve: repeated and empty
     # systems at K = 2, and two degenerate bases of two branches each

@@ -388,7 +388,10 @@ class TestConstraintSolutions:
                 _constraint_solutions([p * q - 1], {})
 
     def test_each_system_solved_once_per_base(self, monkeypatch):
+        # through the every-index search: at N = 1, the one index the base
+        # admits, the search meets no constraint system
         import sympy
+        lift_ramified = lift_reference.lift_ramified_every_index
         spec = qq_spec([(1, 3)], 2, 1, K=1)
         base = enumerate_infinite_solutions(spec)[0]
         plain = [b.to_json() for b in lift_ramified(base, spec)]
@@ -457,8 +460,9 @@ def _involved(live):
 
 
 def _systems_met(monkeypatch, shifts, K):
-    """Each constraint system with parameters that lift_ramified meets on
-    the bases of the qq (2, 1) spec, with the solutions it was given."""
+    """Each constraint system with parameters that the every-index search
+    (lift_reference) meets on the bases of the qq (2, 1) spec, with the
+    solutions it was given."""
     import sympy
     spec = qq_spec(shifts, 2, 1, K=K)
     met = {}
@@ -473,7 +477,7 @@ def _systems_met(monkeypatch, shifts, K):
 
     monkeypatch.setattr(lifting, "_constraint_solutions", recording)
     for base in enumerate_infinite_solutions(spec):
-        lift_ramified(base, spec)
+        lift_reference.lift_ramified_every_index(base, spec)
     assert met
     return met
 

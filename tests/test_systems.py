@@ -3,7 +3,7 @@ from types import SimpleNamespace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import support_reference
 from qqsystems.linalg import rref, solve_unique
@@ -11,7 +11,8 @@ from qqsystems.poly import SparsePoly
 from qqsystems.scalar import Scalar, ZERO, ONE
 from qqsystems.series import OnlineSeries, Series
 from qqsystems.systems import (MasterData, ProblemSpec, CandidatePoint,
-                               SpecValidationError, evaluate_residual,
+                               SpecValidationError, coefficient_components,
+                               eliminant, evaluate_residual,
                                expanded_residual, jacobian_at_zero,
                                jacobian_inverse_at_zero, online_residual,
                                residual_components, symbolic_support)
@@ -289,6 +290,43 @@ def test_residual_matches_root_form(spec, data):
     got = residual_components(u[:spec.m], u[spec.m:], spec, ONE,
                               lambda v: v * t0)
     assert got == support_reference.residual_at(spec, u, t0)
+
+
+def _at(poly, v, t0):
+    """A SparsePoly in (v, t) at v and t = t0."""
+    return sum((c * v ** a * t0 ** b for (a, b), c in poly.terms.items()),
+               ZERO)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_specs().filter(lambda spec: min(spec.m, spec.n) <= 1),
+       st.data())
+def test_eliminant_solves_the_triangular_components(spec, data):
+    """With the smaller side at z + v (k = 1) or 1 (k = 0) and the larger
+    side's coefficients at N_j / D, every component above z^0 is zero and
+    the z^0 one is F / D; F(v, 0) is a constant times Lambda(-v), or
+    Lambda(-v/q) where v is QQ's x."""
+    k = min(spec.m, spec.n)
+    f, larger = eliminant(spec)
+    v, t0 = data.draw(SHIFTS), data.draw(SHIFTS)
+    den = _at(larger[-1], v, t0)
+    assume(not den.is_zero)
+    coeffs = [_at(p, v, t0) / den for p in larger[:-1]]
+    ps, ms = (coeffs, [v] * k) if spec.m >= spec.n else ([v] * k, coeffs)
+    comps = coefficient_components(ps, ms, spec, ONE, lambda c: c * t0)
+    assert all(c.is_zero for c in comps[:spec.m + spec.n - k])
+    if not k:
+        assert f is None
+        return
+    assert comps[-1] == _at(f, v, t0) / den
+    w = data.draw(SHIFTS)
+    scale = spec.q if spec.is_difference and spec.n > spec.m else ONE
+
+    def lam(z):
+        return sum((c * z ** e for e, c in enumerate(spec.lam.coeffs)), ZERO)
+
+    assert _at(f, v, ZERO) * lam(-w / scale) == \
+        _at(f, w, ZERO) * lam(-v / scale)
 
 
 def _has_nonzero_d(lam):
