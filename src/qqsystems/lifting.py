@@ -25,7 +25,10 @@ branch on the finitely many parameter values that keep the next orders
 consistent.  Each distinct constraint system is solved once per
 base, through its reduced Groebner basis: the same ideal, hence the same
 solutions, without the system's redundant rows.  A basis [1] closes its
-branch without sympy.solve.
+branch without sympy.solve.  A branch leaves the search as soon as a jet
+coefficient that holds no parameter lies outside Q(i): substitution never
+changes such a coefficient, so the readout would drop the branch and all
+that grow from it.  It is counted once, as a dropped branch.
 A finished branch is read out once, with its ramification normalised.
 Every returned branch carries an exact residual-valuation certificate,
 which makes correctness independent of how the series was found.
@@ -205,7 +208,9 @@ def lift_ramified(sol: InfiniteSolution, spec: ProblemSpec
     ramification, and a series found again at a higher index is dropped,
     so each series solution appears once.  A ramification_bound_exceeded
     failure counts the branches dropped outside Q(i) at the searched
-    indices only.  At a generic base the one branch, found at N = 1, is
+    indices only, each once where it was dropped: an open branch at the
+    first order where a parameter-free coefficient leaves Q(i), a finished
+    one at readout.  At a generic base the one branch, found at N = 1, is
     the Newton lift; the CLI sends such bases to lift_newton instead.
     """
     n_max = spec.ramification_bound
@@ -278,11 +283,14 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
     basis, not the system: it has the same variety and drops the
     proportional rows (e and 2e) the zero rows often give.  A basis [1]
     has no solution and closes its branch without sympy.solve.
-    After the last order the parameters still free are pinned to zero
-    and each branch is read out with its ramification normalised: when
-    g = gcd(N, exponents of its nonzero coefficients) > 1 it is a series
-    in s^g with index N/g.  Branches with a coefficient outside Q(i) are
-    counted as dropped.
+    After each order but the last, _prune_outside_field drops the
+    branches with a parameter-free coefficient outside Q(i), before the
+    _MAX_BRANCHES check.  After the last order the parameters still free
+    are pinned to zero and each branch is read out with its ramification
+    normalised: when g = gcd(N, exponents of its nonzero coefficients) > 1
+    it is a series in s^g with index N/g.  A branch with a coefficient
+    outside Q(i) is dropped there.  Each dropped branch counts once in the
+    returned count: a pruned branch is not followed to its leaves.
     """
     import sympy as sp
 
@@ -305,6 +313,7 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
         return acc[deg]
 
     branches = [[[sp.Integer(0)]] * dim]
+    dropped = 0
     for order in range(1, k_s + 1):
         next_branches = []
         for jets in branches:
@@ -326,6 +335,9 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
                     corr[pc] = sp.expand(val)
                 next_branches.append([[v.subs(subs) for v in jet] + [corr[i]]
                                       for i, jet in enumerate(jets)])
+        if order < k_s:
+            next_branches, pruned = _prune_outside_field(next_branches)
+            dropped += pruned
         if len(next_branches) > _MAX_BRANCHES:
             raise BranchExplosionError(
                 f"{len(next_branches)} open branches at s-order {order} "
@@ -333,7 +345,6 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
         branches = next_branches
 
     points = []
-    dropped = 0
     for jets in branches:
         pin = {p: 0 for jet in jets for c in jet for p in c.free_symbols}
         rows = [[b] + [_try_scalar(sp.expand(c.subs(pin))) for c in jet[1:]]
@@ -354,13 +365,31 @@ def _scalar_to_sympy(c: Scalar):
     return sp.Rational(c.re) + sp.I * sp.Rational(c.im)
 
 
+def _prune_outside_field(branches: List[list]) -> Tuple[List[list], int]:
+    """The open branches none of whose parameter-free jet coefficients
+    lies outside Q(i) (_try_scalar), and how many others there were.
+    Substitution replaces only parameters, so such a coefficient reaches
+    the readout unchanged, where it would drop the branch and every
+    branch grown from it: dropping it now is exact, and counts it once."""
+    import sympy as sp
+    kept = [jets for jets in branches
+            if not any(not (c.is_Rational or c.free_symbols)
+                       and _try_scalar(sp.expand(c)) is None
+                       for jet in jets for c in jet)]
+    return kept, len(branches) - len(kept)
+
+
 def _try_scalar(expr) -> Optional[Scalar]:
     """Convert an exact sympy number to a Scalar; None outside Q(i).
-    Only a number whose real and imaginary parts are not already
-    Rationals is simplified."""
+    A real or imaginary part that sympy's assumptions prove irrational
+    gives None at once.  Only a number whose parts are neither Rationals
+    nor proved irrational, such as (sqrt(2) + 1)(sqrt(2) - 1), is
+    simplified."""
     import sympy as sp
     re, im = expr.as_real_imag()
     if not (re.is_Rational and im.is_Rational):
+        if re.is_rational is False or im.is_rational is False:
+            return None
         re, im = sp.simplify(expr).as_real_imag()
         try:
             re, im = sp.Rational(sp.simplify(re)), sp.Rational(sp.simplify(im))

@@ -122,6 +122,18 @@ MUTANTS = [
      "    return sorted(admitted)[:-1]",
      ["tests/test_admitted_indices.py::"
       "test_ladder_lifts_equal_the_every_index_search"]),
+    # a branch pruned outside Q(i) must count once in the failure message
+    ("the search does not count a pruned branch", "lifting.py",
+     "            dropped += pruned",
+     "            dropped += 0",
+     ["tests/test_outside_field.py::"
+      "test_ladder_lifts_equal_the_unpruned_search"]),
+    # (sqrt 2 + 1)(sqrt 2 - 1) = 1: undecided is not irrational
+    ("_try_scalar drops what sympy cannot decide", "lifting.py",
+     "        if re.is_rational is False or im.is_rational is False:",
+     "        if not (re.is_rational and im.is_rational):",
+     ["tests/test_outside_field.py::"
+      "test_undecided_value_goes_through_simplify"]),
     ("a spec file nested too deeply escapes the CLI", "cli.py",
      "    except (OSError, ValueError, RecursionError) as exc:",
      "    except (OSError, ValueError) as exc:",

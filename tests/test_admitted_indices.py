@@ -141,8 +141,11 @@ QS = [Scalar(2), Scalar(3), Scalar(Fraction(1, 2)), Scalar(-2), Scalar(1, 1)]
 def degenerate_specs(draw):
     """Both modes, one repeated shift (twice or three times) and at most
     one simple one, m + n <= 3 (so min(m, n) <= 1), K <= 2, N_max <= 3.
-    A QQ triple shift is drawn at K = 1 only: at K = 2 the every-index
-    search takes 8 s to more than 30 s per spec."""
+    A QQ triple shift at K = 2 takes 0.2 to 3 s in both searches together,
+    and up to 13 s at q = 1 + i, m = 2: its branches that leave Q(i) are
+    dropped at the first orders (lifting._prune_outside_field).  Only
+    (z+1+-i)^3 at q = 1 + i, m = 2, N_max = 3 runs past 100 s, at K = 1
+    and 2 alike, inside sympy.solve: about one run in 30 draws it."""
     mode = draw(st.sampled_from(["qq", "QQ"]))
     shifts = draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=2,
                            unique=True))
@@ -151,9 +154,8 @@ def degenerate_specs(draw):
         lam.append((shifts[1], 1))
     deg = sum(mult for _, mult in lam)
     m = draw(st.integers(0, deg))
-    top_k = 1 if mode == "QQ" and lam[0][1] == 3 else 2
     return ProblemSpec(mode=mode, lam=MasterData(tuple(lam)), m=m, n=deg - m,
-                       K=draw(st.integers(1, top_k)),
+                       K=draw(st.integers(1, 2)),
                        q=draw(st.sampled_from(QS)) if mode == "QQ" else None,
                        n_max=draw(st.integers(1, 3)))
 

@@ -63,6 +63,12 @@ CASES = {
         "solve", {"mode": "qq", "lambda": _shifts(("1", 3)),
                   "m": 2, "n": 1, "K": 2},
         "808fe17f7ec17525d988e9ff99aaf8ca1bb00aa46681b34ec9e1f6073e5f9fcb"),
+    # every branch leaves Q(i): exit 3 with 6 branches dropped, recorded
+    # from the search that dropped them only at readout (about 21 s)
+    "QQ (z+1)^3 q=3 m=2 n=1 K=2": (
+        "solve", {"mode": "QQ", "q": "3", "lambda": _shifts(("1", 3)),
+                  "m": 2, "n": 1, "K": 2},
+        "1304d2c89d929516c2889f962f0dd834c6dfe39a3d0603add37cd75af44aa9e6"),
     "qq (z+1)^2(z+5) m=2 n=1": (
         "solve", {"mode": "qq", "lambda": _shifts(("1", 2), ("5", 1)),
                   "m": 2, "n": 1},
