@@ -15,20 +15,22 @@ N_max the base admits (admitted_indices).  Where min(m, n) <= 1 these
 are read from Newton polygons of the rank-one eliminant
 (systems.eliminant; Walker, Algebraic Curves, ch. IV) at the base: a
 superset of the indices its branches have, searched in ascending order.
-Where min(m, n) >= 2 every N <= N_max is searched.  The search itself:
-expand the residual once in (delta, t) at the base, read the base check
-and the J0 to row-reduce from that expansion's constant and delta-linear
-terms (jacobian_at_zero), substitute t = s^N, carry each branch as one sympy
-correction jet per unknown (the delta) whose coefficients hold the
-kernel directions of the singular Jacobian as symbolic parameters, and
-branch on the finitely many parameter values that keep the next orders
-consistent.  Each distinct constraint system is solved once per
-base, through its reduced Groebner basis: the same ideal, hence the same
-solutions, without the system's redundant rows.  A basis [1] closes its
-branch without sympy.solve.  A branch leaves the search as soon as a jet
-coefficient that holds no parameter lies outside Q(i): substitution never
-changes such a coefficient, so the readout would drop the branch and all
-that grow from it.  It is counted once, as a dropped branch.
+Where min(m, n) >= 2 every N <= N_max is searched.  The residual is
+expanded once in (delta, t) at the base; the search at each N is a pure
+function of the base, that expansion and N, exact types at both edges and
+sympy only inside.  It reads the base check and the J0 to row-reduce from
+the expansion's constant and delta-linear terms (jacobian_at_zero),
+substitutes t = s^N, carries each branch as one sympy correction jet per
+unknown (the delta) whose coefficients hold the kernel directions of the
+singular Jacobian as symbolic parameters, and branches on the finitely
+many parameter values that keep the next orders consistent.  Each
+constraint system is solved through its reduced Groebner basis: the same
+ideal, hence the same solutions, without the system's redundant rows.  A
+basis [1] closes its branch without sympy.solve.  A branch leaves the
+search as soon as a jet coefficient that holds no parameter lies outside
+Q(i), decided exactly (_try_scalar): substitution never changes such a
+coefficient, so the readout would drop the branch and all that grow from
+it.  It is counted once, as a dropped branch.
 A finished branch is read out once, with its ramification normalised.
 Every returned branch carries an exact residual-valuation certificate,
 which makes correctness independent of how the series was found.
@@ -215,19 +217,11 @@ def lift_ramified(sol: InfiniteSolution, spec: ProblemSpec
     """
     n_max = spec.ramification_bound
     expansion = expanded_residual(spec, sol.x0 + sol.y0)
-    # [J0 | I] reduces to [R | L] with L * J0 = R, in sympy once per base
-    red, pivots = rref([row + [ONE if c == i else ZERO for c in range(len(row))]
-                        for i, row in enumerate(jacobian_at_zero(expansion))])
-    reduced = ([[_scalar_to_sympy(e) for e in row] for row in red], pivots)
-    residual = [[(mono, _scalar_to_sympy(c)) for mono, c in comp.terms.items()]
-                for comp in expansion]
     found: List[LiftedSolution] = []
     seen_keys = set()
     dropped_outside_field = 0
-    solved: Dict[tuple, List[dict]] = {}
     for n_ram in admitted_indices(sol, spec):
-        points, dropped = _branch_search(sol, spec, reduced, residual, n_ram,
-                                         solved)
+        points, dropped = _branch_search(sol, spec, expansion, n_ram)
         dropped_outside_field += dropped
         for point in points:
             key = _branch_key(point)
@@ -263,26 +257,23 @@ def _branch_key(point: CandidatePoint):
 
 
 def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
-                   reduced: Tuple[list, List[int]], residual: List[list],
-                   n_ram: int, solved: Dict[tuple, List[dict]]
+                   expansion: List[SparsePoly], n_ram: int
                    ) -> Tuple[List[CandidatePoint], int]:
     """Symbolic order-by-order search in s (t = s^N) with kernel branching.
 
-    A branch is one correction jet per unknown, the list [0, c_1, c_2, ...]
-    of its s-coefficients in sympy, which may hold kernel parameters
-    brk_{order}_{c}.  `reduced` is rref of [J0 | I] for the singular t=0
-    Jacobian J0, in sympy, with its pivot columns, and `residual` the
-    sympy terms of expanded_residual at the base.  At every s-order the
+    A pure function of the base, its expanded_residual `expansion` (the
+    SparsePoly components in (delta, t)) and N: its inputs and outputs are
+    exact types, and sympy lives only inside it.  It reduces [J0 | I],
+    J0 the singular t=0 Jacobian (jacobian_at_zero, which also checks the
+    base), to [R | L] with L J0 = R, and turns R, L and the expansion's
+    terms into sympy.  A branch is one correction jet per unknown, the
+    list [0, c_1, c_2, ...] of its s-coefficients in sympy, which may
+    hold kernel parameters brk_{order}_{c}.  At every s-order the
     residual at delta = the jets, t = s^N gives the defect, multiplied
     out only through that order, and the rows whose pivot lies in the L
     block give polynomial consistency constraints on the parameters,
-    whose finitely many exact solutions are branched on.
-    `solved` is the base's table of constraint systems already solved:
-    sibling branches, and the same order at another N, often meet the
-    same system again.  sympy.solve is given a system's reduced Groebner
-    basis, not the system: it has the same variety and drops the
-    proportional rows (e and 2e) the zero rows often give.  A basis [1]
-    has no solution and closes its branch without sympy.solve.
+    whose finitely many exact solutions (_constraint_solutions) are
+    branched on.
     After each order but the last, _prune_outside_field drops the
     branches with a parameter-free coefficient outside Q(i), before the
     _MAX_BRANCHES check.  After the last order the parameters still free
@@ -296,7 +287,11 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
 
     dim = spec.m + spec.n
     k_s = spec.K * n_ram
-    red, pivots = reduced
+    reduced, pivots = rref([row + [ONE if c == i else ZERO for c in range(dim)]
+                            for i, row in enumerate(jacobian_at_zero(expansion))])
+    red = [[_scalar_to_sympy(e) for e in row] for row in reduced]
+    residual = [[(mono, _scalar_to_sympy(c)) for mono, c in comp.terms.items()]
+                for comp in expansion]
     # a row whose pivot lies in the L block is a zero row of R and yields
     # consistency constraints
     pivot_rows = [(i, c) for i, c in enumerate(pivots) if c < dim]
@@ -324,8 +319,7 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
                 for comp in residual]
             rhs = [sp.Add(*[-l * d for l, d in zip(row[dim:], defect)])
                    for row in red]
-            for subs in _constraint_solutions([rhs[i] for i in zero_rows],
-                                              solved):
+            for subs in _constraint_solutions([rhs[i] for i in zero_rows]):
                 params = [sp.Symbol(f"brk_{order}_{c}") for c in free_cols]
                 corr = dict(zip(free_cols, params))
                 for i, pc in pivot_rows:
@@ -380,42 +374,41 @@ def _prune_outside_field(branches: List[list]) -> Tuple[List[list], int]:
 
 
 def _try_scalar(expr) -> Optional[Scalar]:
-    """Convert an exact sympy number to a Scalar; None outside Q(i).
-    A real or imaginary part that sympy's assumptions prove irrational
-    gives None at once.  Only a number whose parts are neither Rationals
-    nor proved irrational, such as (sqrt(2) + 1)(sqrt(2) - 1), is
-    simplified."""
+    """The exact sympy number as a Scalar; None outside Q(i).
+    Rational real and imaginary parts convert at once, and a part that
+    sympy's assumptions prove irrational gives None at once.  Any other
+    number, such as (sqrt(2) + 1)(sqrt(2) - 1) or sqrt(3 + 2 sqrt(2)) -
+    sqrt(2), both 1, is decided by its minimal polynomial over Q(i): it
+    lies in Q(i) exactly when that polynomial has degree 1, whose root it
+    then is."""
     import sympy as sp
     re, im = expr.as_real_imag()
     if not (re.is_Rational and im.is_Rational):
         if re.is_rational is False or im.is_rational is False:
             return None
-        re, im = sp.simplify(expr).as_real_imag()
-        try:
-            re, im = sp.Rational(sp.simplify(re)), sp.Rational(sp.simplify(im))
-        except (TypeError, ValueError):
+        poly = sp.minimal_polynomial(expr, polys=True,
+                                     domain=sp.QQ.algebraic_field(sp.I))
+        if poly.degree() > 1:
             return None
+        re, im = sp.expand(-poly.nth(0) / poly.LC()).as_real_imag()
     return Scalar(Fraction(re.p, re.q), Fraction(im.p, im.q))
 
 
-def _constraint_solutions(constraints, solved: Dict[tuple, List[dict]]
-                          ) -> List[dict]:
+def _constraint_solutions(constraints) -> List[dict]:
     """Exact solutions of the pending consistency constraints, as
     substitution dicts (one empty dict when nothing is constrained; none
-    when the constraints are inconsistent).  A system found in `solved`
-    is not solved again.  The reduced Groebner basis generates the same
-    ideal, so sympy.solve is given the basis, which has the system's
-    solutions and fewer, simpler rows; a basis [1] proves the system
-    empty over C (Nullstellensatz) without it.  Where sympy.groebner
-    cannot take the system (a coefficient such as sqrt(brk_...) of a
-    parameter), the system itself is solved.
+    when the constraints are inconsistent).  The reduced Groebner basis
+    generates the same ideal, so sympy.solve is given the basis, which
+    has the system's solutions and drops the proportional rows (e and 2e)
+    the zero rows often give; a basis [1] proves the system empty over C
+    (Nullstellensatz) without it.  Where sympy.groebner cannot take the
+    system (a coefficient such as sqrt(brk_...) of a parameter), the
+    system itself is solved.
     UndecidedConstraintsError when sympy can neither solve the system nor
     prove it empty."""
     import sympy as sp
     from sympy.polys.polyerrors import BasePolynomialError
-    live = tuple(c for c in map(sp.expand, constraints) if c != 0)
-    if live in solved:
-        return solved[live]
+    live = [c for c in map(sp.expand, constraints) if c != 0]
     if not live:
         return [{}]
     involved = sorted({p for c in live for p in c.free_symbols},
@@ -426,16 +419,15 @@ def _constraint_solutions(constraints, solved: Dict[tuple, List[dict]]
         basis = sp.groebner(live, *involved, order="grevlex",
                             extension=True).exprs
     except (BasePolynomialError, NotImplementedError):
-        basis = list(live)
+        basis = live
     try:
         sols = [] if basis == [1] else sp.solve(basis, involved, dict=True)
     except NotImplementedError as exc:
         raise UndecidedConstraintsError(
             f"sympy cannot solve {len(live)} consistency constraint(s) on "
             + ", ".join(p.name for p in involved)) from exc
-    solved[live] = [{key: sp.expand(val) for key, val in sol_map.items()}
-                    for sol_map in sols]
-    return solved[live]
+    return [{key: sp.expand(val) for key, val in sol_map.items()}
+            for sol_map in sols]
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,12 @@ it: equal lifts, and the same exception type and reason.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from qqsystems.infinite import InfiniteSolution
-from qqsystems.linalg import rref, solve_unique
+from qqsystems.linalg import solve_unique
 from qqsystems.lifting import (LiftedSolution, RamificationBoundExceededError,
-                               _branch_key, _branch_search, _coeff_keys,
-                               _scalar_to_sympy)
+                               _branch_key, _branch_search, _coeff_keys)
 from qqsystems.scalar import ONE, ZERO
 from qqsystems.series import Series
 from qqsystems.systems import (CandidatePoint, ProblemSpec, evaluate_residual,
@@ -59,18 +58,11 @@ def lift_ramified_every_index(sol: InfiniteSolution, spec: ProblemSpec
                               ) -> List[LiftedSolution]:
     n_max = spec.ramification_bound
     expansion = expanded_residual(spec, sol.x0 + sol.y0)
-    red, pivots = rref([row + [ONE if c == i else ZERO for c in range(len(row))]
-                        for i, row in enumerate(jacobian_at_zero(expansion))])
-    reduced = ([[_scalar_to_sympy(e) for e in row] for row in red], pivots)
-    residual = [[(mono, _scalar_to_sympy(c)) for mono, c in comp.terms.items()]
-                for comp in expansion]
     found: List[LiftedSolution] = []
     seen_keys = set()
     dropped_outside_field = 0
-    solved: Dict[tuple, List[dict]] = {}
     for n_ram in range(1, n_max + 1):
-        points, dropped = _branch_search(sol, spec, reduced, residual, n_ram,
-                                         solved)
+        points, dropped = _branch_search(sol, spec, expansion, n_ram)
         dropped_outside_field += dropped
         for point in points:
             key = _branch_key(point)

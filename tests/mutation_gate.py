@@ -133,7 +133,19 @@ MUTANTS = [
      "        if re.is_rational is False or im.is_rational is False:",
      "        if not (re.is_rational and im.is_rational):",
      ["tests/test_outside_field.py::"
-      "test_undecided_value_goes_through_simplify"]),
+      "test_undecided_value_goes_through_minimal_polynomial"]),
+    # sqrt(3 + 2 sqrt 2) has minimal polynomial x^2 - 2x - 1: not in Q(i)
+    ("_try_scalar reads a quadratic's root as rational", "lifting.py",
+     "        if poly.degree() > 1:",
+     "        if poly.degree() > 2:",
+     ["tests/test_outside_field.py::test_undecided_irrational_is_outside"]),
+    # every other test passes this mutant (their multi-base specs have
+    # integer x0, or they compare base by base); a translation by 1/2 or
+    # -5/2 moves bases to fractions whose numerators are out of order
+    ("the bases are ordered by the numerators of their shifts", "infinite.py",
+     "    out.sort(key=lambda s: tuple(v.sort_key() for v in s.x0))",
+     "    out.sort(key=lambda s: tuple((v.re.numerator, v.im) for v in s.x0))",
+     ["tests/test_metamorphic.py"]),
     ("a spec file nested too deeply escapes the CLI", "cli.py",
      "    except (OSError, ValueError, RecursionError) as exc:",
      "    except (OSError, ValueError) as exc:",

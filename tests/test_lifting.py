@@ -382,30 +382,10 @@ class TestConstraintSolutions:
             raise exc("sympy.solve reached")
 
         monkeypatch.setattr(sympy, "solve", refuse)
-        assert _constraint_solutions([p * q - 1, p], {}) == []
+        assert _constraint_solutions([p * q - 1, p]) == []
         if exc is NotImplementedError:
             with pytest.raises(UndecidedConstraintsError):
-                _constraint_solutions([p * q - 1], {})
-
-    def test_each_system_solved_once_per_base(self, monkeypatch):
-        # through the every-index search: at N = 1, the one index the base
-        # admits, the search meets no constraint system
-        import sympy
-        lift_ramified = lift_reference.lift_ramified_every_index
-        spec = qq_spec([(1, 3)], 2, 1, K=1)
-        base = enumerate_infinite_solutions(spec)[0]
-        plain = [b.to_json() for b in lift_ramified(base, spec)]
-        inputs = []
-        solve = sympy.solve
-
-        def recording(*args, **kwargs):
-            inputs.append(sympy.srepr(args) + repr(sorted(kwargs.items())))
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(sympy, "solve", recording)
-        assert [b.to_json() for b in lift_ramified(base, spec)] == plain
-        assert inputs
-        assert len(set(inputs)) == len(inputs)
+                _constraint_solutions([p * q - 1])
 
     @pytest.mark.parametrize("shifts,K", [([(1, 3)], 1),
                                           ([(1, 2), (7, 1)], 3)])
@@ -451,7 +431,7 @@ class TestConstraintSolutions:
             sympy.groebner(live, p, q, order="grevlex", extension=True)
         raw = sympy.solve(live, [p, q], dict=True)
         assert raw == [{p: 1, q: 1}]
-        assert _constraint_solutions(live, {}) == raw
+        assert _constraint_solutions(live) == raw
 
 
 def _involved(live):
@@ -468,9 +448,9 @@ def _systems_met(monkeypatch, shifts, K):
     met = {}
     inner = lifting._constraint_solutions
 
-    def recording(constraints, solved):
+    def recording(constraints):
         live = tuple(c for c in map(sympy.expand, constraints) if c != 0)
-        sols = inner(constraints, solved)
+        sols = inner(constraints)
         if any(c.free_symbols for c in live):
             met[live] = sols
         return sols

@@ -2,7 +2,8 @@
 
 lifting._try_scalar converts an exact sympy number to a Scalar and gives
 None outside Q(i); a real or imaginary part that sympy's assumptions prove
-irrational gives None without sympy.simplify.  The branch search runs the
+irrational gives None without a minimal polynomial, and any other number is
+decided by its minimal polynomial over Q(i).  The branch search runs the
 same converter after every order but the last on each jet coefficient
 that holds no kernel parameter (lifting._prune_outside_field) and drops a
 branch with such a coefficient outside Q(i) there, not at readout.  These
@@ -28,11 +29,11 @@ R2, R3 = sp.sqrt(2), sp.sqrt(3)
 
 
 @pytest.fixture
-def no_simplify(monkeypatch):
+def no_minimal_polynomial(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("sympy.simplify reached")
+        raise AssertionError("sympy.minimal_polynomial reached")
 
-    monkeypatch.setattr(sp, "simplify", refuse)
+    monkeypatch.setattr(sp, "minimal_polynomial", refuse)
 
 
 @pytest.mark.parametrize("expr", [
@@ -41,7 +42,8 @@ def no_simplify(monkeypatch):
     # the real part -1/2 is rational: the imaginary part decides
     (-2 + 3 * R2 * sp.I) / 4,
 ], ids=str)
-def test_proved_irrational_is_outside_without_simplify(expr, no_simplify):
+def test_proved_irrational_is_outside_without_simplify(
+        expr, no_minimal_polynomial):
     assert _try_scalar(expr) is None
 
 
@@ -56,11 +58,30 @@ def test_rational_value_with_radicals_converts():
     ((R2 + 1) * (R2 - 1), 1),
     (1 / (1 + R2) - R2, -1),
 ], ids=str)
-def test_undecided_value_goes_through_simplify(expr, value):
+def test_undecided_value_goes_through_minimal_polynomial(expr, value):
     # sympy's assumptions cannot tell whether these are rational
     re, _ = expr.as_real_imag()
     assert re.is_rational is None
     assert _try_scalar(expr) == Scalar(value)
+
+
+def test_nested_radical_value_converts():
+    # sqrt(3 + 2 sqrt 2) = 1 + sqrt 2, a nesting sympy.simplify leaves
+    nested = sp.sqrt(3 + 2 * R2) - R2
+    assert nested.as_real_imag()[0].is_rational is None
+    assert _try_scalar(nested) == Scalar(1)
+    assert _try_scalar(sp.I * nested) == Scalar(0, 1)
+
+
+@pytest.mark.parametrize("expr", [
+    sp.sqrt(3 + 2 * R2),
+    # as_real_imag writes both parts with cos and sin of atan(2) / 2
+    sp.sqrt(1 + 2 * sp.I),
+], ids=str)
+def test_undecided_irrational_is_outside(expr):
+    # the minimal polynomial has degree 2: x^2 - 2x - 1, x^2 - (1 + 2i)
+    assert None in [part.is_rational for part in expr.as_real_imag()]
+    assert _try_scalar(expr) is None
 
 
 def _assert_equivalent(spec, monkeypatch):
