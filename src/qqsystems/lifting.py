@@ -28,12 +28,15 @@ constraint system is solved through its reduced Groebner basis: the same
 ideal, hence the same solutions, without the system's redundant rows.  A
 basis [1] closes its branch without sympy.solve.  A branch leaves the
 search as soon as a jet coefficient that holds no parameter lies outside
-Q(i), decided exactly (_try_scalar): substitution never changes such a
-coefficient, so the readout would drop the branch and all that grow from
-it.  It is counted once, as a dropped branch.
+Q(i), decided exactly (_try_scalar), after every order: substitution
+never changes such a coefficient, so the readout would drop the branch
+and all that grow from it.  It is counted once, as a dropped branch.
 A finished branch is read out once, with its ramification normalised.
-Every returned branch carries an exact residual-valuation certificate,
-which makes correctness independent of how the series was found.
+Both paths return every branch they find in Q(i) with its exact
+residual-valuation certificate and judge none: the caller (the CLI) is the
+one judge, for Newton and ramified lifts alike, so correctness is
+independent of how the series was found, and a branch whose certificate
+fails is reported, not dropped.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ class LiftError(RuntimeError):
 
 
 class RamificationBoundExceededError(LiftError):
-    """No branch certified at any ramification index up to the bound."""
+    """The search found no branch at any ramification index up to the
+    bound."""
 
     reason = "ramification_bound_exceeded"
 
@@ -202,18 +206,22 @@ _MAX_BRANCHES = 256
 
 def lift_ramified(sol: InfiniteSolution, spec: ProblemSpec
                   ) -> List[LiftedSolution]:
-    """All certified branches at the ramification indices the base admits.
+    """Every branch at the ramification indices the base admits, each
+    with its certificate, which is not judged here: the CLI lists an
+    uncertified lift and records a certificate_failure for it.
 
     The branch search runs at each N <= N_max that admitted_indices
     leaves (every N when min(m, n) >= 2); N_max, spec.ramification_bound,
     is a cap.  Each branch comes out of the search with its minimal
     ramification, and a series found again at a higher index is dropped,
-    so each series solution appears once.  A ramification_bound_exceeded
-    failure counts the branches dropped outside Q(i) at the searched
-    indices only, each once where it was dropped: an open branch at the
-    first order where a parameter-free coefficient leaves Q(i), a finished
-    one at readout.  At a generic base the one branch, found at N = 1, is
-    the Newton lift; the CLI sends such bases to lift_newton instead.
+    so each series solution appears once.  ramification_bound_exceeded is
+    raised only when the search returns no branch; its message counts the
+    branches dropped outside Q(i) at the searched indices only, each once
+    where it was dropped: at the first order where a parameter-free
+    coefficient leaves Q(i), or at readout where one leaves it once the
+    free parameters are pinned to zero.  At a generic base the one
+    branch, found at N = 1, is the Newton lift; the CLI sends such bases
+    to lift_newton instead.
     """
     n_max = spec.ramification_bound
     expansion = expanded_residual(spec, sol.x0 + sol.y0)
@@ -225,13 +233,9 @@ def lift_ramified(sol: InfiniteSolution, spec: ProblemSpec
         dropped_outside_field += dropped
         for point in points:
             key = _branch_key(point)
-            if key in seen_keys:
-                continue
-            lifted = LiftedSolution.of(point, sol, spec)
-            if not lifted.certified():
-                continue
-            seen_keys.add(key)
-            found.append(lifted)
+            if key not in seen_keys:
+                seen_keys.add(key)
+                found.append(LiftedSolution.of(point, sol, spec))
     if not found:
         extra = ""
         if dropped_outside_field:
@@ -274,19 +278,19 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
     block give polynomial consistency constraints on the parameters,
     whose finitely many exact solutions (_constraint_solutions) are
     branched on.
-    After each order but the last, _prune_outside_field drops the
-    branches with a parameter-free coefficient outside Q(i), before the
-    _MAX_BRANCHES check.  After the last order the parameters still free
-    are pinned to zero and each branch is read out with its ramification
-    normalised: when g = gcd(N, exponents of its nonzero coefficients) > 1
-    it is a series in s^g with index N/g.  A branch with a coefficient
-    outside Q(i) is dropped there.  Each dropped branch counts once in the
+    After every order, the last one included, _prune_outside_field drops
+    the branches with a parameter-free coefficient outside Q(i), before
+    the _MAX_BRANCHES check.  After the last order the parameters still
+    free are pinned to zero and each branch is read out with its
+    ramification normalised: when g = gcd(N, exponents of its nonzero
+    coefficients) > 1 it is a series in s^g with index N/g.  A branch
+    with a coefficient that leaves Q(i) only once its parameters are
+    pinned is dropped there.  Each dropped branch counts once in the
     returned count: a pruned branch is not followed to its leaves.
     """
     import sympy as sp
 
     dim = spec.m + spec.n
-    k_s = spec.K * n_ram
     reduced, pivots = rref([row + [ONE if c == i else ZERO for c in range(dim)]
                             for i, row in enumerate(jacobian_at_zero(expansion))])
     red = [[_scalar_to_sympy(e) for e in row] for row in reduced]
@@ -309,7 +313,7 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
 
     branches = [[[sp.Integer(0)]] * dim]
     dropped = 0
-    for order in range(1, k_s + 1):
+    for order in range(1, spec.K * n_ram + 1):
         next_branches = []
         for jets in branches:
             # a term c delta^a t^j reads s^(order - N j) of delta^a
@@ -329,9 +333,8 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
                     corr[pc] = sp.expand(val)
                 next_branches.append([[v.subs(subs) for v in jet] + [corr[i]]
                                       for i, jet in enumerate(jets)])
-        if order < k_s:
-            next_branches, pruned = _prune_outside_field(next_branches)
-            dropped += pruned
+        next_branches, pruned = _prune_outside_field(next_branches)
+        dropped += pruned
         if len(next_branches) > _MAX_BRANCHES:
             raise BranchExplosionError(
                 f"{len(next_branches)} open branches at s-order {order} "
@@ -362,9 +365,12 @@ def _scalar_to_sympy(c: Scalar):
 def _prune_outside_field(branches: List[list]) -> Tuple[List[list], int]:
     """The open branches none of whose parameter-free jet coefficients
     lies outside Q(i) (_try_scalar), and how many others there were.
-    Substitution replaces only parameters, so such a coefficient reaches
-    the readout unchanged, where it would drop the branch and every
-    branch grown from it: dropping it now is exact, and counts it once."""
+    Run after every order, the last one included.  Substitution replaces
+    only parameters, so such a coefficient reaches the readout unchanged,
+    where it would drop the branch and every branch grown from it:
+    dropping it now is exact, and counts it once.  What the readout still
+    drops is a coefficient that holds a parameter and leaves Q(i) once the
+    parameters are pinned to zero."""
     import sympy as sp
     kept = [jets for jets in branches
             if not any(not (c.is_Rational or c.free_symbols)

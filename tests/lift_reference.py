@@ -8,21 +8,23 @@ c_k = -J0^-1 defect_k, with the general J0^-1 that row reduction of
 The property test in ``test_lifting.py`` holds ``lift_newton`` to this
 loop: equal lifts, equal JSON.
 
-lift_ramified_every_index is the loop that
-``qqsystems.lifting.lift_ramified`` replaced with a search at the indices
-the base admits (``admitted_indices``): it runs the same branch search at
-every N from 1 to N_max.  The equivalence tests hold ``lift_ramified`` to
-it: equal lifts, and the same exception type and reason.
+lift_ramified_every_index is ``qqsystems.lifting.lift_ramified`` with
+``admitted_indices`` patched to return every N from 1 to N_max, as the
+search ran before it read the indices a base admits.  It shares every
+other line with production, so the equivalence tests that hold
+``lift_ramified`` to it (equal lifts, and the same exception type and
+reason) test the index reader alone.
 """
 
 from __future__ import annotations
 
 from typing import List
+from unittest import mock
 
+from qqsystems import lifting
 from qqsystems.infinite import InfiniteSolution
 from qqsystems.linalg import solve_unique
-from qqsystems.lifting import (LiftedSolution, RamificationBoundExceededError,
-                               _branch_key, _branch_search, _coeff_keys)
+from qqsystems.lifting import LiftedSolution
 from qqsystems.scalar import ONE, ZERO
 from qqsystems.series import Series
 from qqsystems.systems import (CandidatePoint, ProblemSpec, evaluate_residual,
@@ -56,32 +58,8 @@ def lift_newton(sol: InfiniteSolution, spec: ProblemSpec) -> LiftedSolution:
 
 def lift_ramified_every_index(sol: InfiniteSolution, spec: ProblemSpec
                               ) -> List[LiftedSolution]:
-    n_max = spec.ramification_bound
-    expansion = expanded_residual(spec, sol.x0 + sol.y0)
-    found: List[LiftedSolution] = []
-    seen_keys = set()
-    dropped_outside_field = 0
-    for n_ram in range(1, n_max + 1):
-        points, dropped = _branch_search(sol, spec, expansion, n_ram)
-        dropped_outside_field += dropped
-        for point in points:
-            key = _branch_key(point)
-            if key in seen_keys:
-                continue
-            lifted = LiftedSolution.of(point, sol, spec)
-            if not lifted.certified():
-                continue
-            seen_keys.add(key)
-            found.append(lifted)
-    if not found:
-        extra = ""
-        if dropped_outside_field:
-            extra = (f" ({dropped_outside_field} branch(es) exist with "
-                     "coefficients outside the Gaussian rationals and were "
-                     "dropped; this base is not liftable in the exact field)")
-        raise RamificationBoundExceededError(
-            f"no branch certified for any ramification index <= {n_max}"
-            + extra)
-    found.sort(key=lambda ls: (ls.n_ram, _coeff_keys(ls.point.x),
-                               _coeff_keys(ls.point.y)))
-    return found
+    def every_index(sol, spec):
+        return list(range(1, spec.ramification_bound + 1))
+
+    with mock.patch.object(lifting, "admitted_indices", every_index):
+        return lifting.lift_ramified(sol, spec)

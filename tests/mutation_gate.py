@@ -124,8 +124,8 @@ MUTANTS = [
       "test_ladder_lifts_equal_the_every_index_search"]),
     # a branch pruned outside Q(i) must count once in the failure message
     ("the search does not count a pruned branch", "lifting.py",
-     "            dropped += pruned",
-     "            dropped += 0",
+     "        dropped += pruned",
+     "        dropped += 0",
      ["tests/test_outside_field.py::"
       "test_ladder_lifts_equal_the_unpruned_search"]),
     # (sqrt 2 + 1)(sqrt 2 - 1) = 1: undecided is not irrational
@@ -146,6 +146,19 @@ MUTANTS = [
      "    out.sort(key=lambda s: tuple(v.sort_key() for v in s.x0))",
      "    out.sort(key=lambda s: tuple((v.re.numerator, v.im) for v in s.x0))",
      ["tests/test_metamorphic.py"]),
+    # the CLI is the one judge of a ramified lift: a search branch whose
+    # certificate fails must be listed, not dropped before it
+    ("lift_ramified drops an uncertified branch", "lifting.py",
+     "                found.append(LiftedSolution.of(point, sol, spec))",
+     "                found += [ls for ls in [LiftedSolution.of(point, sol, spec)] if ls.certified()]",
+     ["tests/test_cli.py::test_uncertified_ramified_lift_is_reported"]),
+    # a Gaussian shift with a fractional imaginary part, as qq scaling
+    # makes of 1 + i, needs its denominator cleared before ZZ_I takes it
+    ("the larger side's eliminant clears only real denominators",
+     "lifting.py",
+     "    scale = lcm(*(x.denominator for c in scalars for x in (c.re, c.im)))",
+     "    scale = lcm(*(c.re.denominator for c in scalars))",
+     ["tests/test_metamorphic.py::test_qq_scaling_weights_each_order"]),
     ("a spec file nested too deeply escapes the CLI", "cli.py",
      "    except (OSError, ValueError, RecursionError) as exc:",
      "    except (OSError, ValueError) as exc:",

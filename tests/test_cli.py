@@ -16,6 +16,9 @@ from hypothesis import given, settings, strategies as st
 from qqsystems import cli, lifting
 from qqsystems.cli import (main, EXIT_OK, EXIT_VALIDATION, EXIT_RAMIFICATION,
                            EXIT_CERTIFICATE)
+from qqsystems.scalar import Scalar
+from qqsystems.series import Series
+from qqsystems.systems import CandidatePoint
 
 
 def write_spec(tmp_path, obj, name="spec.json"):
@@ -367,6 +370,31 @@ def test_solve_reports_certificate_failure(tmp_path, capsys, monkeypatch):
     report = json.loads(capsys.readouterr().out)
     assert [f["reason"] for f in report["failures"]] == ["certificate_failure"]
     assert report["bases"][0]["lifts"][0]["certified"] is False
+
+
+def test_uncertified_ramified_lift_is_reported(tmp_path, capsys,
+                                               monkeypatch):
+    # the CLI judges ramified lifts as it judges Newton ones: a branch the
+    # search returns is listed even when its certificate fails, and the
+    # failure is counted, not lost in a ramification_bound_exceeded
+    def search(sol, spec, expansion, n_ram):
+        # the exact branch x = 1 + 2t, y = 1 - 2t, its x t^2 coefficient 1
+        x = Series(1, [Scalar(c) for c in (1, 2, 1, 0, 0)])
+        y = Series(1, [Scalar(c) for c in (1, -2, 0, 0, 0)])
+        return [CandidatePoint((x,), (y,))], 0
+
+    monkeypatch.setattr(lifting, "_branch_search", search)
+    spec = write_spec(tmp_path, {"mode": "qq", "m": 1, "n": 1, "K": 4,
+                                 "lambda": _shifts(["1", 2])})
+    assert main(["solve", spec]) == EXIT_CERTIFICATE
+    report = json.loads(capsys.readouterr().out)
+    # the wrong t^2 coefficient also leaves a Bethe residual of order t
+    assert [f["reason"] for f in report["failures"]] == [
+        "certificate_failure", "bethe_valuation"]
+    [entry] = report["bases"]
+    assert entry["branch_count"] == 1
+    assert [lift["certified"] for lift in entry["lifts"]] == [False]
+    assert entry["lifts"][0]["x"][0]["coeffs"] == ["1", "2", "1", "0", "0"]
 
 
 def test_every_solve_reason_has_an_exit_code():

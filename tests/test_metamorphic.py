@@ -10,6 +10,21 @@ a certificate or Bethe valuation, an exit code or a failure (reason and
 message, its dropped-branch count included), and as lam > 0 and c is
 real neither changes the order of the bases or of their lifts.
 
+qq scaling: the shifts a_j -> a_j / lam, lam > 0, send x(t) to
+x(lam t) / lam, so the t^e coefficient c_e of every jet becomes
+c_e lam^(e - 1); with lam = mu^L, L the lcm of the indices N in the
+report, every such power is an integer power of mu.  A positive lam keeps
+the order of the bases and of their lifts.  qq swap: (m, n) -> (n, m)
+exchanges P and M, and W(M, P) = -W(P, M), so the x and y jets of each
+branch trade places and t -> -t; the Bethe roots move to the other
+polynomial, so only the lifts and the branch counts are compared, as
+multisets.  The search breaks the swap on a triple shift split between
+the sides (ROADMAP item 16), which the drawn swap specs leave out and
+strict xfails hold.  Conjugation, in both modes: conjugating the shifts and q
+conjugates every base value and every jet (x, y, alpha, Bethe roots) and
+changes no count, certificate, valuation, failure or exit code; as it may
+reorder bases and lifts, the reports are compared as multisets.
+
 Each test draws a degenerate spec (a repeated shift, m + n <= 3,
 K <= 2, Lambda(0) != 0 before and after the map), runs the CLI's solve
 on it and on its image, and compares the image's report with the map
@@ -22,8 +37,10 @@ import json
 import os
 import tempfile
 from fractions import Fraction
+from math import lcm
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qqsystems import cli
 from qqsystems.scalar import Scalar
@@ -124,3 +141,144 @@ def test_QQ_scaling_divides_every_jet(lam, q, scale, data):
 
     assert scaled == (code, _map_report(report, lambda v: v / scale,
                                         jet_map))
+
+
+def _key(obj):
+    return json.dumps(obj, sort_keys=True)
+
+
+def _as_multisets(report):
+    """The report with each list the system leaves unordered read as a
+    multiset: the bases, each base's lifts, the failures, the values and
+    jets of each side, and the Bethe roots, each with its valuation."""
+    def values(base):
+        return dict(base, x0=sorted(base["x0"], key=_key),
+                    y0=sorted(base["y0"], key=_key))
+
+    def lift(item):
+        bethe, roots = item["bethe"], item["bethe"]["roots"]
+        vals = bethe["residual_valuations"]
+        pairs = sorted(zip(roots, vals or [None] * len(roots)), key=_key)
+        return _key(dict(item, base=values(item["base"]),
+                         x=sorted(item["x"], key=_key),
+                         y=sorted(item["y"], key=_key),
+                         bethe=dict(bethe, roots=pairs,
+                                    residual_valuations=vals is None)))
+
+    return {"failures": sorted(report["failures"], key=_key),
+            "bases": sorted(_key(dict(entry, base=values(entry["base"]),
+                                      lifts=sorted(map(lift, entry["lifts"]))))
+                            for entry in report["bases"])}
+
+
+def _jet_exponents(jet):
+    """Each coefficient of the jet with its exponent in t."""
+    return [(Fraction(jet["offset"] + k, jet["N"]), Scalar.from_json(c))
+            for k, c in enumerate(jet["coeffs"])]
+
+
+@settings(max_examples=10, deadline=None)
+@given(degenerate_lambda(), st.sampled_from(SCALES), st.data())
+def test_qq_scaling_weights_each_order(lam, mu, data):
+    m = data.draw(st.integers(0, sum(mult for _, mult in lam)))
+    K = data.draw(st.integers(1, 2))
+    code, report = _solve(_spec("qq", lam, m, K))
+    power = lcm(1, *(item["N"] for entry in report["bases"]
+                     for item in entry["lifts"]))
+    scale = mu ** power
+    scaled = _solve(_spec("qq", [(a / scale, mult) for a, mult in lam], m,
+                          K))
+
+    def jet_map(jet, sign):
+        # scale^(e - 1) = mu^(power (e - 1)), an integer power: N | power
+        return dict(jet, coeffs=[(c * mu ** int(power * (e - 1))).to_json()
+                                 for e, c in _jet_exponents(jet)])
+
+    assert scaled == (code, _map_report(report, lambda v: v / scale,
+                                        jet_map))
+
+
+def _lifts_and_counts(report, swap):
+    """Each base with its branch count and lifts, as multisets, and the
+    jets of a side unordered, as the coordinates of a point; swap
+    exchanges the x and y sides and maps t -> -t."""
+    def flip(jet):
+        assert jet["N"] == 1, jet  # qq draws have N = 1 branches only
+        return dict(jet, coeffs=[(c * (-1) ** int(e)).to_json()
+                                 for e, c in _jet_exponents(jet)])
+
+    def jets(side):
+        return sorted((flip(j) if swap else j for j in side), key=_key)
+
+    x, y = ("y", "x") if swap else ("x", "y")
+    return sorted(_key([entry["base"][x + "0"], entry["base"][y + "0"],
+                        entry.get("branch_count"), sorted(_key({
+                            "N": item["N"], "order": item["order"],
+                            "x": jets(item[x]), "y": jets(item[y]),
+                            "residual_valuation": item["residual_valuation"],
+                            "certified": item["certified"]})
+                            for item in entry["lifts"])])
+                  for entry in report["bases"])
+
+
+def _assert_swap(lam, m, K):
+    deg = sum(mult for _, mult in lam)
+    _, report = _solve(_spec("qq", lam, m, K))
+    _, swapped = _solve(_spec("qq", lam, deg - m, K))
+    assert _lifts_and_counts(swapped, False) == _lifts_and_counts(report, True)
+
+
+def _shared_triple(lam, m):
+    """A triple shift split between both sides: ROADMAP item 16's base,
+    whose branch count and top coefficients the search gets wrong."""
+    return lam[0][1] == 3 and 0 < m < 3
+
+
+@settings(max_examples=10, deadline=None)
+@given(degenerate_lambda(), st.data())
+def test_qq_swap_exchanges_the_jets(lam, data):
+    m = data.draw(st.integers(0, sum(mult for _, mult in lam)))
+    assume(not _shared_triple(lam, m))  # test_swap_on_a_shared_triple
+    _assert_swap(lam, m, data.draw(st.integers(1, 2)))
+
+
+# qq (z+a)^3, (1, 2) against (2, 1): K = 1 gives x = 1 - t, y = (1, 1)
+# against y = 1 - t and x = (1, 1) exactly, as the search pins a kernel
+# parameter still free at the last order to 0, and K = 2 gives two
+# branches against one (the census counts three at each base)
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 16: a shared triple shift's "
+                   "branches depend on the side order")
+@pytest.mark.parametrize("a", [POOL[0], POOL[4]], ids=str)
+@pytest.mark.parametrize("K", [1, 2])
+def test_swap_on_a_shared_triple(a, K):
+    _assert_swap([(a, 3)], 1, K)
+
+
+def _conj(v):
+    return Scalar(v.re, -v.im)
+
+
+@settings(max_examples=6, deadline=None)
+# QQ draws a shift at most twice, as in test_QQ_scaling_divides_every_jet
+@given(st.sampled_from(["qq", "QQ"]), st.sampled_from(QS), st.data())
+def test_conjugation_conjugates_every_jet(mode, q, data):
+    lam = data.draw(degenerate_lambda(top=3 if mode == "qq" else 2))
+    assume(any(a.im for a, _ in lam))  # conjugation moves a shift
+    m = data.draw(st.integers(0, sum(mult for _, mult in lam)))
+    K = data.draw(st.integers(1, 2))
+    q = q if mode == "QQ" else None
+    code, report = _solve(_spec(mode, lam, m, K, q))
+    conj = _solve(_spec(mode, [(_conj(a), mult) for a, mult in lam], m, K,
+                        q and _conj(q)))
+
+    def jet_map(jet, sign):
+        return dict(jet, coeffs=[_conj(Scalar.from_json(c)).to_json()
+                                 for c in jet["coeffs"]])
+
+    image = _map_report(report, _conj, jet_map)
+    for entry in image["bases"]:
+        for item in entry["lifts"]:
+            if item["alpha"] is not None:
+                item["alpha"] = jet_map(item["alpha"], 1)
+    assert (conj[0], _as_multisets(conj[1])) == (code, _as_multisets(image))

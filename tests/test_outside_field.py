@@ -4,9 +4,10 @@ lifting._try_scalar converts an exact sympy number to a Scalar and gives
 None outside Q(i); a real or imaginary part that sympy's assumptions prove
 irrational gives None without a minimal polynomial, and any other number is
 decided by its minimal polynomial over Q(i).  The branch search runs the
-same converter after every order but the last on each jet coefficient
-that holds no kernel parameter (lifting._prune_outside_field) and drops a
-branch with such a coefficient outside Q(i) there, not at readout.  These
+same converter after every order, the last one included, on each jet
+coefficient that holds no kernel parameter (lifting._prune_outside_field)
+and drops a branch with such a coefficient outside Q(i) there, not at
+readout.  These
 tests hold the converter to hand-checked values and hold lift_ramified to
 the unpruned search (the helper patched to keep every branch): the same
 lifts, or the same failure with the same message, dropped count included.
