@@ -69,6 +69,18 @@ CASES = {
         "solve", {"mode": "QQ", "q": "3", "lambda": _shifts(("1", 3)),
                   "m": 2, "n": 1, "K": 2},
         "1304d2c89d929516c2889f962f0dd834c6dfe39a3d0603add37cd75af44aa9e6"),
+    # the mirror of the K = 3 ladder op: its order-2 constraints hold a
+    # square root of a parameter, like the ladder op's
+    "qq (z+1)^3 m=1 n=2 K=3": (
+        "solve", {"mode": "qq", "lambda": _shifts(("1", 3)),
+                  "m": 1, "n": 2, "K": 3},
+        "f56a97ea39bc84024a6e116c32fcee84b2cca10044ee2fbfcb956f4725600218"),
+    # exit 3 with 6 branches dropped outside Q(i): the count is read from
+    # the solutions sympy.solve returns
+    "QQ (z+1)^3 q=1/2 m=2 n=1 K=1": (
+        "solve", {"mode": "QQ", "q": "1/2", "lambda": _shifts(("1", 3)),
+                  "m": 2, "n": 1, "K": 1},
+        "6bcf79f561658ee4359d21e3b46b3d4f514c517aa332dee4ae9c9cecc9735d94"),
     "qq (z+1)^2(z+5) m=2 n=1": (
         "solve", {"mode": "qq", "lambda": _shifts(("1", 2), ("5", 1)),
                   "m": 2, "n": 1},
