@@ -26,9 +26,13 @@ singular Jacobian as symbolic parameters, and branches on the finitely
 many parameter values that keep the next orders consistent.  Each
 constraint system is solved through its reduced Groebner basis: the same
 ideal, hence the same solutions, without the system's redundant rows.  A
-basis [1] closes its branch without sympy.solve.  A branch leaves the
-search as soon as a jet coefficient that holds no parameter lies outside
-Q(i), decided exactly (_try_scalar), after every order: substitution
+radical of the parameters, which an earlier order's solve leaves, enters
+the basis as a generator of its own and is put back before sympy.solve:
+putting it back is a ring homomorphism, so this too keeps the ideal.  A
+basis [1] closes its branch without sympy.solve, and sympy.solve skips
+its simplify pass but keeps its check.  A branch leaves the search as
+soon as a jet coefficient that holds no parameter lies outside Q(i),
+decided exactly (_try_scalar), after every order: substitution
 never changes such a coefficient, so the readout would drop the branch
 and all that grow from it.  It is counted once, as a dropped branch.
 A finished branch is read out once, with its ramification normalised.
@@ -407,9 +411,21 @@ def _constraint_solutions(constraints) -> List[dict]:
     generates the same ideal, so sympy.solve is given the basis, which
     has the system's solutions and drops the proportional rows (e and 2e)
     the zero rows often give; a basis [1] proves the system empty over C
-    (Nullstellensatz) without it.  Where sympy.groebner cannot take the
-    system (a coefficient such as sqrt(brk_...) of a parameter), the
-    system itself is solved.
+    (Nullstellensatz) without it.
+    A radical of the parameters (a Pow with a non-integer exponent whose
+    base holds one, such as the sqrt(1 - 6 brk_1_2 - 3 brk_1_2^2) an
+    earlier order's solve leaves) is no polynomial to sympy.groebner, so
+    each distinct one becomes a generator of its own, after the
+    parameters (in default_sort_key order), and is put back into the
+    basis.  This is exact: sending each generator back to its radical is
+    a ring homomorphism, so the basis with its radicals put back generates
+    the same ideal of functions as the system, with the same zeros.
+    Where sympy.groebner still cannot take the system (a parameter in a
+    denominator), the system itself is solved.
+    sympy.solve skips its simplify pass, which rewrites each solution it
+    returns, but keeps its check, which drops candidates that do not
+    satisfy the system: without it such candidates reach the readout, and
+    some specs end in a traceback (nan in _try_scalar).
     UndecidedConstraintsError when sympy can neither solve the system nor
     prove it empty."""
     import sympy as sp
@@ -421,13 +437,20 @@ def _constraint_solutions(constraints) -> List[dict]:
                       key=lambda p: p.name)
     if not involved:
         return []  # nonzero constant constraint
+    radicals = sorted({e for c in live for e in c.atoms(sp.Pow)
+                       if not e.exp.is_Integer and e.base.free_symbols},
+                      key=sp.default_sort_key)
+    gens = {r: sp.Dummy() for r in radicals}
+    put_back = {g: r for r, g in gens.items()}
     try:
-        basis = sp.groebner(live, *involved, order="grevlex",
-                            extension=True).exprs
+        basis = [b.xreplace(put_back) for b in sp.groebner(
+            [c.xreplace(gens) for c in live], *involved, *gens.values(),
+            order="grevlex", extension=True).exprs]
     except (BasePolynomialError, NotImplementedError):
         basis = live
     try:
-        sols = [] if basis == [1] else sp.solve(basis, involved, dict=True)
+        sols = [] if basis == [1] else sp.solve(basis, involved, dict=True,
+                                                simplify=False)
     except NotImplementedError as exc:
         raise UndecidedConstraintsError(
             f"sympy cannot solve {len(live)} consistency constraint(s) on "

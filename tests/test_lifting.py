@@ -421,17 +421,65 @@ class TestConstraintSolutions:
                            for sol in sols), (live, raw)
 
     def test_raw_system_solved_where_the_basis_fails(self):
-        # sqrt of a parameter, as in the (z+a)^3 K=3 search, is no
-        # polynomial to sympy.groebner; the system itself is then solved
+        # a parameter in a denominator is no polynomial to sympy.groebner,
+        # and no radical to turn into a generator; the system itself is
+        # then solved
         import sympy
         from sympy.polys.polyerrors import BasePolynomialError
         p, q = sympy.symbols("brk_1_0 brk_1_1")
-        live = [p ** 2 - sympy.sqrt(q), p - 1]
+        live = [p ** 2 - 1 / q, p - 1]
         with pytest.raises(BasePolynomialError):
             sympy.groebner(live, p, q, order="grevlex", extension=True)
         raw = sympy.solve(live, [p, q], dict=True)
         assert raw == [{p: 1, q: 1}]
         assert _constraint_solutions(live) == raw
+
+    def test_radicals_of_the_parameters_become_generators(self, monkeypatch):
+        # qq (z+1)^3 (2, 1) K = 3: the order-1 conic b1^2 + b1 b2 - b1 +
+        # b2^2 + b2 = 0 is solved in radicals, so each order-2 system
+        # holds sqrt(1 - 6 b2 - 3 b2^2), on which sympy.groebner raises.
+        # With the radical as a generator, sympy.solve gets a 5-element
+        # basis holding b2^3 + 3 b2^2, and finds what it finds on the raw
+        # system
+        import sympy
+        spec = qq_spec([(1, 3)], 2, 1)
+        met = []
+        inner = lifting._constraint_solutions
+
+        def recording(constraints):
+            met.append([c for c in map(sympy.expand, constraints) if c != 0])
+            return inner(constraints)
+
+        monkeypatch.setattr(lifting, "_constraint_solutions", recording)
+        for base in enumerate_infinite_solutions(spec):
+            lift_ramified(base, spec)
+        monkeypatch.undo()
+        radical = [live for live in met
+                   if any(not e.exp.is_Integer and e.base.free_symbols
+                          for c in live for e in c.atoms(sympy.Pow))]
+        assert len(radical) == 2
+        b2, c1, c2 = sympy.symbols("brk_1_2 brk_2_1 brk_2_2")
+        given = []
+        solve = sympy.solve
+
+        def spying(system, *args, **kwargs):
+            given.append(system)
+            return solve(system, *args, **kwargs)
+
+        def as_set(sols):
+            return {frozenset((k, sympy.expand(v)) for k, v in s.items())
+                    for s in sols}
+
+        got = []
+        for live in radical:
+            monkeypatch.setattr(sympy, "solve", spying)
+            got.append(as_set(_constraint_solutions(live)))
+            monkeypatch.undo()
+            assert got[-1] == as_set(sympy.solve(live, _involved(live),
+                                                 dict=True)), live
+            assert len(given[-1]) == 5 and b2 ** 3 + 3 * b2 ** 2 in given[-1]
+        root = (-2 + 3 * sympy.sqrt(2) * sympy.I) * c2 / 4
+        assert as_set([{b2: 0, c1: c2}, {b2: -3, c1: root}]) in got
 
 
 def _involved(live):
