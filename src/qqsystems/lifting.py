@@ -247,7 +247,7 @@ def lift_ramified(sol: InfiniteSolution, spec: ProblemSpec
                      "coefficients outside the Gaussian rationals and were "
                      "dropped; this base is not liftable in the exact field)")
         raise RamificationBoundExceededError(
-            f"no branch certified for any ramification index <= {n_max}"
+            f"no branch found at any ramification index <= {n_max}"
             + extra)
     found.sort(key=lambda ls: (ls.n_ram, _coeff_keys(ls.point.x),
                                _coeff_keys(ls.point.y)))
