@@ -29,10 +29,9 @@ ideal, hence the same solutions, without the system's redundant rows.  A
 radical of the parameters, which an earlier order's solve leaves, enters
 the basis as a generator of its own and is put back before sympy.solve:
 putting it back is a ring homomorphism, so this too keeps the ideal.  A
-basis [1] closes its branch without sympy.solve, and sympy.solve skips
-its simplify pass but keeps its check.  A branch leaves the search as
-soon as a jet coefficient that holds no parameter lies outside Q(i),
-decided exactly (_try_scalar), after every order: substitution
+basis [1] closes its branch without sympy.solve.  A branch leaves the
+search as soon as a jet coefficient that holds no parameter lies outside
+Q(i), decided exactly (_try_scalar), after every order: substitution
 never changes such a coefficient, so the readout would drop the branch
 and all that grow from it.  It is counted once, as a dropped branch.
 A finished branch is read out once, with its ramification normalised.
@@ -422,10 +421,11 @@ def _constraint_solutions(constraints) -> List[dict]:
     the same ideal of functions as the system, with the same zeros.
     Where sympy.groebner still cannot take the system (a parameter in a
     denominator), the system itself is solved.
-    sympy.solve skips its simplify pass, which rewrites each solution it
-    returns, but keeps its check, which drops candidates that do not
-    satisfy the system: without it such candidates reach the readout, and
-    some specs end in a traceback (nan in _try_scalar).
+    sympy.solve keeps its simplify pass, though it takes much of the
+    search's time: its check, which drops candidates that do not satisfy
+    the system, evaluates the candidates numerically, and on the
+    unsimplified candidates of a system over sqrt(-I) (QQ (z+1)^3, q = 1
+    + i) it reads nan and raises TypeError.
     UndecidedConstraintsError when sympy can neither solve the system nor
     prove it empty."""
     import sympy as sp
@@ -449,8 +449,7 @@ def _constraint_solutions(constraints) -> List[dict]:
     except (BasePolynomialError, NotImplementedError):
         basis = live
     try:
-        sols = [] if basis == [1] else sp.solve(basis, involved, dict=True,
-                                                simplify=False)
+        sols = [] if basis == [1] else sp.solve(basis, involved, dict=True)
     except NotImplementedError as exc:
         raise UndecidedConstraintsError(
             f"sympy cannot solve {len(live)} consistency constraint(s) on "

@@ -143,8 +143,9 @@ QS = [Scalar(2), Scalar(3), Scalar(Fraction(1, 2)), Scalar(-2), Scalar(1, 1)]
 def degenerate_specs(draw):
     """Both modes, one repeated shift (twice or three times) and at most
     one simple one, m + n <= 3 (so min(m, n) <= 1), K <= 2, N_max <= 3.
-    A QQ triple shift at K = 2 takes 0.2 to 3 s in both searches together,
-    and up to 13 s at q = 1 + i, m = 2: its branches that leave Q(i) are
+    A QQ triple shift at K = 2, N_max = 3 takes 0.3 to 4 s of CPU in both
+    searches together at a real shift and a real q, and 3 to 26 s at
+    (z+1+-i)^3 or at q = 1 + i, m = 2: its branches that leave Q(i) are
     dropped at the first orders (lifting._prune_outside_field).  Only
     (z+1+-i)^3 at q = 1 + i, m = 2, N_max = 3 runs past 100 s, at K = 1
     and 2 alike, inside sympy.solve: about one run in 30 draws it."""

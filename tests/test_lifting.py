@@ -434,6 +434,19 @@ class TestConstraintSolutions:
         assert raw == [{p: 1, q: 1}]
         assert _constraint_solutions(live) == raw
 
+    def test_solve_keeps_its_simplify_pass(self):
+        # an order-2 system of QQ (z+1)^3, q = 1 + i, (2, 1), K = 2: on
+        # the unsimplified candidates sympy.solve's check reads nan and
+        # raises TypeError, which would escape the CLI as a traceback
+        import sympy
+        b2, c1, c2 = sympy.symbols("brk_1_2 brk_2_1 brk_2_2")
+        w = sympy.sqrt(6) * sympy.sqrt(-sympy.I)
+        rest = b2 * (w * c1 + (w * (1 + sympy.I) / 2 - 3 * sympy.I) * c2)
+        live = [2 * sympy.I * b2 ** 3 + rest - 1,
+                4 * sympy.I * b2 ** 3 + rest - 1 - sympy.I]
+        for sol in _constraint_solutions(live):
+            assert all(sympy.simplify(c.subs(sol)) == 0 for c in live), sol
+
     def test_radicals_of_the_parameters_become_generators(self, monkeypatch):
         # qq (z+1)^3 (2, 1) K = 3: the order-1 conic b1^2 + b1 b2 - b1 +
         # b2^2 + b2 = 0 is solved in radicals, so each order-2 system
