@@ -10,18 +10,24 @@ checked in t-cleared form, so everything stays a truncated series:
            the two-point clearing of the quotient form, twist zeta^2 = 1/t.
 
 Zero positions use z_j = -a_j for the master shifts a_j with n_j = m_j.
+This module owns the Bethe rules; the CLI only collects what they say.
 Nondegeneracy (simple, Lambda-disjoint, q-distinct) is decided at the
 level of truncated series: the pairwise differences must be invertible
 jets, which is exactly what makes the cleared residuals well-defined.
-Residuals are only emitted when the applicable flags pass.  The jets are
-exact polynomials, so every coefficient inside a residual's window is
-exact: bethe_report reads the residuals from jets widened by FIRST_GUARD
-t-orders, and by WORK_GUARD only when some residual is zero through that
-first window, and reports the valuations WORK_GUARD alone would give.  An
-exact branch (LiftedSolution.exact: its residual certificate found every
-component zero through its window) is read once, at WORK_GUARD.  The
-Gaudin sum takes one reciprocal per unordered root pair:
-1/(w_s - w_l) = -1/(w_l - w_s).
+nondegeneracy_check is the only collision check: bethe_report computes
+residuals only when every flag passes, and a residual called directly on
+colliding roots fails in Series.reciprocal (NonInvertibleSeriesError).
+QQ mode with |q| = 1 is one predicate, q_unit_modulus, and the least
+residual valuation a lift must show, valuation_bound, sits with the
+twists it follows from.  The jets are exact polynomials, so every
+coefficient inside a residual's window is exact: bethe_report reads the
+residuals from jets widened by FIRST_GUARD t-orders, and by WORK_GUARD
+only when some residual is zero through that first window, and reports
+the valuations WORK_GUARD alone would give.  An exact branch
+(LiftedSolution.exact: its residual certificate found every component
+zero through its window) is read once, at WORK_GUARD.  The Gaudin sum
+takes one reciprocal per unordered root pair: 1/(w_s - w_l) =
+-1/(w_l - w_s).
 """
 
 from __future__ import annotations
@@ -35,9 +41,6 @@ from .scalar import Scalar, ZERO, ONE
 from .series import Series
 from .systems import ProblemSpec
 
-TWIST_GAUDIN = "2*zeta = 1/t"
-TWIST_XXZ = "zeta^2 = 1/t"
-
 # extra window (in t-orders) granted by treating the jet as an exact
 # polynomial before dividing; reciprocal of a valuation-1 jet costs two.
 # bethe_report reads the residuals at FIRST_GUARD, and at WORK_GUARD only
@@ -48,13 +51,27 @@ TWIST_XXZ = "zeta^2 = 1/t"
 FIRST_GUARD = 1
 WORK_GUARD = 4
 
+TWIST_GAUDIN = "2*zeta = 1/t"
+TWIST_XXZ = "zeta^2 = 1/t"
+
+
+def valuation_bound(spec: ProblemSpec) -> Fraction:
+    """The least Bethe residual valuation an order-K lift must show: K
+    under the XXZ twist zeta^2 = 1/t, K - 1 under the Gaudin twist
+    2*zeta = 1/t."""
+    return Fraction(spec.K if spec.is_difference else spec.K - 1)
+
+
+def q_unit_modulus(spec: ProblemSpec) -> bool:
+    """QQ mode with |q| = 1.  validate() already rejects the Q(i) roots of
+    unity; for any other unit-modulus q the moduli of the roots do not fix
+    the exponent k of a q-collision, so q-distinctness is undecidable:
+    nondegeneracy_check raises, and the CLI refuses such a spec."""
+    return spec.is_difference and spec.q.abs2() == 1
+
 
 class UndecidableQDistinctnessError(ValueError):
     """|q| = 1 and q is not a root of unity: the moduli do not fix k."""
-
-
-class NondegeneracyError(ValueError):
-    """A residual denominator vanishes as a truncated series."""
 
 
 @dataclass(frozen=True)
@@ -102,15 +119,13 @@ def nondegeneracy_check(ls: LiftedSolution, spec: ProblemSpec
     mode, _collision_exponent's k in QQ mode, which does not depend on the
     pair's order since q^k w = v iff q^-k v = w.
     """
-    roots = _roots(ls)
-    diff = spec.is_difference
-    q2 = spec.q.abs2() if diff else None
-    if q2 == 1:
-        # validate() already rejects the Q(i) roots of unity; for any other
-        # unit-modulus q the moduli do not fix k
+    if q_unit_modulus(spec):
         raise UndecidableQDistinctnessError(
             "|q| = 1 with q not a root of unity: the moduli of the roots "
             "do not fix the exponent k of a q-collision")
+    roots = _roots(ls)
+    diff = spec.is_difference
+    q2 = spec.q.abs2() if diff else None
     flags = {"simple_zeros": True, "disjoint_from_lambda": True}
     if diff:
         flags["q_distinct"] = True
@@ -169,7 +184,9 @@ def _multiplicity(g: int, x: int) -> int:
 def gaudin_residual(ls: LiftedSolution, spec: ProblemSpec,
                     guard: int = WORK_GUARD) -> List[Series]:
     """t-cleared Gaudin residuals R_l, one per root, computed from the
-    jets widened to lift order + guard t-orders."""
+    jets widened to lift order + guard t-orders.  The roots must pass
+    nondegeneracy_check: two that coincide, or one on a Lambda zero, fail
+    in Series.reciprocal with NonInvertibleSeriesError."""
     if spec.is_difference:
         raise ValueError("Gaudin residuals apply to the differential mode")
     n_ram = ls.n_ram
@@ -182,19 +199,11 @@ def gaudin_residual(ls: LiftedSolution, spec: ProblemSpec,
     for l, w in enumerate(roots):
         acc = Series.const(ZERO, work_top, n_ram)
         for zv, mult in zeros:
-            diff = w - zv
-            if diff.is_zero:
-                raise NondegeneracyError(
-                    f"root {l + 1} collides with the Lambda zero {zv}")
-            acc = acc + diff.reciprocal() * Scalar(mult)
+            acc = acc + (w - zv).reciprocal() * Scalar(mult)
         for s in range(l):
             acc = acc + pair[s, l]
         for s in range(l + 1, len(roots)):
-            diff = w - roots[s]
-            if diff.is_zero:
-                raise NondegeneracyError(
-                    f"roots {l + 1} and {s + 1} coincide")
-            pair[l, s] = diff.reciprocal() * Scalar(2)
+            pair[l, s] = (w - roots[s]).reciprocal() * Scalar(2)
             acc = acc - pair[l, s]
         # the jet is exact as a polynomial, so the full work window is
         # meaningful: valuations beyond the lift order stay visible
@@ -241,11 +250,11 @@ def bethe_report(ls: LiftedSolution, spec: ProblemSpec) -> BetheReport:
     """
     roots = _roots(ls)
     flags = nondegeneracy_check(ls, spec)
-    twist = TWIST_XXZ if spec.is_difference else TWIST_GAUDIN
+    twist, residual = ((TWIST_XXZ, xxz_residual) if spec.is_difference
+                       else (TWIST_GAUDIN, gaudin_residual))
     if not all(flags.values()):
         return BetheReport(roots=roots, twist=twist, flags=flags,
                            residual_valuations=None)
-    residual = xxz_residual if spec.is_difference else gaudin_residual
     # an exact branch has Bethe residuals zero through every window: the
     # first reading is skipped (the values are WORK_GUARD's either way)
     for guard in (WORK_GUARD,) if ls.exact else (FIRST_GUARD, WORK_GUARD):

@@ -29,11 +29,10 @@ import stat
 import sys
 import tempfile
 import time
-from fractions import Fraction
 from typing import List, Optional
 
 from . import __version__
-from .bethe import bethe_report
+from .bethe import bethe_report, q_unit_modulus, valuation_bound
 from .infinite import enumerate_infinite_solutions
 from .lifting import LiftError, lift_newton, lift_ramified
 from .systems import ProblemSpec, SpecValidationError
@@ -122,9 +121,7 @@ def _refusals(spec: ProblemSpec) -> List[dict]:
         return [_failure("lambda_root_at_origin",
                          "Lambda(0) = 0: lifting theorems need a nonzero "
                          "shift-free origin")]
-    if spec.is_difference and spec.q.abs2() == 1:
-        # validate() rejects the roots of unity; for any other |q| = 1 the
-        # moduli of the Bethe roots do not fix the exponent of a q-collision
+    if q_unit_modulus(spec):
         return [_failure("q_unit_modulus",
                          f"|q| = 1 with q = {spec.q} not a root of unity: "
                          "q-distinctness of the Bethe roots is undecidable")]
@@ -135,7 +132,7 @@ def _solve(spec: ProblemSpec, failures: List[dict]) -> dict:
     """The report body: each base with its lifts, certified and
     Bethe-checked, then the advisory tropical block.  Each failure met on
     the way is appended to `failures`."""
-    bound = Fraction(spec.K if spec.is_difference else spec.K - 1)
+    bound = valuation_bound(spec)
     entries = []
     for base in enumerate_infinite_solutions(spec):
         entry = {"base": base.to_json(), "lifts": []}

@@ -77,6 +77,15 @@ def eliminant(spec: ProblemSpec) -> Optional[sp.Poly]:
     return sp.Poly(system(spec).det(method="berkowitz"), V, T)
 
 
+def smaller_value(spec: ProblemSpec, x0, y0):
+    """The key of a base's multiplicity: its root of the side the census
+    fixes at z + v (x0 and y0 are the base's Scalar values), or None when
+    min(m, n) = 0."""
+    if min(spec.m, spec.n) == 0:
+        return None
+    return _number(y0[0] if spec.m >= spec.n else x0[0])
+
+
 def multiplicities(spec: ProblemSpec) -> Dict[object, int]:
     """Each root v0 of F(v, 0) with its order, the number of branches
     through the base whose smaller side is z + v0; {None: 1} for k = 0,

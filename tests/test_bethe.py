@@ -6,13 +6,12 @@ from hypothesis import given, settings, strategies as st
 import bethe_reference
 from qqsystems import bethe
 from qqsystems.scalar import Scalar, ZERO, ONE
-from qqsystems.series import Series
+from qqsystems.series import NonInvertibleSeriesError, Series
 from qqsystems.systems import CandidatePoint, MasterData, ProblemSpec
 from qqsystems.infinite import InfiniteSolution, enumerate_infinite_solutions
 from qqsystems.lifting import lift_newton, lift_ramified, LiftedSolution
 from qqsystems.bethe import (bethe_report, nondegeneracy_check,
                              gaudin_residual, xxz_residual,
-                             NondegeneracyError,
                              UndecidableQDistinctnessError,
                              TWIST_GAUDIN, TWIST_XXZ)
 
@@ -103,8 +102,19 @@ class TestNondegeneracy:
         spec = ProblemSpec(mode="QQ", lam=master((1, 1), (2, 1)),
                            m=1, n=1, q=q, K=2)
         ls = lift_newton(enumerate_infinite_solutions(spec)[0], spec)
+        assert bethe.q_unit_modulus(spec)
         with pytest.raises(UndecidableQDistinctnessError):
             nondegeneracy_check(ls, spec)
+
+    def test_q_unit_modulus_only_in_difference_mode(self):
+        assert not bethe.q_unit_modulus(QQ_spec([(1, 1), (2, 1)], 1, 1, 3))
+        assert not bethe.q_unit_modulus(qq_spec([(1, 1), (2, 1)], 1, 1))
+
+
+def test_valuation_bound_follows_the_twist():
+    # K - 1 under the Gaudin twist 2*zeta = 1/t, K under zeta^2 = 1/t
+    assert bethe.valuation_bound(qq_spec([(1, 1), (2, 1)], 1, 1, K=4)) == 3
+    assert bethe.valuation_bound(QQ_spec([(1, 1), (2, 1)], 1, 1, 3, K=4)) == 4
 
 
 class TestGaudin:
@@ -139,22 +149,28 @@ class TestGaudin:
         with pytest.raises(ValueError):
             gaudin_residual(ls, spec)
 
-    def test_equal_roots_raise_nondegeneracy_error(self):
-        # equal jets leave 1/(w_1 - w_2) undefined: the guard names both
-        # roots before Series.reciprocal would fail
+    def test_equal_roots_fail_in_the_reciprocal(self):
+        # equal jets leave 1/(w_1 - w_2) undefined: the gate flags them and
+        # bethe_report computes no residual; a direct call fails in
+        # Series.reciprocal
         spec = qq_spec([(1, 1), (2, 1), (3, 1)], 2, 1)
         w = Series(1, [Scalar(5), ONE, ZERO])
         ls = _lift_with_roots([w, w], top=2, n_ram=1)
-        with pytest.raises(NondegeneracyError, match="roots 1 and 2 coincide"):
+        rep = bethe_report(ls, spec)
+        assert not rep.flags["simple_zeros"]
+        assert rep.residual_valuations is None
+        with pytest.raises(NonInvertibleSeriesError):
             gaudin_residual(ls, spec)
 
-    def test_root_on_lambda_zero_raises_nondegeneracy_error(self):
+    def test_root_on_lambda_zero_fails_in_the_reciprocal(self):
         # w = -2 is the zero of the factor z + 2 of Lambda
         spec = qq_spec([(1, 1), (2, 1)], 1, 1)
         ls = _lift_with_roots([Series.const(Scalar(-2), 2, 1)], top=2,
                               n_ram=1)
-        with pytest.raises(NondegeneracyError,
-                           match="root 1 collides with the Lambda zero -2"):
+        rep = bethe_report(ls, spec)
+        assert not rep.flags["disjoint_from_lambda"]
+        assert rep.residual_valuations is None
+        with pytest.raises(NonInvertibleSeriesError):
             gaudin_residual(ls, spec)
 
     def test_relabel_invariance(self):
