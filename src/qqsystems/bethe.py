@@ -19,11 +19,12 @@ residuals only when every flag passes, and a residual called directly on
 colliding roots fails in Series.reciprocal (NonInvertibleSeriesError).
 QQ mode with |q| = 1 is one predicate, q_unit_modulus, and the least
 residual valuation a lift must show, valuation_bound, sits with the
-twists it follows from.  The jets are exact polynomials, so every
-coefficient inside a residual's window is exact: bethe_report reads the
-residuals from jets widened by FIRST_GUARD t-orders, and by WORK_GUARD
-only when some residual is zero through that first window, and reports
-the valuations WORK_GUARD alone would give.  An exact branch
+twists it follows from: bethe_report compares each valuation with it,
+and BetheReport.failures states the ones below it.  The jets are exact
+polynomials, so every coefficient inside a residual's window is exact:
+bethe_report reads the residuals from jets widened by FIRST_GUARD
+t-orders, and by WORK_GUARD only when some residual is zero through that
+first window, and reports the valuations WORK_GUARD alone would give.  An exact branch
 (LiftedSolution.exact: its residual certificate found every component
 zero through its window) is read once, at WORK_GUARD.  The Gaudin sum
 takes one reciprocal per unordered root pair: 1/(w_s - w_l) =
@@ -79,13 +80,22 @@ class BetheReport:
     """Nondegeneracy flags and Bethe residual valuations of one lift.
 
     residual_valuations is None when some flag fails: the residuals are
-    gated and never computed.
+    gated and never computed.  bound is valuation_bound of the spec; a
+    valuation None (zero through its window) is above every bound.
     """
 
     roots: Tuple[Series, ...]
     twist: str
     flags: Dict[str, bool]
     residual_valuations: Optional[Tuple[Optional[Fraction], ...]]
+    bound: Fraction
+
+    @property
+    def failures(self) -> List[str]:
+        """One message per residual valuation below the bound."""
+        return [f"Bethe residual valuation {v} < {self.bound}"
+                for v in self.residual_valuations or ()
+                if v is not None and v < self.bound]
 
     def to_json(self):
         return {"roots": [r.to_json() for r in self.roots],
@@ -252,14 +262,14 @@ def bethe_report(ls: LiftedSolution, spec: ProblemSpec) -> BetheReport:
     flags = nondegeneracy_check(ls, spec)
     twist, residual = ((TWIST_XXZ, xxz_residual) if spec.is_difference
                        else (TWIST_GAUDIN, gaudin_residual))
-    if not all(flags.values()):
-        return BetheReport(roots=roots, twist=twist, flags=flags,
-                           residual_valuations=None)
-    # an exact branch has Bethe residuals zero through every window: the
-    # first reading is skipped (the values are WORK_GUARD's either way)
-    for guard in (WORK_GUARD,) if ls.exact else (FIRST_GUARD, WORK_GUARD):
-        vals = [r.valuation() for r in residual(ls, spec, guard)]
-        if None not in vals:
-            break
+    vals = None
+    if all(flags.values()):
+        # an exact branch has Bethe residuals zero through every window:
+        # the first reading is skipped (the values are WORK_GUARD's either
+        # way)
+        for guard in (WORK_GUARD,) if ls.exact else (FIRST_GUARD, WORK_GUARD):
+            vals = tuple(r.valuation() for r in residual(ls, spec, guard))
+            if None not in vals:
+                break
     return BetheReport(roots=roots, twist=twist, flags=flags,
-                       residual_valuations=tuple(vals))
+                       residual_valuations=vals, bound=valuation_bound(spec))

@@ -32,7 +32,7 @@ import time
 from typing import List, Optional
 
 from . import __version__
-from .bethe import bethe_report, q_unit_modulus, valuation_bound
+from .bethe import bethe_report, q_unit_modulus
 from .infinite import enumerate_infinite_solutions
 from .lifting import LiftError, lift_newton, lift_ramified
 from .systems import ProblemSpec, SpecValidationError
@@ -131,8 +131,8 @@ def _refusals(spec: ProblemSpec) -> List[dict]:
 def _solve(spec: ProblemSpec, failures: List[dict]) -> dict:
     """The report body: each base with its lifts, certified and
     Bethe-checked, then the advisory tropical block.  Each failure met on
-    the way is appended to `failures`."""
-    bound = valuation_bound(spec)
+    the way is appended to `failures`: a lift and its Bethe report state
+    their own, and every lift is recorded alike."""
     entries = []
     for base in enumerate_infinite_solutions(spec):
         entry = {"base": base.to_json(), "lifts": []}
@@ -147,25 +147,15 @@ def _solve(spec: ProblemSpec, failures: List[dict]) -> dict:
             continue
         entry["branch_count"] = len(lifts)
         for ls in lifts:
-            item = ls.to_json()
-            item["certified"] = ls.certified()
-            if not ls.certified():
-                failures.append(_failure(
-                    "certificate_failure",
-                    f"residual valuation {ls.residual_valuation} "
-                    f"< {(ls.order + 1)}/{ls.n_ram}"))
             rep = bethe_report(ls, spec)
-            item["bethe"] = rep.to_json()
-            failures += [_failure("bethe_valuation",
-                                  f"Bethe residual valuation {v} < {bound}")
-                         for v in rep.residual_valuations or ()
-                         if v is not None and v < bound]
-            entry["lifts"].append(item)
-    if spec.m + spec.n > 4:
-        tropical = {"skipped": "cell enumeration above m+n=4 is run via the "
-                               "tropical subcommand"}
-    else:
-        tropical = prevariety(spec).to_json()
+            entry["lifts"].append(dict(ls.to_json(), bethe=rep.to_json()))
+            if message := ls.certificate_failure:
+                failures.append(_failure("certificate_failure", message))
+            failures += [_failure("bethe_valuation", message)
+                         for message in rep.failures]
+    tropical = prevariety(spec).to_json() if spec.m + spec.n <= 4 else {
+        "skipped": "cell enumeration above m+n=4 is run via the tropical "
+                   "subcommand"}
     return {"spec": spec.to_json(), "bases": entries, "failures": failures,
             "tropical": tropical}
 

@@ -36,10 +36,11 @@ never changes such a coefficient, so the readout would drop the branch
 and all that grow from it.  It is counted once, as a dropped branch.
 A finished branch is read out once, with its ramification normalised.
 Both paths return every branch they find in Q(i) with its exact
-residual-valuation certificate and judge none: the caller (the CLI) is the
-one judge, for Newton and ramified lifts alike, so correctness is
-independent of how the series was found, and a branch whose certificate
-fails is reported, not dropped.
+residual-valuation certificate and drop none for failing it: each lift
+states its own verdict (LiftedSolution.certificate_failure, the one place
+the bound (order + 1)/N is written), and the CLI records it for Newton and
+ramified lifts alike, so correctness is independent of how the series was
+found, and a branch whose certificate fails is reported, not dropped.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ CERTIFY_GUARD = 2
 
 @dataclass(frozen=True)
 class LiftedSolution:
-    """A truncated series solution with its residual certificate.
+    """A truncated series solution with its residual certificate and the
+    certificate's verdict, which its JSON states as "certified".
 
     lift_newton's coefficients do not depend on K, so the lift of a base
     at a lower K is the same jets cut short.
@@ -110,8 +112,16 @@ class LiftedSolution:
     def order(self) -> int:
         return self.point.top
 
+    @property
+    def certificate_failure(self) -> Optional[str]:
+        """Why the certificate fails, or None: the residual valuation must
+        reach (order + 1)/N, one s-order past the lift."""
+        bound = Fraction(self.order + 1, self.n_ram)
+        return (f"residual valuation {self.residual_valuation} < {bound}"
+                if self.residual_valuation < bound else None)
+
     def certified(self) -> bool:
-        return self.residual_valuation >= Fraction(self.order + 1, self.n_ram)
+        return self.certificate_failure is None
 
     @property
     def exact(self) -> bool:
@@ -139,7 +149,7 @@ class LiftedSolution:
                 "y": [s.to_json() for s in self.point.y],
                 "alpha": self.alpha.to_json() if self.alpha else None,
                 "residual_valuation": str(self.residual_valuation),
-                "base": self.base.to_json()}
+                "base": self.base.to_json(), "certified": self.certified()}
 
 
 def certify_residual_point(point: CandidatePoint, spec: ProblemSpec) -> Fraction:
@@ -210,8 +220,8 @@ _MAX_BRANCHES = 256
 def lift_ramified(sol: InfiniteSolution, spec: ProblemSpec
                   ) -> List[LiftedSolution]:
     """Every branch at the ramification indices the base admits, each
-    with its certificate, which is not judged here: the CLI lists an
-    uncertified lift and records a certificate_failure for it.
+    with its certificate, none dropped for failing it: the CLI lists an
+    uncertified lift and records the certificate_failure it states.
 
     The branch search runs at each N <= N_max that admitted_indices
     leaves (every N when min(m, n) >= 2); N_max, spec.ramification_bound,

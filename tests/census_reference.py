@@ -22,17 +22,23 @@ Lambda's roots, and they add up to m + n = C(m + n, m).
 
 With k = min(m, n) = 0 there is no v: the system is square, with one
 solution, of multiplicity 1, when det A is a unit at t = 0.
+
+The leading exponents of those branches are read from the lower Newton
+polygon of F(v0 + u, t) in (u, t) (Walker, Algebraic Curves, ch. IV): a
+branch v = v0 + c t^g + ..., c != 0, lies on an edge of slope -g, and a
+factor u of F is the branch v = v0 itself.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from fractions import Fraction
+from typing import Dict, Optional, Set, Tuple
 
 import sympy as sp
 
 from qqsystems.systems import ProblemSpec
 
-Z, V, T = sp.symbols("z v t")
+Z, V, T, U = sp.symbols("z v t u")
 
 
 def _number(c):
@@ -98,3 +104,24 @@ def multiplicities(spec: ProblemSpec) -> Dict[object, int]:
         return {None: 1}
     at_zero = sp.Poly(f.as_expr().subs(T, 0), V)
     return dict(sp.roots(at_zero, V))
+
+
+def leading_exponents(spec: ProblemSpec, v0) -> Tuple[bool, Set[Fraction]]:
+    """(exact, slopes) at the smaller side's base value v0 (k = 1): exact
+    when u = v - v0 divides F, and the g of every edge of slope -g on the
+    lower Newton polygon of F(v0 + u, t), from its point of least u-degree
+    to (mu, 0), mu the order of F(v0 + u, 0) at u = 0."""
+    f = sp.Poly(sp.expand(eliminant(spec).as_expr().subs(V, v0 + U)), U, T)
+    low: Dict[int, int] = {}
+    for i, j in f.monoms():
+        low[i] = min(j, low.get(i, j))
+    mu = min(i for i, j in low.items() if j == 0)
+    i, slopes = min(low), set()
+    while i < mu:
+        # the next vertex: the least slope from (i, low[i]), the farthest
+        # point among equal ones
+        nxt = min((k for k in low if i < k <= mu),
+                  key=lambda k: (Fraction(low[k] - low[i], k - i), -k))
+        slopes.add(Fraction(low[i] - low[nxt], nxt - i))
+        i = nxt
+    return min(low) > 0, slopes

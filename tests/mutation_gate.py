@@ -69,8 +69,8 @@ MUTANTS = [
      "        g, up, down = q2.denominator, up, down",
      ["tests/test_bethe.py"]),
     ("bethe_report reads an exact branch at the first window", "bethe.py",
-     "    for guard in (WORK_GUARD,) if ls.exact else (FIRST_GUARD, WORK_GUARD):",
-     "    for guard in (FIRST_GUARD,) if ls.exact else (FIRST_GUARD, WORK_GUARD):",
+     "        for guard in (WORK_GUARD,) if ls.exact else (FIRST_GUARD, WORK_GUARD):",
+     "        for guard in (FIRST_GUARD,) if ls.exact else (FIRST_GUARD, WORK_GUARD):",
      ["tests/test_bethe.py"]),
     ("series._reduced's gcd skips the last real numerator", "series.py",
      "        g = gcd(den, *re) if real else gcd(den, *re, *im)",
@@ -83,7 +83,7 @@ MUTANTS = [
     ("the certificate returns the first window's bound", "lifting.py",
      "    return Fraction(eval_top + 1, n_ram)",
      "    return Fraction(point.top + n_ram + 1, n_ram)",
-     ["tests/test_lifting.py"]),
+     ["tests/test_lifting.py::test_exact_branch_reads_the_second_window"]),
     ("a QQ t-part weight with the wrong sign", "systems.py",
      "        tp = read(lambda i, j: -qk[j], 0, -qk[spec.n])",
      "        tp = read(lambda i, j: qk[j], 0, -qk[spec.n])",
@@ -91,14 +91,15 @@ MUTANTS = [
     ("the leaf's pin rows reach lp.feasible unscaled", "tropical.py",
      "            rows = [_primitive([b.denominator * v for v in a] + [b.numerator])",
      "            rows = [([b.denominator * v for v in a] + [b.numerator])",
-     ["tests/test_tropical.py"]),
+     ["tests/test_tropical.py::"
+      "test_pin_row_with_a_common_factor_reaches_feasible_primitive"]),
     # the constraint solve must read the whole reduced Groebner basis;
     # basis[:1] would be an equivalent mutant, since the first element of
     # each two-element basis the tests meet already cuts out the variety
     ("the constraint solve drops a basis element", "lifting.py",
      "        sols = [] if basis == [1] else sp.solve(basis, involved, dict=True)",
      "        sols = [] if basis == [1] else sp.solve(basis[1:], involved, dict=True)",
-     ["tests/test_lifting.py"]),
+     ["tests/test_lifting.py::test_certificate_equals_one_reading_ramified"]),
     # without its simplify pass, sympy.solve's check reads nan on the
     # unsimplified candidates of a system over sqrt(-I) and raises
     ("the constraint solve skips sympy.solve's simplify pass", "lifting.py",
@@ -127,7 +128,7 @@ MUTANTS = [
     ("a {0} subtree counts pairs of all its items", "tropical.py",
      "        tail.insert(0, tail[0] * comb(vals.count(min(vals)), 2))",
      "        tail.insert(0, tail[0] * comb(len(vals), 2))",
-     ["tests/test_tropical.py"]),
+     ["tests/test_tropical.py::test_enumeration_gives_the_closed_form_count"]),
     ("the Gaudin residual weighs a root pair by 1", "bethe.py",
      "            pair[l, s] = (w - roots[s]).reciprocal() * Scalar(2)",
      "            pair[l, s] = (w - roots[s]).reciprocal()",
@@ -162,8 +163,8 @@ MUTANTS = [
      "    out.sort(key=lambda s: tuple(v.sort_key() for v in s.x0))",
      "    out.sort(key=lambda s: tuple((v.re.numerator, v.im) for v in s.x0))",
      ["tests/test_metamorphic.py::test_qq_translation_moves_only_order_zero"]),
-    # the CLI is the one judge of a ramified lift: a search branch whose
-    # certificate fails must be listed, not dropped before it
+    # a search branch whose certificate fails must be listed with the
+    # verdict it states, not dropped before the CLI records it
     ("lift_ramified drops an uncertified branch", "lifting.py",
      "                found.append(LiftedSolution.of(point, sol, spec))",
      "                found += [ls for ls in [LiftedSolution.of(point, sol, spec)] if ls.certified()]",
@@ -182,10 +183,33 @@ MUTANTS = [
      "        pin = {p: 0 for jet in jets for c in jet for p in c.free_symbols}",
      "        pin = {p: sp.I for jet in jets for c in jet for p in c.free_symbols}",
      ["tests/test_closure.py::test_conjugation_maps_branches_to_branches"]),
+    # the certificate states (order + 1)/N in lowest terms: < 2 at N = 2
+    # and order 3, < 4 at N = 1; the CLI test of the message also kills
+    # this
+    ("the certificate message prints its bound unreduced", "lifting.py",
+     '        return (f"residual valuation {self.residual_valuation} < {bound}"',
+     '        return (f"residual valuation {self.residual_valuation} < {self.order + 1}/{self.n_ram}"',
+     ["tests/test_lifting.py::test_certificate_failure_states_the_reduced_bound"]),
+    # a Bethe valuation at its bound passes; the golden digest of qq
+    # (z+1)^2(z+5) (2, 1) also kills this
+    ("the Bethe report fails a valuation at its bound", "bethe.py",
+     "                if v is not None and v < self.bound]",
+     "                if v is not None and v <= self.bound]",
+     ["tests/test_bethe.py::TestReport::"
+      "test_failures_are_the_valuations_below_the_bound"]),
+    # a branch found again at N = 2 with g = 2 keeps N = 2 on its s^2
+    # coefficients, so its leading exponent halves; the every-index
+    # equivalence tests of test_admitted_indices and the (1, 3) case of
+    # test_bethe's bound test also kill this
+    ("the readout keeps N when it drops the odd powers", "lifting.py",
+     "        series = [Series(n_ram // g, row[::g]) for row in rows]",
+     "        series = [Series(n_ram, row[::g]) for row in rows]",
+     ["tests/test_census.py::test_ladder_leading_exponents_lie_on_the_"
+      "census_polygon[qq (z+1)^2(z+2)^2 (1,3) K=2]"]),
     ("a spec file nested too deeply escapes the CLI", "cli.py",
      "    except (OSError, ValueError, RecursionError) as exc:",
      "    except (OSError, ValueError) as exc:",
-     ["tests/test_cli.py"]),
+     ["tests/test_cli.py::test_deeply_nested_spec_file"]),
 ]
 
 

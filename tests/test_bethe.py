@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -260,6 +261,56 @@ class TestReport:
         assert rep.twist == TWIST_XXZ
         assert rep.flags["q_distinct"]
         assert rep.residual_valuations == (Fraction(4),)
+
+
+    @pytest.mark.parametrize("spec", [
+        qq_spec([(1, 1), (2, 1)], 1, 1, K=4),
+        QQ_spec([(1, 1), (2, 1)], 1, 1, 3, K=4)], ids=["qq", "QQ"])
+    def test_failures_are_the_valuations_below_the_bound(self, spec):
+        # the bound is K - 1 under the Gaudin twist and K under the XXZ
+        # one; a valuation at the bound passes, and so does None (zero
+        # through its window)
+        bound = spec.K - 1 if spec.mode == "qq" else spec.K
+        rep = bethe_report(
+            lift_newton(enumerate_infinite_solutions(spec)[0], spec), spec)
+        assert rep.failures == []
+        below = Fraction(2 * bound - 1, 2)
+        vals = (Fraction(bound - 1), Fraction(bound), None, below,
+                Fraction(bound + 1))
+        assert replace(rep, residual_valuations=vals).failures == [
+            f"Bethe residual valuation {bound - 1} < {bound}",
+            f"Bethe residual valuation {below} < {bound}"]
+        assert replace(rep, residual_valuations=None).failures == []
+
+
+def _reports(spec):
+    """The Bethe report of every lift the solve lists for the spec."""
+    return [bethe_report(ls, spec)
+            for base in enumerate_infinite_solutions(spec)
+            for ls in ([lift_newton(base, spec)] if base.tier == "generic"
+                       else lift_ramified(base, spec))]
+
+
+@pytest.mark.parametrize("a", [1, -1])
+def test_a_moving_branch_below_the_bound_fails(a):
+    # qq (z+-1)^3 (1, 2) K = 2: the constant branch sits on a Lambda zero
+    # and is gated; the moving one has Gaudin valuation 0 < K - 1
+    reports = _reports(qq_spec([(a, 3)], 1, 2, K=2))
+    assert [f for rep in reports for f in rep.failures] == [
+        "Bethe residual valuation 0 < 1"]
+
+
+@pytest.mark.parametrize("spec", [
+    qq_spec([(1, 2), (2, 1)], 2, 1, K=2),
+    qq_spec([(1, 2), (2, 2)], 1, 3, K=2)], ids=["(2,1)", "(1,3)"])
+def test_valuations_at_the_bound_pass(spec):
+    # every listed valuation of these degenerate lifts is at least K - 1,
+    # and some sit at it
+    reports = _reports(spec)
+    vals = [v for rep in reports for v in rep.residual_valuations or ()
+            if v is not None]
+    assert min(vals) == spec.K - 1
+    assert [f for rep in reports for f in rep.failures] == []
 
 
 # ---------------------------------------------------------------------------

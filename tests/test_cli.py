@@ -372,6 +372,18 @@ def test_solve_reports_certificate_failure(tmp_path, capsys, monkeypatch):
     assert report["bases"][0]["lifts"][0]["certified"] is False
 
 
+def test_certificate_failure_message_reads_the_reduced_bound(
+        tmp_path, capsys, monkeypatch):
+    # an order-3 lift at N = 1 needs residual valuation 4, printed as 4
+    real = cli.lift_newton
+    monkeypatch.setattr(cli, "lift_newton", lambda base, spec: replace(
+        real(base, spec), residual_valuation=Fraction(7, 2)))
+    assert main(["solve", write_spec(tmp_path, ONE_BASE)]) == EXIT_CERTIFICATE
+    assert json.loads(capsys.readouterr().out)["failures"] == [
+        {"reason": "certificate_failure",
+         "message": "residual valuation 7/2 < 4"}]
+
+
 def test_uncertified_ramified_lift_is_reported(tmp_path, capsys,
                                                monkeypatch):
     # the CLI judges ramified lifts as it judges Newton ones: a branch the

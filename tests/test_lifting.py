@@ -191,6 +191,19 @@ def test_certificate_is_independent_of_online_residual(tmp_path, capsys,
                    for lift in entry["lifts"])
 
 
+@pytest.mark.parametrize("n_ram,message", [
+    (2, "residual valuation 3/2 < 2"), (1, "residual valuation 3 < 4")])
+def test_certificate_failure_states_the_reduced_bound(n_ram, message):
+    # order 3 needs (order + 1)/N: 4/2 = 2 at N = 2, 4/1 = 4 at N = 1
+    jet = Series(n_ram, [ONE, ZERO, ZERO, ZERO])
+    ls = LiftedSolution(CandidatePoint((jet,), (jet,)), None, None,
+                        Fraction(3, n_ram))
+    assert ls.order == 3
+    assert ls.certificate_failure == message and not ls.certified()
+    at_bound = replace(ls, residual_valuation=Fraction(4, n_ram))
+    assert at_bound.certificate_failure is None and at_bound.certified()
+
+
 class TestCertificate:
     def test_exact_polynomial_solution_certifies_everywhere(self):
         # (1, 1) solves the (z+1)^2 system identically
