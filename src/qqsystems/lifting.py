@@ -17,24 +17,31 @@ are read from Newton polygons of the rank-one eliminant
 superset of the indices its branches have, searched in ascending order.
 Where min(m, n) >= 2 every N <= N_max is searched.  The residual is
 expanded once in (delta, t) at the base; the search at each N is a pure
-function of the base, that expansion and N, exact types at both edges and
-sympy only inside.  It reads the base check and the J0 to row-reduce from
-the expansion's constant and delta-linear terms (jacobian_at_zero),
-substitutes t = s^N, carries each branch as one sympy correction jet per
-unknown (the delta) whose coefficients hold the kernel directions of the
-singular Jacobian as symbolic parameters, and branches on the finitely
-many parameter values that keep the next orders consistent.  Each
-constraint system is solved through its reduced Groebner basis: the same
-ideal, hence the same solutions, without the system's redundant rows.  A
-radical of the parameters, which an earlier order's solve leaves, enters
-the basis as a generator of its own and is put back before sympy.solve:
-putting it back is a ring homomorphism, so this too keeps the ideal.  A
-basis [1] closes its branch without sympy.solve.  A branch leaves the
-search as soon as a jet coefficient that holds no parameter lies outside
-Q(i), decided exactly (_try_scalar), after every order: substitution
-never changes such a coefficient, so the readout would drop the branch
-and all that grow from it.  It is counted once, as a dropped branch.
-A finished branch is read out once, with its ramification normalised.
+function of the base, that expansion and N, exact types at both edges.
+It reads the base check and the J0 to row-reduce from the expansion's
+constant and delta-linear terms (jacobian_at_zero), substitutes t = s^N,
+carries each branch as one correction jet per unknown (the delta) whose
+coefficients hold the kernel directions of the singular Jacobian as
+parameters, and branches on the finitely many parameter values that keep
+the next orders consistent.  The jets are first SparsePoly over Q(i) in
+the parameters (exact_jets), and each constraint system is solved
+exactly: none, a nonzero constant, a linear system by row reduction, and
+a system in one parameter by its gcd, of degree <= 2 with roots in Q(i);
+the roots come in the order sympy.solve gives them.  A system outside
+that reach sends the index back to its first order with sympy jets, and
+only then is sympy imported.  There each constraint system is solved
+through its reduced Groebner basis: the same ideal, hence the same
+solutions, without the system's redundant rows.  A radical of the
+parameters, which an earlier order's solve leaves, enters the basis as a
+generator of its own and is put back before sympy.solve: putting it back
+is a ring homomorphism, so this too keeps the ideal.  A basis [1] closes
+its branch without sympy.solve.  A branch leaves the search as soon as a
+jet coefficient that holds no parameter lies outside Q(i), decided
+exactly (_try_scalar), after every order: substitution never changes
+such a coefficient, so the readout would drop the branch and all that
+grow from it.  It is counted once, as a dropped branch.
+Both rings share the search loop and its readout, and a finished branch
+is read out once, with its ramification normalised.
 Both paths return every branch they find in Q(i) with its exact
 residual-valuation certificate and drop none for failing it: each lift
 states its own verdict (LiftedSolution.certificate_failure, the one place
@@ -280,94 +287,136 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
 
     A pure function of the base, its expanded_residual `expansion` (the
     SparsePoly components in (delta, t)) and N: its inputs and outputs are
-    exact types, and sympy lives only inside it.  It reduces [J0 | I],
-    J0 the singular t=0 Jacobian (jacobian_at_zero, which also checks the
-    base), to [R | L] with L J0 = R, and turns R, L and the expansion's
-    terms into sympy.  A branch is one correction jet per unknown, the
-    list [0, c_1, c_2, ...] of its s-coefficients in sympy, which may
-    hold kernel parameters brk_{order}_{c}.  At every s-order the
-    residual at delta = the jets, t = s^N gives the defect, multiplied
-    out only through that order, and the rows whose pivot lies in the L
-    block give polynomial consistency constraints on the parameters,
-    whose finitely many exact solutions (_constraint_solutions) are
+    exact types.  It reduces [J0 | I], J0 the singular t=0 Jacobian
+    (jacobian_at_zero, which also checks the base), to [R | L] with L J0 =
+    R.  A branch is one correction jet per unknown, the list [0, c_1, c_2,
+    ...] of its s-coefficients, which may hold kernel parameters
+    brk_{order}_{c}.  At every s-order the residual at delta = the jets, t
+    = s^N gives the defect, multiplied out only through that order, and
+    the rows whose pivot lies in the L block give polynomial consistency
+    constraints on the parameters, whose finitely many exact solutions are
     branched on.
-    After every order, the last one included, _prune_outside_field drops
-    the branches with a parameter-free coefficient outside Q(i), before
-    the _MAX_BRANCHES check.  After the last order the parameters still
-    free are pinned to zero and each branch is read out with its
-    ramification normalised: when g = gcd(N, exponents of its nonzero
-    coefficients) > 1 it is a series in s^g with index N/g.  A branch
-    with a coefficient that leaves Q(i) only once its parameters are
-    pinned is dropped there.  Each dropped branch counts once in the
-    returned count: a pruned branch is not followed to its leaves.
+    The jets live in one of two rings, which share this loop and its
+    readout: exact_jets.ExactJets first, and where it declines a system,
+    _SympyJets from the index's first order.
+    After every order, the last one included, the ring's prune drops the
+    branches with a parameter-free coefficient outside Q(i)
+    (_prune_outside_field; none over Q(i)), before the _MAX_BRANCHES check.
+    After the last order the parameters still free are pinned to zero and
+    each branch is read out with its ramification normalised: when g =
+    gcd(N, exponents of its nonzero coefficients) > 1 it is a series in
+    s^g with index N/g.  A branch with a coefficient that leaves Q(i) only
+    once its parameters are pinned is dropped there.  Each dropped branch
+    counts once in the returned count: a pruned branch is not followed to
+    its leaves.
     """
-    import sympy as sp
-
     dim = spec.m + spec.n
     reduced, pivots = rref([row + [ONE if c == i else ZERO for c in range(dim)]
                             for i, row in enumerate(jacobian_at_zero(expansion))])
-    red = [[_scalar_to_sympy(e) for e in row] for row in reduced]
-    residual = [[(mono, _scalar_to_sympy(c)) for mono, c in comp.terms.items()]
-                for comp in expansion]
     # a row whose pivot lies in the L block is a zero row of R and yields
     # consistency constraints
     pivot_rows = [(i, c) for i, c in enumerate(pivots) if c < dim]
     zero_rows = [i for i, c in enumerate(pivots) if c >= dim]
     free_cols = [c for c in range(dim) if c not in pivots]
 
-    def coeff_of_product(jets, powers, deg):
-        """The s^deg coefficient of prod jets[i]^powers[i]; zip stops at
-        the jets, so a residual term's exponents serve as the powers."""
-        acc = [sp.Integer(1)] + [sp.Integer(0)] * deg
-        for jet in [j for j, a in zip(jets, powers) for _ in range(a)]:
-            acc = [sp.Add(*[acc[k - e] * c for e, c in enumerate(jet[:k + 1])])
-                   for k in range(deg + 1)]
-        return acc[deg]
+    def search(ring):
+        red = [[ring.const(e) for e in row] for row in reduced]
+        residual = [[(mono, ring.const(c)) for mono, c in comp.terms.items()]
+                    for comp in expansion]
 
-    branches = [[[sp.Integer(0)]] * dim]
-    dropped = 0
-    for order in range(1, spec.K * n_ram + 1):
-        next_branches = []
+        def coeff_of_product(jets, powers, deg):
+            """The s^deg coefficient of prod jets[i]^powers[i]; zip stops at
+            the jets, so a residual term's exponents serve as the powers."""
+            acc = [ring.one] + [ring.zero] * deg
+            for jet in [j for j, a in zip(jets, powers) for _ in range(a)]:
+                acc = [ring.add(*[acc[k - e] * c
+                                  for e, c in enumerate(jet[:k + 1])])
+                       for k in range(deg + 1)]
+            return acc[deg]
+
+        branches = [[[ring.zero]] * dim]
+        dropped = 0
+        for order in range(1, spec.K * n_ram + 1):
+            next_branches = []
+            for jets in branches:
+                # a term c delta^a t^j reads s^(order - N j) of delta^a
+                defect = [ring.expand(ring.add(*[
+                    c * coeff_of_product(jets, u, order - n_ram * u[dim])
+                    for u, c in comp if n_ram * u[dim] <= order]))
+                    for comp in residual]
+                rhs = [ring.add(*[-l * d for l, d in zip(row[dim:], defect)])
+                       for row in red]
+                for subs in ring.solve([rhs[i] for i in zero_rows]):
+                    params = ring.params(order, free_cols)
+                    corr = dict(zip(free_cols, params))
+                    for i, pc in pivot_rows:
+                        val = ring.subs(rhs[i], subs)
+                        for p, c in zip(params, free_cols):
+                            val = val - red[i][c] * p
+                        corr[pc] = ring.expand(val)
+                    next_branches.append([[ring.subs(v, subs) for v in jet]
+                                          + [corr[i]]
+                                          for i, jet in enumerate(jets)])
+            next_branches, pruned = ring.prune(next_branches)
+            dropped += pruned
+            if len(next_branches) > _MAX_BRANCHES:
+                raise BranchExplosionError(
+                    f"{len(next_branches)} open branches at s-order {order} "
+                    f"for N = {n_ram} exceed the limit {_MAX_BRANCHES}")
+            branches = next_branches
+
+        points = []
         for jets in branches:
-            # a term c delta^a t^j reads s^(order - N j) of delta^a
-            defect = [sp.expand(sp.Add(*[
-                c * coeff_of_product(jets, u, order - n_ram * u[dim])
-                for u, c in comp if n_ram * u[dim] <= order]))
-                for comp in residual]
-            rhs = [sp.Add(*[-l * d for l, d in zip(row[dim:], defect)])
-                   for row in red]
-            for subs in _constraint_solutions([rhs[i] for i in zero_rows]):
-                params = [sp.Symbol(f"brk_{order}_{c}") for c in free_cols]
-                corr = dict(zip(free_cols, params))
-                for i, pc in pivot_rows:
-                    val = rhs[i].subs(subs)
-                    for p, c in zip(params, free_cols):
-                        val = val - red[i][c] * p
-                    corr[pc] = sp.expand(val)
-                next_branches.append([[v.subs(subs) for v in jet] + [corr[i]]
-                                      for i, jet in enumerate(jets)])
-        next_branches, pruned = _prune_outside_field(next_branches)
-        dropped += pruned
-        if len(next_branches) > _MAX_BRANCHES:
-            raise BranchExplosionError(
-                f"{len(next_branches)} open branches at s-order {order} "
-                f"for N = {n_ram} exceed the limit {_MAX_BRANCHES}")
-        branches = next_branches
+            rows = [[b] + coeffs
+                    for b, coeffs in zip(sol.x0 + sol.y0, ring.pinned(jets))]
+            if any(c is None for row in rows for c in row):
+                dropped += 1
+                continue
+            g = gcd(n_ram, *(k for row in rows for k, c in enumerate(row)
+                             if not c.is_zero))
+            series = [Series(n_ram // g, row[::g]) for row in rows]
+            points.append(CandidatePoint(tuple(series[:spec.m]),
+                                         tuple(series[spec.m:])))
+        return points, dropped
 
-    points = []
-    for jets in branches:
+    from .exact_jets import Declined, ExactJets
+    try:
+        return search(ExactJets(spec.K * n_ram, free_cols))
+    except Declined:
+        return search(_SympyJets())
+
+
+class _SympyJets:
+    """The search's ring once exact_jets declines a system at the
+    index: sympy expressions in the Symbols brk_{order}_{c}, solved by
+    _constraint_solutions, pruned by _prune_outside_field and read out by
+    _try_scalar."""
+
+    def __init__(self):
+        import sympy as sp
+        self.zero, self.one = sp.Integer(0), sp.Integer(1)
+        self.add, self.expand, self.symbol = sp.Add, sp.expand, sp.Symbol
+        self.const = _scalar_to_sympy
+
+    def params(self, order: int, free_cols: List[int]):
+        return [self.symbol(f"brk_{order}_{c}") for c in free_cols]
+
+    @staticmethod
+    def solve(constraints) -> List[dict]:
+        return _constraint_solutions(constraints)
+
+    @staticmethod
+    def subs(expr, sol: dict):
+        return expr.subs(sol)
+
+    @staticmethod
+    def prune(branches):
+        return _prune_outside_field(branches)
+
+    def pinned(self, jets) -> List[List[Optional[Scalar]]]:
         pin = {p: 0 for jet in jets for c in jet for p in c.free_symbols}
-        rows = [[b] + [_try_scalar(sp.expand(c.subs(pin))) for c in jet[1:]]
-                for b, jet in zip(sol.x0 + sol.y0, jets)]
-        if any(c is None for row in rows for c in row):
-            dropped += 1
-            continue
-        g = gcd(n_ram, *(k for row in rows for k, c in enumerate(row)
-                         if not c.is_zero))
-        series = [Series(n_ram // g, row[::g]) for row in rows]
-        points.append(CandidatePoint(tuple(series[:spec.m]),
-                                     tuple(series[spec.m:])))
-    return points, dropped
+        return [[_try_scalar(self.expand(c.subs(pin))) for c in jet[1:]]
+                for jet in jets]
 
 
 def _scalar_to_sympy(c: Scalar):
@@ -416,11 +465,12 @@ def _try_scalar(expr) -> Optional[Scalar]:
 def _constraint_solutions(constraints) -> List[dict]:
     """Exact solutions of the pending consistency constraints, as
     substitution dicts (one empty dict when nothing is constrained; none
-    when the constraints are inconsistent).  The reduced Groebner basis
-    generates the same ideal, so sympy.solve is given the basis, which
-    has the system's solutions and drops the proportional rows (e and 2e)
-    the zero rows often give; a basis [1] proves the system empty over C
-    (Nullstellensatz) without it.
+    when the constraints are inconsistent): the sympy half, for the
+    systems its exact half, exact_jets.exact_solutions, declines.  The
+    reduced Groebner basis generates the same ideal, so sympy.solve is
+    given the basis, which has the system's solutions and drops the
+    proportional rows (e and 2e) the zero rows often give; a basis [1]
+    proves the system empty over C (Nullstellensatz) without it.
     A radical of the parameters (a Pow with a non-integer exponent whose
     base holds one, such as the sqrt(1 - 6 brk_1_2 - 3 brk_1_2^2) an
     earlier order's solve leaves) is no polynomial to sympy.groebner, so
@@ -555,20 +605,10 @@ def ramification_indices(poly: SparsePoly, root: Scalar) -> Set[int]:
 def _largest_multiplicity(f: List[Scalar]) -> int:
     """The largest multiplicity of a root of f (coefficients lowest first,
     degree >= 1): how often f <- gcd(f, f') runs until f is constant."""
+    from .exact_jets import poly_gcd
     r = 0
     while len(f) > 1:
-        a, b = f, [c * e for e, c in enumerate(f)][1:]
-        while b:  # Euclid: a <- b, b <- a mod b
-            a = list(a)
-            while len(a) >= len(b):
-                lead = a[-1] / b[-1]
-                shift = len(a) - len(b)
-                for e, c in enumerate(b):
-                    a[shift + e] = a[shift + e] - lead * c
-                while a and a[-1].is_zero:
-                    a.pop()
-            a, b = b, a
-        f, r = a, r + 1
+        f, r = poly_gcd(f, [c * e for e, c in enumerate(f)][1:]), r + 1
     return r
 
 

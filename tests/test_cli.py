@@ -251,20 +251,22 @@ def test_branch_explosion_reported_per_base(tmp_path, capsys, monkeypatch):
 
 def test_undecided_constraints_reported(tmp_path, capsys, monkeypatch):
     # a constraint system sympy cannot solve fails its base with its own
-    # reason instead of passing for "no branch"
+    # reason instead of passing for "no branch"; the order-1 conic of qq
+    # (z+1)^3 (2, 1) is in two unknowns, so the exact half declines it and
+    # it reaches sympy.solve
     import sympy
 
     def undecided(*args, **kwargs):
         raise NotImplementedError("no algorithm")
 
     monkeypatch.setattr(sympy, "solve", undecided)
-    spec = write_spec(tmp_path, {"mode": "qq", "m": 1, "n": 1, "K": 4,
-                                 "lambda": _shifts(["1", 2])})
+    spec = write_spec(tmp_path, {"mode": "qq", "m": 2, "n": 1, "K": 2,
+                                 "lambda": _shifts(["1", 3])})
     assert main(["solve", spec]) == EXIT_RAMIFICATION
     report = json.loads(capsys.readouterr().out)
     assert [f["reason"] for f in report["failures"]] == [
         "undecided_constraints"]
-    assert [e["base"]["x0"] for e in report["bases"]] == [["1"]]
+    assert [e["base"]["x0"] for e in report["bases"]] == [["1", "1"]]
     assert report["bases"][0]["lifts"] == []
 
 
@@ -597,7 +599,9 @@ def _modules_loaded_by(calls, modules):
 
 def test_generic_runs_do_not_import_sympy(tmp_path):
     """Generic solve, tropical and enumerate load neither numpy nor sympy;
-    a degenerate solve loads sympy (the ramified search) but not numpy."""
+    nor does a degenerate solve whose constraint systems the exact half
+    solves (qq (z+1)^2); one whose conic it declines loads sympy (the
+    ramified search's sympy ring) but not numpy."""
     specs = [
         write_spec(tmp_path, {"mode": "qq", "m": 2, "n": 1, "K": 3,
                               "lambda": _shifts(["1", 1], ["2", 1], ["4", 1])},
@@ -608,9 +612,13 @@ def test_generic_runs_do_not_import_sympy(tmp_path):
              for cmd in ("solve", "tropical", "enumerate")]
     assert _modules_loaded_by(calls, ["numpy", "sympy"]) == \
         [[EXIT_OK] * 6, [False, False]]
-    degenerate = write_spec(tmp_path, {"mode": "qq", "m": 1, "n": 1, "K": 2,
+    degenerate = write_spec(tmp_path, {"mode": "qq", "m": 1, "n": 1, "K": 4,
                                        "lambda": _shifts(["1", 2])}, "deg.json")
     assert _modules_loaded_by([["solve", degenerate]], ["numpy", "sympy"]) == \
+        [[EXIT_OK], [False, False]]
+    conic = write_spec(tmp_path, {"mode": "qq", "m": 2, "n": 1, "K": 2,
+                                  "lambda": _shifts(["1", 3])}, "conic.json")
+    assert _modules_loaded_by([["solve", conic]], ["numpy", "sympy"]) == \
         [[EXIT_OK], [False, True]]
 
 
