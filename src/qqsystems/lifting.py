@@ -23,23 +23,12 @@ constant and delta-linear terms (jacobian_at_zero), substitutes t = s^N,
 carries each branch as one correction jet per unknown (the delta) whose
 coefficients hold the kernel directions of the singular Jacobian as
 parameters, and branches on the finitely many parameter values that keep
-the next orders consistent.  The jets are first SparsePoly over Q(i) in
-the parameters (exact_jets), and each constraint system is solved
-exactly: none, a nonzero constant, a linear system by row reduction, and
-a system in one parameter by its gcd, of degree <= 2 with roots in Q(i);
-the roots come in the order sympy.solve gives them.  A system outside
-that reach sends the index back to its first order with sympy jets, and
-only then is sympy imported.  There each constraint system is solved
-through its reduced Groebner basis: the same ideal, hence the same
-solutions, without the system's redundant rows.  A radical of the
-parameters, which an earlier order's solve leaves, enters the basis as a
-generator of its own and is put back before sympy.solve: putting it back
-is a ring homomorphism, so this too keeps the ideal.  A basis [1] closes
-its branch without sympy.solve.  A branch leaves the search as soon as a
-jet coefficient that holds no parameter lies outside Q(i), decided
-exactly (_try_scalar), after every order: substitution never changes
-such a coefficient, so the readout would drop the branch and all that
-grow from it.  It is counted once, as a dropped branch.
+the next orders consistent.  How each constraint system is solved, in
+which ring the jets live and which branches leave the search outside Q(i)
+is exact_jets' to decide: SparsePoly over Q(i) first, solved without a
+radical, and sympy only where that declines a system.  This module
+imports no sympy; exact_jets is imported on the degenerate path only, at
+its first call.
 Both rings share the search loop and its readout, and a finished branch
 is read out once, with its ramification normalised.
 Both paths return every branch they find in Q(i) with its exact
@@ -54,12 +43,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .infinite import InfiniteSolution
 from .linalg import SingularJacobianError, rref, solve_unique  # noqa: F401
-from .poly import SparsePoly
+from .poly import SparsePoly, poly_gcd
 from .scalar import Scalar, ZERO, ONE, dot
 from .series import OnlineSeries, Series
 from .systems import (CandidatePoint, ProblemSpec, eliminant,
@@ -82,13 +71,6 @@ class BranchExplosionError(LiftError):
     """The ramified search holds more than _MAX_BRANCHES open branches."""
 
     reason = "branch_explosion"
-
-
-class UndecidedConstraintsError(LiftError):
-    """sympy can neither solve a consistency constraint system of the
-    search nor prove it empty."""
-
-    reason = "undecided_constraints"
 
 
 # extra window (in s-exponents, per unit of N) used when certifying: the
@@ -298,10 +280,11 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
     branched on.
     The jets live in one of two rings, which share this loop and its
     readout: exact_jets.ExactJets first, and where it declines a system,
-    _SympyJets from the index's first order.
+    exact_jets.SympyJets from the index's first order.  Both rings'
+    elements substitute a solution map through their own subs.
     After every order, the last one included, the ring's prune drops the
-    branches with a parameter-free coefficient outside Q(i)
-    (_prune_outside_field; none over Q(i)), before the _MAX_BRANCHES check.
+    branches with a parameter-free coefficient outside Q(i), before the
+    _MAX_BRANCHES check.
     After the last order the parameters still free are pinned to zero and
     each branch is read out with its ramification normalised: when g =
     gcd(N, exponents of its nonzero coefficients) > 1 it is a series in
@@ -346,15 +329,15 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
                     for comp in residual]
                 rhs = [ring.add(*[-l * d for l, d in zip(row[dim:], defect)])
                        for row in red]
-                for subs in ring.solve([rhs[i] for i in zero_rows]):
+                for assignment in ring.solve([rhs[i] for i in zero_rows]):
                     params = ring.params(order, free_cols)
                     corr = dict(zip(free_cols, params))
                     for i, pc in pivot_rows:
-                        val = ring.subs(rhs[i], subs)
+                        val = rhs[i].subs(assignment)
                         for p, c in zip(params, free_cols):
                             val = val - red[i][c] * p
                         corr[pc] = ring.expand(val)
-                    next_branches.append([[ring.subs(v, subs) for v in jet]
+                    next_branches.append([[v.subs(assignment) for v in jet]
                                           + [corr[i]]
                                           for i, jet in enumerate(jets)])
             next_branches, pruned = ring.prune(next_branches)
@@ -379,143 +362,11 @@ def _branch_search(sol: InfiniteSolution, spec: ProblemSpec,
                                          tuple(series[spec.m:])))
         return points, dropped
 
-    from .exact_jets import Declined, ExactJets
+    from .exact_jets import Declined, ExactJets, SympyJets
     try:
         return search(ExactJets(spec.K * n_ram, free_cols))
     except Declined:
-        return search(_SympyJets())
-
-
-class _SympyJets:
-    """The search's ring once exact_jets declines a system at the
-    index: sympy expressions in the Symbols brk_{order}_{c}, solved by
-    _constraint_solutions, pruned by _prune_outside_field and read out by
-    _try_scalar."""
-
-    def __init__(self):
-        import sympy as sp
-        self.zero, self.one = sp.Integer(0), sp.Integer(1)
-        self.add, self.expand, self.symbol = sp.Add, sp.expand, sp.Symbol
-        self.const = _scalar_to_sympy
-
-    def params(self, order: int, free_cols: List[int]):
-        return [self.symbol(f"brk_{order}_{c}") for c in free_cols]
-
-    @staticmethod
-    def solve(constraints) -> List[dict]:
-        return _constraint_solutions(constraints)
-
-    @staticmethod
-    def subs(expr, sol: dict):
-        return expr.subs(sol)
-
-    @staticmethod
-    def prune(branches):
-        return _prune_outside_field(branches)
-
-    def pinned(self, jets) -> List[List[Optional[Scalar]]]:
-        pin = {p: 0 for jet in jets for c in jet for p in c.free_symbols}
-        return [[_try_scalar(self.expand(c.subs(pin))) for c in jet[1:]]
-                for jet in jets]
-
-
-def _scalar_to_sympy(c: Scalar):
-    import sympy as sp
-    return sp.Rational(c.re) + sp.I * sp.Rational(c.im)
-
-
-def _prune_outside_field(branches: List[list]) -> Tuple[List[list], int]:
-    """The open branches none of whose parameter-free jet coefficients
-    lies outside Q(i) (_try_scalar), and how many others there were.
-    Run after every order, the last one included.  Substitution replaces
-    only parameters, so such a coefficient reaches the readout unchanged,
-    where it would drop the branch and every branch grown from it:
-    dropping it now is exact, and counts it once.  What the readout still
-    drops is a coefficient that holds a parameter and leaves Q(i) once the
-    parameters are pinned to zero."""
-    import sympy as sp
-    kept = [jets for jets in branches
-            if not any(not (c.is_Rational or c.free_symbols)
-                       and _try_scalar(sp.expand(c)) is None
-                       for jet in jets for c in jet)]
-    return kept, len(branches) - len(kept)
-
-
-def _try_scalar(expr) -> Optional[Scalar]:
-    """The exact sympy number as a Scalar; None outside Q(i).
-    Rational real and imaginary parts convert at once, and a part that
-    sympy's assumptions prove irrational gives None at once.  Any other
-    number, such as (sqrt(2) + 1)(sqrt(2) - 1) or sqrt(3 + 2 sqrt(2)) -
-    sqrt(2), both 1, is decided by its minimal polynomial over Q(i): it
-    lies in Q(i) exactly when that polynomial has degree 1, whose root it
-    then is."""
-    import sympy as sp
-    re, im = expr.as_real_imag()
-    if not (re.is_Rational and im.is_Rational):
-        if re.is_rational is False or im.is_rational is False:
-            return None
-        poly = sp.minimal_polynomial(expr, polys=True,
-                                     domain=sp.QQ.algebraic_field(sp.I))
-        if poly.degree() > 1:
-            return None
-        re, im = sp.expand(-poly.nth(0) / poly.LC()).as_real_imag()
-    return Scalar(Fraction(re.p, re.q), Fraction(im.p, im.q))
-
-
-def _constraint_solutions(constraints) -> List[dict]:
-    """Exact solutions of the pending consistency constraints, as
-    substitution dicts (one empty dict when nothing is constrained; none
-    when the constraints are inconsistent): the sympy half, for the
-    systems its exact half, exact_jets.exact_solutions, declines.  The
-    reduced Groebner basis generates the same ideal, so sympy.solve is
-    given the basis, which has the system's solutions and drops the
-    proportional rows (e and 2e) the zero rows often give; a basis [1]
-    proves the system empty over C (Nullstellensatz) without it.
-    A radical of the parameters (a Pow with a non-integer exponent whose
-    base holds one, such as the sqrt(1 - 6 brk_1_2 - 3 brk_1_2^2) an
-    earlier order's solve leaves) is no polynomial to sympy.groebner, so
-    each distinct one becomes a generator of its own, after the
-    parameters (in default_sort_key order), and is put back into the
-    basis.  This is exact: sending each generator back to its radical is
-    a ring homomorphism, so the basis with its radicals put back generates
-    the same ideal of functions as the system, with the same zeros.
-    Where sympy.groebner still cannot take the system (a parameter in a
-    denominator), the system itself is solved.
-    sympy.solve keeps its simplify pass, though it takes much of the
-    search's time: its check, which drops candidates that do not satisfy
-    the system, evaluates the candidates numerically, and on the
-    unsimplified candidates of a system over sqrt(-I) (QQ (z+1)^3, q = 1
-    + i) it reads nan and raises TypeError.
-    UndecidedConstraintsError when sympy can neither solve the system nor
-    prove it empty."""
-    import sympy as sp
-    from sympy.polys.polyerrors import BasePolynomialError
-    live = [c for c in map(sp.expand, constraints) if c != 0]
-    if not live:
-        return [{}]
-    involved = sorted({p for c in live for p in c.free_symbols},
-                      key=lambda p: p.name)
-    if not involved:
-        return []  # nonzero constant constraint
-    radicals = sorted({e for c in live for e in c.atoms(sp.Pow)
-                       if not e.exp.is_Integer and e.base.free_symbols},
-                      key=sp.default_sort_key)
-    gens = {r: sp.Dummy() for r in radicals}
-    put_back = {g: r for r, g in gens.items()}
-    try:
-        basis = [b.xreplace(put_back) for b in sp.groebner(
-            [c.xreplace(gens) for c in live], *involved, *gens.values(),
-            order="grevlex", extension=True).exprs]
-    except (BasePolynomialError, NotImplementedError):
-        basis = live
-    try:
-        sols = [] if basis == [1] else sp.solve(basis, involved, dict=True)
-    except NotImplementedError as exc:
-        raise UndecidedConstraintsError(
-            f"sympy cannot solve {len(live)} consistency constraint(s) on "
-            + ", ".join(p.name for p in involved)) from exc
-    return [{key: sp.expand(val) for key, val in sol_map.items()}
-            for sol_map in sols]
+        return search(SympyJets())
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +397,8 @@ def admitted_indices(sol: InfiniteSolution, spec: ProblemSpec) -> List[int]:
     repeated = sorted({x for x in big if big.count(x) > 1},
                       key=Scalar.sort_key)
     if repeated:
-        g = _larger_side_eliminant(f, larger)
+        from .exact_jets import larger_side_eliminant
+        g = larger_side_eliminant(f, larger)
         per_coordinate += [ramification_indices(g, x) for x in repeated]
     admitted = {1}
     for options in per_coordinate:
@@ -570,17 +422,10 @@ def ramification_indices(poly: SparsePoly, root: Scalar) -> Set[int]:
     j up to r where c has multiplicity r.  So each edge adds q j for every
     j up to the largest multiplicity of its characteristic polynomial.
     """
-    powers = [ONE]
-    for _ in range(max(a for a, _ in poly.terms)):
-        powers.append(powers[-1] * root)
-    shifted: Dict[Tuple[int, int], Scalar] = {}
-    for (a, b), c in poly.terms.items():
-        for i in range(a + 1):  # (root + w)^a
-            term = c * powers[a - i] * comb(a, i)
-            shifted[i, b] = shifted[i, b] + term if (i, b) in shifted else term
+    shifted = poly.subs({0: SparsePoly.variable(0, 2) + root}).terms
     low: Dict[int, int] = {}
-    for (i, j), c in shifted.items():
-        if not c.is_zero and j < low.get(i, j + 1):
+    for i, j in shifted:
+        if j < low.get(i, j + 1):
             low[i] = j
     bottom = min(low.values())
     right = min(i for i, j in low.items() if j == bottom)
@@ -605,37 +450,7 @@ def ramification_indices(poly: SparsePoly, root: Scalar) -> Set[int]:
 def _largest_multiplicity(f: List[Scalar]) -> int:
     """The largest multiplicity of a root of f (coefficients lowest first,
     degree >= 1): how often f <- gcd(f, f') runs until f is constant."""
-    from .exact_jets import poly_gcd
     r = 0
     while len(f) > 1:
         f, r = poly_gcd(f, [c * e for e, c in enumerate(f)][1:]), r + 1
     return r
-
-
-def _larger_side_eliminant(f: Optional[SparsePoly], larger: List[SparsePoly]
-                           ) -> SparsePoly:
-    """G(u, t) in (u, t), whose roots u are the larger side's roots on the
-    system's solutions: Res_v(F, L(-u)) for L = sum_j larger[j] z^j, and
-    L(-u) itself when there is no F.  Repeated factors of F and of G are
-    removed first, as they add no branch.  Over the integers (the Gaussian
-    ones where a coefficient is not real), after the denominators are
-    cleared: sympy's modular resultant over ZZ takes a few milliseconds."""
-    import sympy as sp
-    v, u, t = sp.symbols("v u t")
-    lu = {(a, j, b): c if j % 2 == 0 else -c
-          for j, part in enumerate(larger) for (a, b), c in part.terms.items()}
-    fv = {} if f is None else {(a, 0, b): c for (a, b), c in f.terms.items()}
-    scalars = list(lu.values()) + list(fv.values())
-    domain = sp.ZZ if all(c.im == 0 for c in scalars) else sp.ZZ_I
-    scale = lcm(*(x.denominator for c in scalars for x in (c.re, c.im)))
-
-    def integral(terms):
-        return sp.Poly.from_dict({mono: _scalar_to_sympy(c * scale)
-                                  for mono, c in terms.items()},
-                                 v, u, t, domain=domain)
-
-    g = integral(lu)
-    if fv:
-        g = sp.resultant(integral(fv).sqf_part(), g)  # in v, the first gen
-    g = sp.Poly(g.as_expr(), u, t, domain=domain).sqf_part()
-    return SparsePoly({mono: _try_scalar(c) for mono, c in g.terms()}, 2)

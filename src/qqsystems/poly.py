@@ -1,13 +1,14 @@
-"""Exact sparse multivariate polynomials over Q(i).
+"""Exact polynomials over Q(i).
 
 SparsePoly stores a polynomial in several variables as a map from
 exponent tuples to nonzero coefficients, which is what the residual's
-expansions are read from.
+expansions are read from.  poly_gcd is Euclid on dense univariate
+coefficient lists.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from .scalar import Scalar, ONE
 
@@ -74,3 +75,35 @@ class SparsePoly:
         return SparsePoly(out, self.nvars)
 
     __rmul__ = __mul__
+
+    def subs(self, sol: Dict[int, "SparsePoly"]) -> "SparsePoly":
+        """Each variable v in sol replaced by sol[v], all at once, so a
+        value may hold the variable it replaces (v -> v + r shifts it)."""
+        if not any(u[v] for u in self.terms for v in sol):
+            return self
+        out = SparsePoly({}, self.nvars)
+        for u, c in self.terms.items():
+            term = SparsePoly({tuple(0 if v in sol else e
+                                     for v, e in enumerate(u)): c}, self.nvars)
+            for v, value in sol.items():
+                for _ in range(u[v]):
+                    term = term * value
+            out = out + term
+        return out
+
+
+def poly_gcd(a: List[Scalar], b: List[Scalar]) -> List[Scalar]:
+    """A gcd of two polynomials over Q(i), coefficients lowest first and
+    the leading one nonzero ([] is 0), not made monic: Euclid, a <- b,
+    b <- a mod b."""
+    while b:
+        a = list(a)
+        while len(a) >= len(b):
+            lead = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for e, c in enumerate(b):
+                a[shift + e] = a[shift + e] - lead * c
+            while a and a[-1].is_zero:
+                a.pop()
+        a, b = b, a
+    return a

@@ -100,13 +100,13 @@ MUTANTS = [
     # the constraint solve must read the whole reduced Groebner basis;
     # basis[:1] would be an equivalent mutant, since the first element of
     # each two-element basis the tests meet already cuts out the variety
-    ("the constraint solve drops a basis element", "lifting.py",
+    ("the constraint solve drops a basis element", "exact_jets.py",
      "        sols = [] if basis == [1] else sp.solve(basis, involved, dict=True)",
      "        sols = [] if basis == [1] else sp.solve(basis[1:], involved, dict=True)",
      ["tests/test_lifting.py::test_certificate_equals_one_reading_ramified"]),
     # without its simplify pass, sympy.solve's check reads nan on the
     # unsimplified candidates of a system over sqrt(-I) and raises
-    ("the constraint solve skips sympy.solve's simplify pass", "lifting.py",
+    ("the constraint solve skips sympy.solve's simplify pass", "exact_jets.py",
      "        sols = [] if basis == [1] else sp.solve(basis, involved, dict=True)",
      "        sols = [] if basis == [1] else sp.solve(basis, involved, dict=True, simplify=False)",
      ["tests/test_lifting.py::TestConstraintSolutions::"
@@ -115,7 +115,7 @@ MUTANTS = [
     # and the raw system is solved: the same solutions, only slower, so
     # every report stays as it is
     ("the constraint solve leaves the radicals out of the basis",
-     "lifting.py",
+     "exact_jets.py",
      "    gens = {r: sp.Dummy() for r in radicals}",
      "    gens = {}",
      ["tests/test_lifting.py::TestConstraintSolutions::"
@@ -150,13 +150,13 @@ MUTANTS = [
      ["tests/test_outside_field.py::"
       "test_ladder_lifts_equal_the_unpruned_search"]),
     # (sqrt 2 + 1)(sqrt 2 - 1) = 1: undecided is not irrational
-    ("_try_scalar drops what sympy cannot decide", "lifting.py",
+    ("_try_scalar drops what sympy cannot decide", "exact_jets.py",
      "        if re.is_rational is False or im.is_rational is False:",
      "        if not (re.is_rational and im.is_rational):",
      ["tests/test_outside_field.py::"
       "test_undecided_value_goes_through_minimal_polynomial"]),
     # sqrt(3 + 2 sqrt 2) has minimal polynomial x^2 - 2x - 1: not in Q(i)
-    ("_try_scalar reads a quadratic's root as rational", "lifting.py",
+    ("_try_scalar reads a quadratic's root as rational", "exact_jets.py",
      "        if poly.degree() > 1:",
      "        if poly.degree() > 2:",
      ["tests/test_outside_field.py::test_undecided_irrational_is_outside"]),
@@ -176,14 +176,14 @@ MUTANTS = [
     # a Gaussian shift with a fractional imaginary part, as qq scaling
     # makes of 1 + i, needs its denominator cleared before ZZ_I takes it
     ("the larger side's eliminant clears only real denominators",
-     "lifting.py",
+     "exact_jets.py",
      "    scale = lcm(*(x.denominator for c in scalars for x in (c.re, c.im)))",
      "    scale = lcm(*(c.re.denominator for c in scalars))",
      ["tests/test_metamorphic.py::test_qq_scaling_weights_each_order"]),
     # a kernel parameter still free at the last order sets the top
     # coefficients of a root cluster; pinned to i instead of 0, a branch
     # at a real base gets non-real ones, and its certificate still passes
-    ("the search pins a free parameter to i", "lifting.py",
+    ("the search pins a free parameter to i", "exact_jets.py",
      "        pin = {p: 0 for jet in jets for c in jet for p in c.free_symbols}",
      "        pin = {p: sp.I for jet in jets for c in jet for p in c.free_symbols}",
      ["tests/test_closure.py::test_conjugation_maps_branches_to_branches"]),
@@ -224,6 +224,20 @@ MUTANTS = [
      "                       for v, e in enumerate(u) if e}, key=names.__getitem__)",
      "                       for v, e in enumerate(u) if e})",
      ["tests/test_exact_solutions.py::test_linear_pivots_follow_name_order"]),
+    # a quadratic with no root in Q(i) has two roots outside it, each the
+    # value of a parameter-free jet coefficient: both branches are dropped
+    ("the exact half counts one root of a quadratic outside Q(i)",
+     "exact_jets.py",
+     "            return [None, None]",
+     "            return [None]",
+     ["tests/test_exact_solutions.py::"
+      "test_declines_where_sympy_returns_a_radical"]),
+    # a replaced variable keeps its exponent: x -> x + i in x^2 t would
+    # leave x^2 t (x + i)^2
+    ("SparsePoly.subs keeps the exponents it replaces", "poly.py",
+     "            term = SparsePoly({tuple(0 if v in sol else e",
+     "            term = SparsePoly({tuple(e",
+     ["tests/test_poly.py::TestSparsePoly::test_subs_replaces_all_at_once"]),
     ("a spec file nested too deeply escapes the CLI", "cli.py",
      "    except (OSError, ValueError, RecursionError) as exc:",
      "    except (OSError, ValueError) as exc:",

@@ -146,7 +146,7 @@ def degenerate_specs(draw):
     A QQ triple shift at K = 2, N_max = 3 takes 0.3 to 4 s of CPU in both
     searches together at a real shift and a real q, and 3 to 26 s at
     (z+1+-i)^3 or at q = 1 + i, m = 2: its branches that leave Q(i) are
-    dropped at the first orders (lifting._prune_outside_field).  Only
+    dropped at the first orders (exact_jets._prune_outside_field).  Only
     (z+1+-i)^3 at q = 1 + i, m = 2, N_max = 3 runs past 100 s, at K = 1
     and 2 alike, inside sympy.solve: about one run in 30 draws it."""
     mode = draw(st.sampled_from(["qq", "QQ"]))

@@ -597,11 +597,17 @@ def _modules_loaded_by(calls, modules):
         f"print(json.dumps([codes, [m in sys.modules for m in {modules!r}]]))\n"))
 
 
+# QQ (z+1)^2, q = 3, K = 2: both branches at its one index, N = 2, leave Q(i)
+OUTSIDE_FIELD = {"mode": "QQ", "q": "3", "m": 1, "n": 1, "K": 2,
+                 "lambda": _shifts(["1", 2])}
+
+
 def test_generic_runs_do_not_import_sympy(tmp_path):
     """Generic solve, tropical and enumerate load neither numpy nor sympy;
     nor does a degenerate solve whose constraint systems the exact half
-    solves (qq (z+1)^2); one whose conic it declines loads sympy (the
-    ramified search's sympy ring) but not numpy."""
+    solves (qq (z+1)^2), or counts outside Q(i) (QQ (z+1)^2, q = 3, whose
+    quadratic has no root there); one whose conic it declines loads sympy
+    (the ramified search's sympy ring) but not numpy."""
     specs = [
         write_spec(tmp_path, {"mode": "qq", "m": 2, "n": 1, "K": 3,
                               "lambda": _shifts(["1", 1], ["2", 1], ["4", 1])},
@@ -614,12 +620,49 @@ def test_generic_runs_do_not_import_sympy(tmp_path):
         [[EXIT_OK] * 6, [False, False]]
     degenerate = write_spec(tmp_path, {"mode": "qq", "m": 1, "n": 1, "K": 4,
                                        "lambda": _shifts(["1", 2])}, "deg.json")
-    assert _modules_loaded_by([["solve", degenerate]], ["numpy", "sympy"]) == \
-        [[EXIT_OK], [False, False]]
+    outside = write_spec(tmp_path, OUTSIDE_FIELD, "outside.json")
+    assert _modules_loaded_by([["solve", degenerate], ["solve", outside]],
+                              ["numpy", "sympy"]) == \
+        [[EXIT_OK, EXIT_RAMIFICATION], [False, False]]
     conic = write_spec(tmp_path, {"mode": "qq", "m": 2, "n": 1, "K": 2,
                                   "lambda": _shifts(["1", 3])}, "conic.json")
     assert _modules_loaded_by([["solve", conic]], ["numpy", "sympy"]) == \
         [[EXIT_OK], [False, True]]
+
+
+def test_degenerate_runs_without_sympy(tmp_path):
+    """With sympy unimportable, the exact ring lifts qq (z+1)^2 and counts
+    the two branches of QQ (z+1)^2, q = 3 that leave Q(i)."""
+    lifted = write_spec(tmp_path, {"mode": "qq", "m": 1, "n": 1, "K": 4,
+                                   "lambda": _shifts(["1", 2])}, "deg.json")
+    outside = write_spec(tmp_path, OUTSIDE_FIELD, "outside.json")
+    codes, messages = json.loads(_python(
+        "import contextlib, io, json, sys\n"
+        "sys.modules['sympy'] = None\n"
+        "from qqsystems.cli import main\n"
+        "codes, messages = [], []\n"
+        f"for spec in {[lifted, outside]!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        codes.append(main(['solve', spec]))\n"
+        "    messages.append([f['message'] for f in\n"
+        "                     json.loads(out.getvalue())['failures']])\n"
+        "print(json.dumps([codes, messages]))\n"))
+    assert codes == [EXIT_OK, EXIT_RAMIFICATION]
+    assert messages[0] == []
+    [message] = messages[1]
+    assert "2 branch(es) exist" in message
+    assert "outside the Gaussian rationals" in message
+
+
+def test_lifting_imports_no_sympy():
+    # the ramified search's sympy half lives in exact_jets
+    tree = ast.parse(Path(lifting.__file__).read_text())
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names]
+    names += [node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module]
+    assert names and not any(name.split(".")[0] == "sympy" for name in names)
 
 
 def test_oracle_names_resolve_lazily():

@@ -2,11 +2,12 @@
 
 exact_jets.exact_solutions solves, over Q(i), the constraint systems of the
 ramified search that need no radical: none, linear ones, and those in one
-unknown whose gcd has degree <= 2 and roots in Q(i).  Each map it returns,
-and their order, must be what the sympy half (lifting._constraint_solutions,
-sympy.groebner then sympy.solve) returns on the same system, and it must
-decline wherever sympy's answer leaves Q(i).  The search over its ring
-must return what the search forced onto the sympy ring returns.
+unknown whose gcd has degree <= 2.  Each map it returns, and their order,
+must be what the sympy half (exact_jets._constraint_solutions,
+sympy.groebner then sympy.solve) returns on the same system.  A quadratic
+with no root in Q(i) gives no map, and both its roots count as outside
+Q(i), where sympy's two roots both lie.  The search over its ring must
+return what the search forced onto the sympy ring returns.
 """
 
 from fractions import Fraction
@@ -18,10 +19,10 @@ from hypothesis import given, settings, strategies as st
 from test_admitted_indices import _degenerate_bases, _label, _ladder
 from test_golden_reports import CASES
 from qqsystems import exact_jets, lifting
-from qqsystems.exact_jets import exact_solutions, poly_gcd, sqrt
-from qqsystems.lifting import (_constraint_solutions, _largest_multiplicity,
-                               _try_scalar)
-from qqsystems.poly import SparsePoly
+from qqsystems.exact_jets import (_constraint_solutions, _try_scalar,
+                                  exact_solutions, sqrt)
+from qqsystems.lifting import _largest_multiplicity
+from qqsystems.poly import SparsePoly, poly_gcd
 from qqsystems.scalar import Scalar
 from qqsystems.systems import ProblemSpec, expanded_residual
 
@@ -141,10 +142,12 @@ def test_quadratic_roots_in_sympy_order(r1, r2):
     [Scalar(1), Scalar(-6), Scalar(-3)],          # the order-1 conic's disc
 ], ids=str)
 def test_declines_where_sympy_returns_a_radical(coeffs):
+    # no map: both roots lie outside Q(i), as both of sympy's do
     system = [_univariate(coeffs)]
-    assert exact_solutions(system, NAMES) is None
+    assert exact_solutions(system, NAMES) == [None, None]
     values = [value for sol in _sympy_half(system) for value in sol.values()]
-    assert values and any(_try_scalar(value) is None for value in values)
+    assert len(values) == 2
+    assert all(_try_scalar(value) is None for value in values)
 
 
 def test_declines_a_cubic_with_rational_roots():
@@ -237,8 +240,12 @@ def test_the_exact_ring_finishes_the_ladder_quadratics(monkeypatch):
     def refuse():
         raise AssertionError("the search fell back to sympy")
 
-    monkeypatch.setattr(lifting, "_SympyJets", refuse)
+    monkeypatch.setattr(exact_jets, "SympyJets", refuse)
     for a in (1, 2, 3):
         [(points, dropped)] = _searches(
             EXACT_RING_SPECS[f"qq (z+{a})^2 (1,1) K=2"], monkeypatch, False)
         assert len(points) == 2 and dropped == 0
+        # QQ (z+a)^2, q = 3 admits only N = 2, where a quadratic in one
+        # parameter has no root in Q(i): both its branches are dropped
+        assert _searches(EXACT_RING_SPECS[f"QQ (z+{a})^2 (1,1) K=2"],
+                         monkeypatch, False) == [([], 2)]

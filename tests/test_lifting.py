@@ -17,8 +17,9 @@ from qqsystems.infinite import enumerate_infinite_solutions
 from qqsystems import exact_jets, lifting
 from qqsystems.lifting import (lift_newton, lift_ramified,
                                certify_residual_point, SingularJacobianError,
-                               LiftedSolution, UndecidedConstraintsError,
-                               _constraint_solutions)
+                               LiftedSolution)
+from qqsystems.exact_jets import (UndecidedConstraintsError,
+                                  _constraint_solutions)
 
 
 def master(*shifts):
@@ -486,13 +487,13 @@ class TestConstraintSolutions:
         import sympy
         spec = qq_spec([(1, 3)], 2, 1)
         met = []
-        inner = lifting._constraint_solutions
+        inner = exact_jets._constraint_solutions
 
         def recording(constraints):
             met.append([c for c in map(sympy.expand, constraints) if c != 0])
             return inner(constraints)
 
-        monkeypatch.setattr(lifting, "_constraint_solutions", recording)
+        monkeypatch.setattr(exact_jets, "_constraint_solutions", recording)
         for base in enumerate_infinite_solutions(spec):
             lift_ramified(base, spec)
         monkeypatch.undo()
@@ -555,7 +556,7 @@ def _systems_met(monkeypatch, shifts, K):
     import sympy
     spec = qq_spec(shifts, 2, 1, K=K)
     met = {}
-    inner = lifting._constraint_solutions
+    inner = exact_jets._constraint_solutions
 
     def recording(constraints):
         live = tuple(c for c in map(sympy.expand, constraints) if c != 0)
@@ -565,7 +566,7 @@ def _systems_met(monkeypatch, shifts, K):
         return sols
 
     monkeypatch.setattr(exact_jets, "exact_solutions", lambda *args: None)
-    monkeypatch.setattr(lifting, "_constraint_solutions", recording)
+    monkeypatch.setattr(exact_jets, "_constraint_solutions", recording)
     for base in enumerate_infinite_solutions(spec):
         lift_reference.lift_ramified_every_index(base, spec)
     assert met

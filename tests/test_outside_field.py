@@ -1,16 +1,19 @@
 """Branches with a coefficient outside Q(i): decided once, dropped early.
 
-lifting._try_scalar converts an exact sympy number to a Scalar and gives
+exact_jets._try_scalar converts an exact sympy number to a Scalar and gives
 None outside Q(i); a real or imaginary part that sympy's assumptions prove
 irrational gives None without a minimal polynomial, and any other number is
-decided by its minimal polynomial over Q(i).  The branch search runs the
-same converter after every order, the last one included, on each jet
-coefficient that holds no kernel parameter (lifting._prune_outside_field)
-and drops a branch with such a coefficient outside Q(i) there, not at
-readout.  These
-tests hold the converter to hand-checked values and hold lift_ramified to
-the unpruned search (the helper patched to keep every branch): the same
-lifts, or the same failure with the same message, dropped count included.
+decided by its minimal polynomial over Q(i).  The branch search's sympy
+ring runs the same converter after every order, the last one included, on
+each jet coefficient that holds no kernel parameter
+(exact_jets._prune_outside_field) and drops a branch with such a
+coefficient outside Q(i) there, not at readout; its exact ring counts the
+two roots of a quadratic with no root in Q(i) as dropped at the order it
+solves it.  These tests hold the converter to hand-checked values and hold
+lift_ramified to the unpruned search (the exact ring declining such a
+quadratic, as the sympy ring's prune is patched to keep every branch): the
+same lifts, or the same failure with the same message, dropped count
+included.
 """
 
 from fractions import Fraction
@@ -21,8 +24,9 @@ import sympy as sp
 from test_admitted_indices import (_degenerate_bases, _label, _ladder,
                                    _outcome, _spec)
 from test_golden_reports import CASES
-from qqsystems import lifting
-from qqsystems.lifting import _try_scalar, lift_ramified
+from qqsystems import exact_jets
+from qqsystems.exact_jets import _try_scalar
+from qqsystems.lifting import lift_ramified
 from qqsystems.scalar import Scalar
 from qqsystems.systems import ProblemSpec
 
@@ -90,7 +94,14 @@ def _assert_equivalent(spec, monkeypatch):
     its dropped count, with and without the pruning."""
     bases = _degenerate_bases(spec)
     pruned = [_outcome(lift_ramified, base, spec) for base in bases]
-    monkeypatch.setattr(lifting, "_prune_outside_field",
+    solve = exact_jets.exact_solutions
+
+    def declining_outside(constraints, names):
+        sols = solve(constraints, names)
+        return None if sols and None in sols else sols
+
+    monkeypatch.setattr(exact_jets, "exact_solutions", declining_outside)
+    monkeypatch.setattr(exact_jets, "_prune_outside_field",
                         lambda branches: (branches, 0))
     assert [_outcome(lift_ramified, base, spec) for base in bases] == pruned, \
         spec

@@ -25,6 +25,16 @@ class TestSparsePoly:
         assert (self.X - self.X).terms == {}
         assert (-(self.X * 2) + self.X + self.X).terms == {}
 
+    def test_subs_replaces_all_at_once(self):
+        # x -> x + i in x^2 t: the value holds the variable it replaces
+        i = Scalar(0, 1)
+        p = self.X * self.X * self.T
+        assert p.subs({0: self.X + i}).terms == {
+            (2, 1): ONE, (1, 1): Scalar(0, 2), (0, 1): Scalar(-1)}
+        # x <-> t swap; an untouched variable leaves the polynomial as is
+        assert p.subs({0: self.T, 1: self.X}).terms == {(1, 2): ONE}
+        assert self.T.subs({0: self.X + 1}) is self.T
+
     def test_scalar_and_int_operands_are_constants(self):
         i = Scalar(0, 1)
         assert (self.X + i).terms == {(1, 0): ONE, (0, 0): i}
